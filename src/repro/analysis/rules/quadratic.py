@@ -9,7 +9,14 @@ hot-path module it flags:
 * membership tests against a list-producing expression — ``x in [...]``,
   ``x in list(...)``, ``x in sorted(...)``, ``x in [.. for ..]`` — which
   re-scan O(n) per iteration (use a set/dict built once outside);
-* ``.index()`` calls, which are a linear scan per iteration.
+* ``.index()`` calls, which are a linear scan per iteration;
+* ``project_transaction``/``project_object`` calls without an ``index``,
+  each of which scans the whole behavior (pass a covering
+  ``HistoryIndex`` for its cached slices, or group the behavior once
+  outside the loop).
+
+A ``for`` loop's iterable is evaluated once, so it counts as outside
+that loop.
 
 Deliberately quadratic code (bounded domains, diagnostics) is tagged
 ``# lint: allow-quadratic`` on the offending line *or* on the header
@@ -28,6 +35,10 @@ __all__ = ["QuadraticPatternRule"]
 #: Builtins whose call result is a freshly-built list.
 _LIST_BUILTINS = ("list", "sorted")
 
+#: ``repro.core.events`` projections that scan the whole behavior unless
+#: given an index, mapped to the position of their ``index`` argument.
+_SCANNING_PROJECTIONS = {"project_transaction": 2, "project_object": 3}
+
 
 def _is_list_expression(node: ast.expr) -> bool:
     """Is this expression guaranteed to evaluate to a (fresh) list?"""
@@ -38,6 +49,34 @@ def _is_list_expression(node: ast.expr) -> bool:
         and isinstance(node.func, ast.Name)
         and node.func.id in _LIST_BUILTINS
     )
+
+
+def _is_unindexed_projection(node: ast.Call) -> bool:
+    """Is this a behavior projection call that passes no ``index``?
+
+    ``HistoryIndex.project_transaction(T)`` and friends take one
+    argument, so only calls with the behavior argument(s) count.
+    """
+    func = node.func
+    if isinstance(func, ast.Name):
+        name = func.id
+    elif isinstance(func, ast.Attribute):
+        name = func.attr
+    else:
+        return False
+    position = _SCANNING_PROJECTIONS.get(name)
+    if position is None or any(isinstance(a, ast.Starred) for a in node.args):
+        return False
+    if len(node.args) > position:
+        index: ast.expr = node.args[position]
+    else:
+        keywords = {k.arg: k.value for k in node.keywords}
+        if None in keywords:  # ``**kwargs`` may carry the index
+            return False
+        if "index" not in keywords:
+            return len(node.args) == position
+        index = keywords["index"]
+    return isinstance(index, ast.Constant) and index.value is None
 
 
 class QuadraticPatternRule(Rule):
@@ -65,12 +104,26 @@ class QuadraticPatternRule(Rule):
     ) -> Iterator[Finding]:
         """Depth-first walk tracking the enclosing loop header lines."""
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                yield from self._scan(unit, child, loop_headers + [child.lineno])
-                continue
-            if loop_headers and not self._headers_allow(unit, loop_headers):
-                yield from self._check_node(unit, child)
-            yield from self._scan(unit, child, loop_headers)
+            yield from self._visit(unit, child, loop_headers)
+
+    def _visit(
+        self, unit: ModuleUnit, node: ast.AST, loop_headers: List[int]
+    ) -> Iterator[Finding]:
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            # the iterable and the else clause run once, outside the loop
+            yield from self._visit(unit, node.iter, loop_headers)
+            inner = loop_headers + [node.lineno]
+            for part in [node.target, *node.body]:
+                yield from self._visit(unit, part, inner)
+            for part in node.orelse:
+                yield from self._visit(unit, part, loop_headers)
+            return
+        if isinstance(node, ast.While):
+            yield from self._scan(unit, node, loop_headers + [node.lineno])
+            return
+        if loop_headers and not self._headers_allow(unit, loop_headers):
+            yield from self._check_node(unit, node)
+        yield from self._scan(unit, node, loop_headers)
 
     def _headers_allow(self, unit: ModuleUnit, loop_headers: List[int]) -> bool:
         tags = self.suppression_tags()
@@ -90,6 +143,16 @@ class QuadraticPatternRule(Rule):
                         "build a set once outside the loop "
                         "(or tag '# lint: allow-quadratic')",
                     )
+        elif isinstance(node, ast.Call) and _is_unindexed_projection(node):
+            yield Finding(
+                self.rule_id,
+                unit.display_path,
+                node.lineno,
+                "projection without an index inside a loop is a full scan "
+                "per iteration — pass a covering HistoryIndex or group the "
+                "behavior once outside the loop "
+                "(or tag '# lint: allow-quadratic')",
+            )
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)

@@ -77,15 +77,8 @@ from .actions import (
     RequestCreate,
     is_serial_action,
 )
-from .correctness import (
-    Certificate,
-    WitnessError,
-    _visible_transactions,
-    build_witness,
-    validate_serial_behavior,
-)
-from .events import project_transaction
-from .history import ConflictCache, HistoryIndex, spec_is_read_only
+from .correctness import Certificate, _count_verdict, _witness_phase
+from .history import ConflictCache, spec_is_read_only
 from .names import ROOT, ObjectName, SystemType, TransactionName
 from .return_values import ReturnValueViolation
 from .graph import Digraph
@@ -980,40 +973,10 @@ def certify_columnar(
             graph = build_columnar_graph(store, tracer=tracer, metrics=metrics)
         with tracer.span("certify.find_cycle"):
             cycle = graph.find_cycle()
-        certified = not arv_violations and cycle is None
-        certificate = Certificate(certified, arv_violations, cycle, graph)
-        if metrics is not None:
-            metrics.inc("certify.runs")
-            metrics.inc("certify.certified" if certified else "certify.rejected")
-            metrics.set_gauge("certify.arv_violations", len(arv_violations))
-        if certified and construct_witness:
-            serial_tuple = tuple(serial)
-            with tracer.span("certify.witness"):
-                order = graph.to_sibling_order()
-                certificate.order = order
-                index = HistoryIndex(serial_tuple, system_type)
-                try:
-                    witness = build_witness(
-                        serial_tuple, system_type, order, index
-                    )
-                    certificate.witness_problems = validate_serial_behavior(
-                        witness, system_type
-                    )
-                    if not certificate.witness_problems:
-                        for transaction in _visible_transactions(index):
-                            if project_transaction(
-                                witness, transaction
-                            ) != project_transaction(
-                                serial_tuple, transaction, index
-                            ):
-                                certificate.witness_problems.append(
-                                    f"witness projection differs at {transaction}"
-                                )
-                    certificate.witness = witness
-                except WitnessError as exc:
-                    certificate.witness_problems = [str(exc)]
-            if metrics is not None and certificate.witness is not None:
-                metrics.set_gauge(
-                    "certify.witness_events", len(certificate.witness)
-                )
+        certificate = Certificate(
+            not arv_violations and cycle is None, arv_violations, cycle, graph
+        )
+        if certificate.certified and construct_witness:
+            _witness_phase(certificate, tuple(serial), system_type, None, tracer)
+        _count_verdict(certificate, metrics)
     return certificate

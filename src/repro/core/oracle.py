@@ -127,7 +127,8 @@ def oracle_serially_correct(
             continue
         if validate_serial_behavior(witness, system_type):
             continue
-        if project_transaction(witness, ROOT) != project_transaction(
+        # each enumerated order projects its new candidate witness once
+        if project_transaction(witness, ROOT) != project_transaction(  # lint: allow-quadratic
             serial, ROOT, index
         ):
             continue

@@ -196,6 +196,24 @@ class TestR003Quadratic:
         assert sum("membership test" in m for m in messages) == 2
         assert sum(".index()" in m for m in messages) == 1
 
+    def test_unindexed_projection_in_a_loop_is_flagged(self):
+        findings = [
+            f
+            for f in lint_fixtures("R003")
+            if f.rule == "R003" and "bad_projection" in f.path
+        ]
+        assert all("projection without an index" in f.message for f in findings)
+        source = (FIXTURES / "core" / "bad_projection.py").read_text()
+        lines = source.splitlines()
+        flagged = {lines[f.line - 1].strip() for f in findings}
+        assert flagged == {
+            "if project_transaction(",  # the old per-transaction witness check
+            "projections.append(project_object(behavior, obj, system_type))"
+            "  # -> R003",
+            "out.append(project_transaction(behavior, transaction, index=None))"
+            "  # -> R003",
+        }
+
     def test_only_hot_path_modules_are_checked(self, tmp_path):
         cold = tmp_path / "util" / "scan.py"
         cold.parent.mkdir()
