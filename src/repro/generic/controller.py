@@ -11,12 +11,27 @@ and at any time after the completion; the driver's scheduling policy
 resolves these choices.  To keep the enabled-action enumeration finite
 we track delivered informs and reports (re-delivery, while harmless in
 the model, is never useful to a simulation).
+
+Enumeration: :meth:`GenericController.enabled` is the definition.  The
+state keeps, beside its history sets, the controller's *open work*:
+transactions requested but not created, commit requests not yet
+decided, requested transactions not yet completed, and completed
+transactions that still owe a report or an inform to a relevant
+object.  Each is held in the order the enumeration yields it, and
+:meth:`GenericController.effect` updates it in time proportional to
+the open work, so :meth:`GenericController.enabled_outputs` and
+:meth:`GenericController.enabled_aborts` cost the open work rather than
+the run so far.  The test suite keeps the full-history enumeration as
+the reference and checks that both yield the same actions in the same
+order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, Iterator, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..automata.base import IOAutomaton
 from ..obs.hooks import ObsHooks
@@ -36,6 +51,56 @@ from ..core.names import ObjectName, SystemType, TransactionName
 
 __all__ = ["GenericControllerState", "GenericController"]
 
+#: A report or inform the controller owes: committed before aborted,
+#: then by transaction name, then the report ("") before the informs in
+#: object-name order (object names are non-empty).
+OwedKey = Tuple[int, Tuple[str, ...], str]
+_COMMITTED, _ABORTED = 0, 1
+
+
+def _path(action: Any) -> Tuple[str, ...]:
+    return action.transaction.path
+
+
+def _owed_key(action: Action) -> OwedKey:
+    committed = isinstance(action, (ReportCommit, InformCommit))
+    section = _COMMITTED if committed else _ABORTED
+    obj = action.obj.name if isinstance(action, (InformCommit, InformAbort)) else ""
+    return (section, _path(action), obj)
+
+
+def _insert_by_name(actions: Tuple[Any, ...], action: Any) -> Tuple[Any, ...]:
+    """``actions`` (in transaction-name order) with ``action`` added."""
+    at = bisect_left(actions, _path(action), key=_path)
+    return actions[:at] + (action,) + actions[at:]
+
+
+def _remove_by_name(
+    actions: Tuple[Any, ...], transaction: TransactionName
+) -> Tuple[Any, ...]:
+    """``actions`` (in transaction-name order) without ``transaction``'s."""
+    at = bisect_left(actions, transaction.path, key=_path)
+    if at < len(actions) and actions[at].transaction == transaction:
+        return actions[:at] + actions[at + 1 :]
+    return actions
+
+
+def _insert_owed(owed: Tuple[Action, ...], due: List[Action]) -> Tuple[Action, ...]:
+    """``owed`` with ``due`` (one transaction's, in key order) added."""
+    if not due:
+        return owed
+    at = bisect_left(owed, _owed_key(due[0]), key=_owed_key)
+    return owed[:at] + tuple(due) + owed[at:]
+
+
+def _remove_owed(owed: Tuple[Action, ...], *keys: OwedKey) -> Tuple[Action, ...]:
+    """``owed`` without the actions whose :func:`_owed_key` is in ``keys``."""
+    for key in keys:
+        at = bisect_left(owed, key, key=_owed_key)
+        if at < len(owed) and _owed_key(owed[at]) == key:
+            owed = owed[:at] + owed[at + 1 :]
+    return owed
+
 
 @dataclass(frozen=True)
 class GenericControllerState:
@@ -43,6 +108,15 @@ class GenericControllerState:
 
     ``commit_values`` is a copy-on-write dict (never mutated in place), so
     value lookups stay O(1) even in large simulations.
+
+    The last four fields are the open work, derived from the history
+    sets by :meth:`GenericController.effect` and held in enumeration
+    order: ``creatable`` (requested, not created; by name),
+    ``committable`` (commit requested, not completed; by request),
+    ``abortable`` (requested, not completed; by name) and ``owed`` (the
+    reports and relevant informs completed transactions still owe; see
+    :data:`OwedKey`).  Build states with ``initial_state`` and
+    ``effect``, never by hand.
     """
 
     create_requested: FrozenSet[TransactionName] = frozenset()
@@ -52,6 +126,10 @@ class GenericControllerState:
     aborted: FrozenSet[TransactionName] = frozenset()
     reported: FrozenSet[TransactionName] = frozenset()
     informed: FrozenSet[Tuple[ObjectName, TransactionName]] = frozenset()
+    creatable: Tuple[Create, ...] = ()
+    committable: Tuple[Commit, ...] = ()
+    abortable: Tuple[Abort, ...] = ()
+    owed: Tuple[Action, ...] = ()
 
     def completed(self, transaction: TransactionName) -> bool:
         return transaction in self.committed or transaction in self.aborted
@@ -76,16 +154,21 @@ class GenericController(IOAutomaton):
         # inform); ``None`` keeps ``effect`` observer-free.
         self.hooks = hooks
         # Which objects care about a transaction's fate: those with an
-        # access in its subtree.  The model permits informing any object
-        # about any transaction (see ``enabled``), but enumerating only
-        # the relevant pairs keeps simulations linear — informs outside
-        # this map cannot affect any object's state.
-        self._relevant_objects: dict = {}
+        # access in its subtree, in name order.  The model permits
+        # informing any object about any transaction (see ``enabled``),
+        # but enumerating only the relevant pairs keeps simulations
+        # linear — informs outside this map cannot affect any object's
+        # state.
+        relevant: Dict[TransactionName, Set[ObjectName]] = {}
         for access, info in system_type.all_accesses().items():
             for ancestor in access.ancestors():
                 if ancestor.is_root:
                     continue
-                self._relevant_objects.setdefault(ancestor, set()).add(info.obj)
+                relevant.setdefault(ancestor, set()).add(info.obj)
+        self._relevant_objects: Dict[TransactionName, Tuple[ObjectName, ...]] = {
+            transaction: tuple(sorted(objects))
+            for transaction, objects in relevant.items()
+        }
 
     # -- signature ---------------------------------------------------------
 
@@ -128,6 +211,7 @@ class GenericController(IOAutomaton):
             return (
                 transaction in state.committed
                 and transaction not in state.reported
+                and state.commit_requested(transaction)
                 and state.value_of(transaction) == action.value
             )
         if isinstance(action, ReportAbort):
@@ -149,76 +233,129 @@ class GenericController(IOAutomaton):
         self, state: GenericControllerState, action: Action
     ) -> GenericControllerState:
         if isinstance(action, RequestCreate):
-            return replace(
-                state, create_requested=state.create_requested | {action.transaction}
-            )
+            transaction = action.transaction
+            if transaction in state.create_requested:
+                return state
+            changes: Dict[str, Any] = {
+                "create_requested": state.create_requested | {transaction}
+            }
+            if transaction not in state.created:
+                changes["creatable"] = _insert_by_name(
+                    state.creatable, Create(transaction)
+                )
+            if not state.completed(transaction):
+                changes["abortable"] = _insert_by_name(
+                    state.abortable, Abort(transaction)
+                )
+            return replace(state, **changes)
         if isinstance(action, RequestCommit):
-            if state.commit_requested(action.transaction):
+            transaction = action.transaction
+            if state.commit_requested(transaction):
                 return state
             updated = dict(state.commit_values)
-            updated[action.transaction] = action.value
-            return replace(state, commit_values=updated)
+            updated[transaction] = action.value
+            changes = {"commit_values": updated}
+            if not state.completed(transaction):
+                changes["committable"] = state.committable + (Commit(transaction),)
+            elif transaction in state.committed and transaction not in state.reported:
+                # committed before its request: the report falls due now
+                changes["owed"] = _insert_owed(
+                    state.owed, [ReportCommit(transaction, action.value)]
+                )
+            return replace(state, **changes)
         if isinstance(action, Create):
-            return replace(state, created=state.created | {action.transaction})
+            return replace(
+                state,
+                created=state.created | {action.transaction},
+                creatable=_remove_by_name(state.creatable, action.transaction),
+            )
         if isinstance(action, Commit):
             if self.hooks is not None:
                 self.hooks.on_commit(action.transaction)
-            return replace(state, committed=state.committed | {action.transaction})
+            return self._complete(state, action.transaction, committed=True)
         if isinstance(action, Abort):
             if self.hooks is not None:
                 self.hooks.on_abort(action.transaction)
-            return replace(state, aborted=state.aborted | {action.transaction})
+            return self._complete(state, action.transaction, committed=False)
         if isinstance(action, (ReportCommit, ReportAbort)):
             if self.hooks is not None:
                 self.hooks.on_report(
                     action.transaction, isinstance(action, ReportCommit)
                 )
-            return replace(state, reported=state.reported | {action.transaction})
+            path = action.transaction.path
+            return replace(
+                state,
+                reported=state.reported | {action.transaction},
+                owed=_remove_owed(
+                    state.owed, (_COMMITTED, path, ""), (_ABORTED, path, "")
+                ),
+            )
         if isinstance(action, (InformCommit, InformAbort)):
             if self.hooks is not None:
                 self.hooks.on_inform(
                     action.obj, action.transaction, isinstance(action, InformCommit)
                 )
+            path, obj = action.transaction.path, action.obj.name
             return replace(
-                state, informed=state.informed | {(action.obj, action.transaction)}
+                state,
+                informed=state.informed | {(action.obj, action.transaction)},
+                owed=_remove_owed(
+                    state.owed, (_COMMITTED, path, obj), (_ABORTED, path, obj)
+                ),
             )
         raise ValueError(f"{self.name}: {action} not in signature")
 
-    def enabled_outputs(self, state: GenericControllerState) -> Iterator[Action]:
-        for transaction in sorted(state.create_requested):
-            create = Create(transaction)
-            if self.enabled(state, create):
-                yield create
-        for transaction in state.commit_values:
-            commit = Commit(transaction)
-            if self.enabled(state, commit):
-                yield commit
-        for transaction in sorted(state.committed):
-            report = ReportCommit(transaction, state.value_of(transaction))
-            if self.enabled(state, report):
-                yield report
-            for obj in sorted(self._relevant_objects.get(transaction, ())):
-                inform = InformCommit(obj, transaction)
-                if self.enabled(state, inform):
-                    yield inform
-        for transaction in sorted(state.aborted):
-            report_abort = ReportAbort(transaction)
-            if self.enabled(state, report_abort):
-                yield report_abort
-            for obj in sorted(self._relevant_objects.get(transaction, ())):
-                inform_abort = InformAbort(obj, transaction)
-                if self.enabled(state, inform_abort):
-                    yield inform_abort
+    def _complete(
+        self,
+        state: GenericControllerState,
+        transaction: TransactionName,
+        committed: bool,
+    ) -> GenericControllerState:
+        """The state after COMMIT (``committed``) or ABORT of ``transaction``:
+        it is no longer committable or abortable, and its report and its
+        informs to relevant objects fall due."""
+        fates = state.committed if committed else state.aborted
+        if transaction in fates:
+            return state
+        due: List[Action] = []
+        if transaction not in state.reported:
+            if not committed:
+                due.append(ReportAbort(transaction))
+            elif state.commit_requested(transaction):
+                due.append(ReportCommit(transaction, state.value_of(transaction)))
+        for obj in self._relevant_objects.get(transaction, ()):
+            if (obj, transaction) not in state.informed:
+                due.append(
+                    InformCommit(obj, transaction)
+                    if committed
+                    else InformAbort(obj, transaction)
+                )
+        changes: Dict[str, Any] = {
+            "committed" if committed else "aborted": fates | {transaction},
+            "owed": _insert_owed(state.owed, due),
+        }
+        if not state.completed(transaction):
+            changes["committable"] = tuple(
+                commit
+                for commit in state.committable
+                if commit.transaction != transaction
+            )
+            changes["abortable"] = _remove_by_name(state.abortable, transaction)
+        return replace(state, **changes)
 
-    def enabled_aborts(self, state: GenericControllerState) -> Iterator[Abort]:
-        """Abort actions currently enabled — used by fault-injection policies.
+    def enabled_outputs(self, state: GenericControllerState) -> Iterator[Action]:
+        """CREATEs by name, COMMITs by request, then the owed reports and
+        informs: committed transactions by name, each one's report before
+        its informs in object order, then aborted ones likewise."""
+        return chain(state.creatable, state.committable, state.owed)
+
+    def enabled_aborts(self, state: GenericControllerState) -> Tuple[Abort, ...]:
+        """Abort actions currently enabled, by name — used by
+        fault-injection policies.
 
         Aborts are deliberately kept out of :meth:`enabled_outputs` so that
         a simulated run only aborts transactions when its policy decides to
         inject a fault; the automaton itself still models them as ordinary
         enabled outputs via :meth:`enabled`.
         """
-        for transaction in sorted(state.create_requested):
-            abort = Abort(transaction)
-            if self.enabled(state, abort):
-                yield abort
+        return state.abortable

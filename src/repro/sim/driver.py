@@ -101,15 +101,17 @@ def run_system(
         return None
 
     # Per-component caches of enabled outputs: a component's enabledness
-    # depends only on its own state, which changes only when an action in
-    # its signature is applied — so after each step only the components
-    # sharing that action need re-querying.  Enumeration order (component
-    # order, then each component's own order) is preserved exactly, so
-    # seeded runs are identical to the uncached driver.
+    # depends only on its own state, and effects are pure, so its
+    # outputs change only when ``Composition.effect`` hands it a new
+    # state object — after each step only those components are
+    # re-queried.  Enumeration order (component order, then each
+    # component's own order) is preserved exactly, so seeded runs are
+    # identical to the uncached driver.
     output_cache = {
         component.name: list(component.enabled_outputs(state[component.name]))
         for component in system.components
     }
+    offer_aborts = getattr(policy, "offer_aborts", None)
 
     while stats.steps < max_steps:
         enabled: List[Action] = []
@@ -119,14 +121,8 @@ def run_system(
                 if action not in seen:
                     seen.add(action)
                     enabled.append(action)
-        offer = getattr(policy, "offer_aborts", None)
-        if offer is not None:
-            aborts = [
-                abort
-                for abort in controller.enabled_aborts(state[controller.name])
-                if abort not in seen
-            ]
-            offer(aborts)
+        if offer_aborts is not None:
+            offer_aborts(controller.enabled_aborts(state[controller.name]))
         choice = policy.choose(enabled)
         if hooks is not None:
             hooks.on_policy_choice(enabled, choice)
@@ -143,11 +139,12 @@ def run_system(
                 if hooks is not None and stats.quiescent:
                     hooks.on_quiescence(stats.steps)
                 break
-        state = system.effect(state, choice)
+        previous, state = state, system.effect(state, choice)
         for component in system.components:
-            if component.is_action(choice):
+            component_state = state[component.name]
+            if component_state is not previous[component.name]:
                 output_cache[component.name] = list(
-                    component.enabled_outputs(state[component.name])
+                    component.enabled_outputs(component_state)
                 )
         trace.append(choice)
         policy.observe(choice)

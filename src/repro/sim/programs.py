@@ -261,15 +261,14 @@ class ProgramTransaction(IOAutomaton):
         self.transaction = name
         self.program = program
         self.name = f"A_{name}"
+        self._children: FrozenSet[TransactionName] = frozenset(
+            name.child(call.component) for call in program.calls
+        )
 
     # -- signature ---------------------------------------------------------
 
     def _is_my_child(self, other: TransactionName) -> bool:
-        return (
-            not other.is_root
-            and other.parent == self.transaction
-            and any(call.component == other.path[-1] for call in self.program.calls)
-        )
+        return other in self._children
 
     def is_input(self, action: Action) -> bool:
         if isinstance(action, Create):

@@ -12,6 +12,7 @@ from repro import (
     ReportCommit,
     RequestCommit,
     RequestCreate,
+    replay_schedule,
 )
 
 from conftest import T, rw_system
@@ -107,6 +108,18 @@ class TestInformsAndReports:
         state = self._committed_state(automaton)
         assert automaton.enabled(state, ReportCommit(T("a"), 9))
         assert not automaton.enabled(state, ReportCommit(T("a"), 8))
+
+    def test_commit_without_commit_value_owes_no_report(self):
+        # not a schedule of the controller (COMMIT needs a commit
+        # request), but ``effect`` accepts it; neither ``enabled`` nor the
+        # enumeration may look up the missing value
+        automaton = controller()
+        state = replay_schedule(
+            automaton, [RequestCreate(T("a")), Commit(T("a"))], strict=False
+        ).final_state
+        assert not automaton.enabled(state, ReportCommit(T("a"), 1))
+        outputs = list(automaton.enabled_outputs(state))
+        assert not any(isinstance(action, ReportCommit) for action in outputs)
 
     def test_inform_abort_after_abort(self):
         automaton = controller()

@@ -1,0 +1,361 @@
+"""The simulator's open-work enumeration against its full-history reference.
+
+The generic controller keeps its open work (creatable, committable and
+abortable transactions, owed reports and informs) in its state, and the
+driver re-queries a component only when the composition gave it a new
+state object.  The definitional versions live here as the reference:
+the controller enumeration that re-tests every transaction ever
+requested, committed or aborted against ``enabled``, and the driver loop
+that re-queries every component whose signature holds the applied
+action and filters the offered aborts through the enabled set.  Random
+controller schedules (enabled or not) and seeded Moss and undo runs
+under every scheduling policy must come out identical.
+"""
+
+from typing import Any, Dict, Iterator, List, Optional, Set
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    Abort,
+    Access,
+    Action,
+    Commit,
+    Create,
+    EagerInformPolicy,
+    GenericController,
+    InformAbort,
+    InformCommit,
+    MossRWLockingObject,
+    ObjectName,
+    ObsHooks,
+    OrphanFreePolicy,
+    RandomPolicy,
+    ReadOp,
+    ReportAbort,
+    ReportCommit,
+    RequestCommit,
+    RequestCreate,
+    RoundRobinPolicy,
+    RunStats,
+    SystemType,
+    TransactionName,
+    UndoLoggingObject,
+    WorkloadConfig,
+    WriteOp,
+    generate_workload,
+    make_generic_system,
+    run_system,
+)
+from repro.automata.composition import Composition
+from repro.generic.controller import GenericControllerState
+from repro.generic.objects import GenericObject
+from repro.sim.driver import RunResult
+from repro.sim.faults import AbortInjector, ScriptedAbortInjector
+from repro.sim.policies import SchedulingPolicy
+from repro.sim.workload import CounterKind, RWKind
+
+from conftest import T, rw_system
+
+# -- the reference controller enumeration ------------------------------------
+
+
+def relevant_objects(
+    system_type: SystemType,
+) -> Dict[TransactionName, List[ObjectName]]:
+    """Objects with an access in each transaction's subtree, by name."""
+    relevant: Dict[TransactionName, Set[ObjectName]] = {}
+    for access, info in system_type.all_accesses().items():
+        for ancestor in access.ancestors():
+            if not ancestor.is_root:
+                relevant.setdefault(ancestor, set()).add(info.obj)
+    return {name: sorted(objects) for name, objects in relevant.items()}
+
+
+def reference_enabled_outputs(
+    controller: GenericController, state: GenericControllerState
+) -> Iterator[Action]:
+    """Every transaction in the history, re-tested against ``enabled``."""
+    relevant = relevant_objects(controller.system_type)
+    for transaction in sorted(state.create_requested):
+        create = Create(transaction)
+        if controller.enabled(state, create):
+            yield create
+    for transaction in state.commit_values:
+        commit = Commit(transaction)
+        if controller.enabled(state, commit):
+            yield commit
+    for transaction in sorted(state.committed):
+        if state.commit_requested(transaction):
+            report = ReportCommit(transaction, state.value_of(transaction))
+            if controller.enabled(state, report):
+                yield report
+        for obj in relevant.get(transaction, ()):
+            inform = InformCommit(obj, transaction)
+            if controller.enabled(state, inform):
+                yield inform
+    for transaction in sorted(state.aborted):
+        report_abort = ReportAbort(transaction)
+        if controller.enabled(state, report_abort):
+            yield report_abort
+        for obj in relevant.get(transaction, ()):
+            inform_abort = InformAbort(obj, transaction)
+            if controller.enabled(state, inform_abort):
+                yield inform_abort
+
+
+def reference_enabled_aborts(
+    controller: GenericController, state: GenericControllerState
+) -> Iterator[Abort]:
+    for transaction in sorted(state.create_requested):
+        abort = Abort(transaction)
+        if controller.enabled(state, abort):
+            yield abort
+
+
+# -- random controller schedules ---------------------------------------------
+
+X, Y, Z = ObjectName("x"), ObjectName("y"), ObjectName("z")
+NAMES = (T("a"), T("a", "r"), T("a", "s"), T("b"), T("b", "w"), T("c"))
+VALUES = (1, 2)
+
+
+def schedule_system() -> SystemType:
+    """``a`` reaches x and y, ``b`` reaches y, ``c`` and object z nothing."""
+    system = rw_system("x", "y", "z")
+    system.register_access(T("a", "r"), Access(X, ReadOp()))
+    system.register_access(T("a", "s"), Access(Y, WriteOp(1)))
+    system.register_access(T("b", "w"), Access(Y, WriteOp(2)))
+    return system
+
+
+def controller_actions() -> List[Action]:
+    """Every controller action over :data:`NAMES`, informs to all objects."""
+    actions: List[Action] = []
+    for name in NAMES:
+        actions += [RequestCreate(name), Create(name), Commit(name), Abort(name)]
+        actions += [RequestCommit(name, value) for value in VALUES]
+        actions += [ReportCommit(name, value) for value in VALUES]
+        actions.append(ReportAbort(name))
+        for obj in (X, Y, Z):
+            actions += [InformCommit(obj, name), InformAbort(obj, name)]
+    return actions
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(controller_actions()), max_size=60))
+def test_open_work_matches_full_history(schedule):
+    """Duplicates, completion before request, COMMIT and ABORT of one
+    transaction, informs to irrelevant objects: after every effect both
+    enumerations equal the reference, action for action."""
+    controller = GenericController(schedule_system())
+    state = controller.initial_state()
+    for action in schedule:
+        state = controller.effect(state, action)
+        outputs = list(controller.enabled_outputs(state))
+        aborts = list(controller.enabled_aborts(state))
+        assert outputs == list(reference_enabled_outputs(controller, state))
+        assert aborts == list(reference_enabled_aborts(controller, state))
+        assert all(controller.enabled(state, enabled) for enabled in outputs + aborts)
+
+
+def test_late_commit_request_owes_the_report_before_informs():
+    controller = GenericController(schedule_system())
+    state = controller.initial_state()
+    for action in (
+        RequestCreate(T("a")),
+        Create(T("a")),
+        Commit(T("a")),
+        RequestCommit(T("a"), 2),
+    ):
+        state = controller.effect(state, action)
+    assert list(controller.enabled_outputs(state)) == [
+        ReportCommit(T("a"), 2),
+        InformCommit(X, T("a")),
+        InformCommit(Y, T("a")),
+    ]
+
+
+# -- the reference driver -------------------------------------------------------
+
+
+def reference_run_system(
+    system: Composition,
+    policy: SchedulingPolicy,
+    system_type: SystemType,
+    max_steps: int = 10_000,
+    collect_blocking: bool = False,
+    resolve_deadlocks: bool = False,
+    hooks: Optional[ObsHooks] = None,
+) -> RunResult:
+    """Re-query every component whose signature holds the applied action;
+    offer the aborts not already enabled."""
+    state = system.initial_state()
+    trace: List[Action] = []
+    stats = RunStats()
+    controller = next(c for c in system.components if isinstance(c, GenericController))
+    objects = [c for c in system.components if isinstance(c, GenericObject)]
+
+    def outputs_of(component: Any) -> List[Action]:
+        if component is controller:
+            return list(reference_enabled_outputs(controller, state[controller.name]))
+        return list(component.enabled_outputs(state[component.name]))
+
+    def pick_deadlock_victim() -> Optional[Abort]:
+        blocked = sorted(
+            access
+            for generic_object in objects
+            for access in generic_object.blocked_accesses(state[generic_object.name])
+        )
+        for access in blocked:
+            abort = Abort(TransactionName(access.path[:1]))
+            if controller.enabled(state[controller.name], abort):
+                return abort
+        return None
+
+    output_cache = {c.name: outputs_of(c) for c in system.components}
+    while stats.steps < max_steps:
+        enabled: List[Action] = []
+        seen = set()
+        for component in system.components:
+            for action in output_cache[component.name]:
+                if action not in seen:
+                    seen.add(action)
+                    enabled.append(action)
+        offer = getattr(policy, "offer_aborts", None)
+        if offer is not None:
+            offer(
+                [
+                    abort
+                    for abort in reference_enabled_aborts(
+                        controller, state[controller.name]
+                    )
+                    if abort not in seen
+                ]
+            )
+        choice = policy.choose(enabled)
+        if hooks is not None:
+            hooks.on_policy_choice(enabled, choice)
+        if choice is None:
+            if resolve_deadlocks and not enabled:
+                victim = pick_deadlock_victim()
+                if victim is not None:
+                    choice = victim
+                    stats.deadlock_aborts += 1
+                    if hooks is not None:
+                        hooks.on_deadlock_abort(victim.transaction)
+            if choice is None:
+                stats.quiescent = not enabled
+                if hooks is not None and stats.quiescent:
+                    hooks.on_quiescence(stats.steps)
+                break
+        state = system.effect(state, choice)
+        for component in system.components:
+            if component.is_action(choice):
+                output_cache[component.name] = outputs_of(component)
+        trace.append(choice)
+        policy.observe(choice)
+        if hooks is not None:
+            hooks.on_step(stats.steps, choice)
+        stats.steps += 1
+        stats.count(type(choice).__name__)
+        if isinstance(choice, Commit):
+            stats.committed += 1
+            if choice.transaction.depth == 1:
+                stats.top_level_committed += 1
+        elif isinstance(choice, Abort):
+            stats.aborted += 1
+        elif isinstance(choice, RequestCommit) and system_type.is_access(
+            choice.transaction
+        ):
+            stats.accesses_answered += 1
+        if collect_blocking:
+            for generic_object in objects:
+                blocked = generic_object.blocked_accesses(state[generic_object.name])
+                stats.blocked_access_steps += sum(1 for _ in blocked)
+    return RunResult(tuple(trace), stats, state)
+
+
+class RecordingHooks(ObsHooks):
+    """Every driver and controller event, in order."""
+
+    def __init__(self) -> None:
+        self.events: List[tuple] = []
+
+    def on_step(self, step, action):
+        self.events.append(("step", step, action))
+
+    def on_policy_choice(self, enabled, choice):
+        self.events.append(("choice", tuple(enabled), choice))
+
+    def on_quiescence(self, steps):
+        self.events.append(("quiescence", steps))
+
+    def on_deadlock_abort(self, victim):
+        self.events.append(("deadlock_abort", victim))
+
+    def on_commit(self, transaction):
+        self.events.append(("commit", transaction))
+
+    def on_abort(self, transaction):
+        self.events.append(("abort", transaction))
+
+    def on_report(self, transaction, committed):
+        self.events.append(("report", transaction, committed))
+
+    def on_inform(self, obj, transaction, committed):
+        self.events.append(("inform", obj, transaction, committed))
+
+
+POLICIES = {
+    "eager": lambda seed, names: EagerInformPolicy(seed=seed),
+    "abort-injector": lambda seed, names: AbortInjector(
+        RandomPolicy(seed), abort_rate=0.05, seed=seed
+    ),
+    "round-robin": lambda seed, names: RoundRobinPolicy(),
+    "orphan-free": lambda seed, names: OrphanFreePolicy(
+        AbortInjector(RandomPolicy(seed), abort_rate=0.05, seed=seed)
+    ),
+    "scripted": lambda seed, names: ScriptedAbortInjector(
+        RandomPolicy(seed), victims=names[::3], seed=seed, inject_rate=0.3
+    ),
+}
+ALGORITHMS = {
+    "moss": (MossRWLockingObject, RWKind),
+    "undo": (UndoLoggingObject, CounterKind),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("seed", [3, 8])
+def test_driver_matches_reference(algorithm, policy, seed):
+    factory, kind = ALGORITHMS[algorithm]
+    system_type, programs = generate_workload(
+        WorkloadConfig(seed=seed, top_level=8, objects=3, kind=kind())
+    )
+    names = sorted(
+        {
+            ancestor
+            for access in system_type.all_accesses()
+            for ancestor in access.ancestors()
+            if not ancestor.is_root
+        }
+    )
+    runs = []
+    for run in (run_system, reference_run_system):
+        hooks = RecordingHooks()
+        system = make_generic_system(system_type, programs, factory, hooks=hooks)
+        result = run(
+            system,
+            POLICIES[policy](seed, names),
+            system_type,
+            collect_blocking=True,
+            resolve_deadlocks=True,
+            hooks=hooks,
+        )
+        runs.append((result.behavior, result.stats, hooks.events))
+    assert runs[0] == runs[1]
+    assert runs[0][1].steps > 0
