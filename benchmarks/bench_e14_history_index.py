@@ -4,26 +4,27 @@ Batch certification used to rebuild what it needed phase by phase:
 every projection was a fresh full scan, ``conflict(beta)`` compared all
 O(k²) access pairs per object, and visibility re-walked ancestor chains
 per query.  The :class:`repro.core.history.HistoryIndex` materializes
-all of it in one O(n) pass and ``certify(..., indexed=True)`` (the
-default) threads that single index through every phase; the conflict
-phase additionally skips read/read pairs entirely, so a read-heavy
-history drops from O(k²) to O(k·w) specification consultations with
-``w`` writers per object.
+all of it in one O(n) pass, and the indexed lane threads that single
+index through every phase; the conflict phase additionally skips
+read/read pairs entirely, so a read-heavy history drops from O(k²) to
+O(k·w) specification consultations with ``w`` writers per object.
 
-This benchmark certifies identical growing read-heavy histories with
-``indexed=True`` and ``indexed=False`` (the preserved naive baseline),
-asserts the verdicts agree, and writes ``BENCH_e14_history_index.json``
-with the speedups and the ``history.index.*`` cost counters.  The
-target: ≥5x at the largest size (n ≈ 5k events).
+This benchmark certifies identical growing read-heavy histories on the
+indexed lane and on the naive baseline (both built from the phase
+functions in ``_lanes.py``; ``certify`` itself runs the columnar engine
+of E17), asserts the verdicts agree, and writes
+``BENCH_e14_history_index.json`` with the speedups and the
+``history.index.*`` cost counters.  The target: ≥5x at the largest size
+(n ≈ 5k events).
 """
 
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from _lanes import timed_object_lane
 from _obs import write_bench_json
 from _smoke import SMOKE, pick
 from _tables import print_table
@@ -33,7 +34,6 @@ from repro import (
     Access,
     Commit,
     Create,
-    MetricsRegistry,
     ObjectName,
     ReadOp,
     ReportCommit,
@@ -43,7 +43,6 @@ from repro import (
     RWSpec,
     SystemType,
     WriteOp,
-    certify,
 )
 
 #: one write per this many accesses — the read-heavy regime the
@@ -93,20 +92,6 @@ def read_heavy_history(top_level: int, accesses: int = 20, objects: int = 2):
     return tuple(actions), system_type
 
 
-def timed_certify(behavior, system_type, indexed: bool):
-    registry = MetricsRegistry()
-    start = time.perf_counter()
-    certificate = certify(
-        behavior,
-        system_type,
-        construct_witness=False,
-        metrics=registry,
-        indexed=indexed,
-    )
-    seconds = time.perf_counter() - start
-    return certificate, seconds, registry.snapshot()["counters"]
-
-
 CASES = pick([12, 24, 48], [2, 3])
 
 
@@ -115,15 +100,14 @@ def run_comparison():
     report = {}
     for top_level in CASES:
         behavior, system_type = read_heavy_history(top_level)
-        indexed, idx_seconds, idx_counters = timed_certify(
+        indexed, idx_seconds, idx_counters = timed_object_lane(
             behavior, system_type, indexed=True
         )
-        naive, naive_seconds, _ = timed_certify(
+        naive, naive_seconds, _ = timed_object_lane(
             behavior, system_type, indexed=False
         )
-        assert indexed.certified == naive.certified
-        assert indexed.certified  # serial + ARV-correct by construction
-        assert (indexed.cycle is None) and (naive.cycle is None)
+        # serial + ARV-correct by construction: certified, no cycle
+        assert indexed == naive == (True, None)
         speedup = naive_seconds / max(idx_seconds, 1e-9)
         label = f"top{top_level}"
         report[label] = {

@@ -11,11 +11,13 @@ bitsets, and read/write objects resolve their whole conflict relation
 in one linear bitset sweep (``conflicts_iff_writer``) instead of a pair
 loop.
 
-This benchmark certifies identical growing read-heavy histories with
-``certify(indexed=True)`` (the PR 3 lane) and ``certify_columnar`` fed
-by a *lazy generator* — the 50k+ event corpus is never materialized as
-an object list for the columnar lane — asserts the verdicts agree, and
-writes ``BENCH_e17_columnar.json``.  The acceptance bar, checked here
+This benchmark certifies identical growing read-heavy histories on the
+indexed object lane (the E14 history index, built from the phase
+functions in ``_lanes.py``) and with ``certify``, which runs the
+columnar engine.  ``certify`` is fed by a *lazy generator*, so the 50k+
+event corpus is never materialized as an object list for it.  The
+benchmark asserts the verdicts agree and writes
+``BENCH_e17_columnar.json``.  The acceptance bar, checked here
 in full mode and re-checked against the committed baseline in CI:
 ≥10x over the indexed path at ≥50,000 events.
 """
@@ -27,6 +29,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from _lanes import timed_object_lane
 from _obs import write_bench_json
 from _smoke import SMOKE, pick
 from _tables import print_table
@@ -48,7 +51,6 @@ from repro import (
     WriteOp,
     certify,
 )
-from repro.core.columnar import certify_columnar
 
 #: one write per this many accesses — the read-heavy regime both the
 #: writer-boundary skip (indexed) and the bitset sweep (columnar) target
@@ -100,20 +102,6 @@ def stream_read_heavy_history(
         yield ReportCommit(txn, "done")
 
 
-def timed_indexed(behavior, system_type):
-    registry = MetricsRegistry()
-    start = time.perf_counter()
-    certificate = certify(
-        behavior,
-        system_type,
-        construct_witness=False,
-        metrics=registry,
-        indexed=True,
-    )
-    seconds = time.perf_counter() - start
-    return certificate, seconds, registry.snapshot()["counters"]
-
-
 def timed_columnar(system_type, top_level):
     """Time the columnar lane end to end, generation included.
 
@@ -125,7 +113,7 @@ def timed_columnar(system_type, top_level):
     """
     registry = MetricsRegistry()
     start = time.perf_counter()
-    certificate = certify_columnar(
+    certificate = certify(
         stream_read_heavy_history(system_type, top_level),
         system_type,
         construct_witness=False,
@@ -145,15 +133,14 @@ def run_comparison():
         system_type = read_heavy_system()
         # materialize once for the indexed lane only — outside its timer
         behavior = tuple(stream_read_heavy_history(system_type, top_level))
-        indexed, idx_seconds, idx_counters = timed_indexed(
-            behavior, system_type
+        indexed, idx_seconds, _ = timed_object_lane(
+            behavior, system_type, indexed=True
         )
         columnar, col_seconds, col_counters = timed_columnar(
             system_type, top_level
         )
-        assert indexed.certified and columnar.certified
-        assert indexed.cycle is None and columnar.cycle is None
-        assert len(indexed.arv_violations) == len(columnar.arv_violations) == 0
+        # serial + ARV-correct by construction: certified, no cycle
+        assert indexed == (columnar.certified, columnar.cycle) == (True, None)
         assert col_counters["history.columnar.events"] == len(behavior)
         speedup = idx_seconds / max(col_seconds, 1e-9)
         label = f"top{top_level}"

@@ -1,6 +1,6 @@
 """R001 — A/B engine flags must keep both code paths alive.
 
-The ``indexed=`` (naive vs history-index certification) and
+The ``indexed=`` (naive vs history-index graph construction) and
 ``incremental=`` (naive DFS vs Pearce–Kelly cycle check) keyword flags
 exist so every optimised engine retains its executable baseline.  The
 rule enforces two properties for every function that *declares* such a

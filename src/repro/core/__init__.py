@@ -56,7 +56,6 @@ from .columnar import (
     ColumnarHistory,
     ColumnarSerializationGraph,
     build_columnar_graph,
-    certify_columnar,
 )
 from .history import ConflictCache, HistoryIndex
 from .names import ROOT, Access, ObjectName, SystemType, TransactionName, lca

@@ -38,13 +38,14 @@ DFS that replicates the object graph's traversal order exactly, and only
 builds the real per-group :class:`repro.core.graph.Digraph` structures
 when a caller walks nodes/edges or topologically sorts.
 
-The engine is exposed as the third A/B lane: ``certify(...,
-columnar=True)``, ``HistoryIndex(..., columnar=True)``, and the
-``columnar=`` flags on the oracle/view/parallel layers all route here;
-verdicts, ARVs, cycles and witnesses are identical across the naive,
-indexed and columnar lanes (asserted by the three-way equivalence
-suite).  Metrics appear under ``history.columnar.*`` (see
-``docs/OBSERVABILITY.md``).
+This is the batch engine: :func:`repro.core.correctness.certify` streams
+its input into a :class:`ColumnarHistory` and runs every pre-witness
+phase here.  ``HistoryIndex(..., columnar=True)`` and the ``columnar=``
+flags on the graph builder and the oracle/view layers route here too.
+Verdicts, ARVs, cycles and witnesses equal those of the paper-definition
+phase functions on the object representation (asserted by the
+equivalence and mutation suites).  Metrics appear under
+``history.columnar.*`` (see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from .actions import (
     RequestCreate,
     is_serial_action,
 )
-from .correctness import Certificate, _count_verdict, _witness_phase
 from .history import ConflictCache, spec_is_read_only
 from .names import ROOT, ObjectName, SystemType, TransactionName
 from .return_values import ReturnValueViolation
@@ -94,7 +94,6 @@ __all__ = [
     "ColumnarHistory",
     "ColumnarSerializationGraph",
     "build_columnar_graph",
-    "certify_columnar",
     "columnar_arv_violations",
     "columnar_conflict_edges",
     "columnar_precedes_edges",
@@ -149,7 +148,8 @@ class ColumnarHistory:
     ``serial(beta)``), then query the derived columns.  ``system_type``
     is required for object columns (conflicts, ARVs); without it only
     the transaction-level machinery is available.  ``conflict_cache``
-    shares one interner/verdict table with the indexed and online lanes.
+    shares one interner/verdict table with a ``HistoryIndex`` or the
+    online certifier.
     """
 
     def __init__(
@@ -354,7 +354,7 @@ class ColumnarHistory:
         """Rank of each dense id under TransactionName sort order.
 
         Lets dense edge lists sort by int keys while reproducing exactly
-        the ``(source, target)`` name ordering of the object lanes.
+        the ``(source, target)`` name ordering of the object builder.
         """
         rank = self._rank
         if rank is None:
@@ -609,7 +609,7 @@ def columnar_arv_violations(
         cls_col = store.acc_cls[oid]
         apply = getattr(spec, "apply", None)
         if apply is None:
-            # is_legal-only specs: prefix replays, as in the object lane
+            # is_legal-only specs: prefix replays, as in the object check
             rows = [
                 (names[txn_col[row]], payload(cls_col[row]))
                 for row in range(len(txn_col))
@@ -662,7 +662,7 @@ class ColumnarSerializationGraph(SerializationGraph):
     runs directly on int adjacency lists built to replicate the object
     :class:`SerializationGraph`'s insertion order exactly (seeded nodes,
     then conflict edges in name order, then precedes edges in name
-    order), so it returns the *same* cycle the other lanes would.  Any
+    order), so it returns the *same* cycle the object graph would.  Any
     richer access (nodes, edges, topological sort, mutation) first
     materialises the real per-group digraphs from the same dense data,
     after which this behaves exactly like its base class.
@@ -729,7 +729,7 @@ class ColumnarSerializationGraph(SerializationGraph):
     def _ensure(self) -> None:
         """Populate the object digraphs from the dense data, once.
 
-        Insertion order replicates the indexed lane exactly: seed nodes
+        Insertion order replicates the object builder exactly: seed nodes
         first, then conflict edges (already in name order), then
         precedes edges — so topological sorts and witnesses agree.
         """
@@ -876,24 +876,18 @@ def build_columnar_graph(
     tracer = tracer if tracer is not None else NULL_TRACER
     visible = store.visible_flags()
     parent = store.txn_parent
-    names = store.txn_names
+    rank = store.name_rank()
+    width = len(rank)
     with tracer.span("sg.seed_nodes"):
-        # replicate the indexed lane's set-iteration seeding order
-        seed_set: Set[TransactionName] = set()
-        for dense in store.request_order:
-            seed_set.add(names[dense])
-        txn_ids = store._txn_ids
-        seed_ids: List[int] = []
-        for name in seed_set:
-            dense = txn_ids[name]
-            if visible[parent[dense]]:
-                seed_ids.append(dense)
+        # transaction-name order, as the object builder seeds
+        seed_ids = sorted(
+            (dense for dense in store.request_order if visible[parent[dense]]),
+            key=rank.__getitem__,
+        )
     with tracer.span("sg.conflict_pairs", events=store.events):
         conflict_ids = store.conflict_edge_ids()
     with tracer.span("sg.precedes_pairs"):
         precedes_ids = store.precedes_edge_ids()
-    rank = store.name_rank()
-    width = len(rank)
 
     def edge_key(edge: Tuple[int, int]) -> int:
         return rank[edge[0]] * width + rank[edge[1]]
@@ -908,75 +902,3 @@ def build_columnar_graph(
         metrics.inc("sg.edges.conflict", len(conflict_ids))
         metrics.inc("sg.edges.precedes", len(precedes_ids))
     return graph
-
-
-# ---------------------------------------------------------------------------
-# The columnar certifier
-# ---------------------------------------------------------------------------
-
-
-def certify_columnar(
-    behavior: Iterable[Action],
-    system_type: SystemType,
-    construct_witness: bool = True,
-    validate_input: bool = False,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    conflict_cache: Optional[ConflictCache] = None,
-) -> Certificate:
-    """Theorem 8/19 over the columnar engine; same certificates as
-    :func:`repro.core.correctness.certify`.
-
-    ``behavior`` may be any iterable — a lazy generator streams straight
-    into the columns, and the raw actions are retained only when the
-    witness or input validation needs them.  Phase span names and
-    certify metrics mirror the object lanes so dashboards don't care
-    which engine ran.
-    """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    keep = construct_witness or validate_input
-    store = ColumnarHistory(
-        system_type, metrics=metrics, conflict_cache=conflict_cache
-    )
-    serial: List[Action] = []
-    with tracer.span("certify"):
-        with tracer.span("certify.project"):
-            if keep:
-                for action in behavior:
-                    if store.append(action):
-                        serial.append(action)
-            else:
-                for action in behavior:
-                    store.append(action)
-        store.record_build_metrics()
-        if validate_input:
-            # imported lazily: the simple database lives one layer above core
-            from ..serial.simple_db import check_simple_behavior
-
-            with tracer.span("certify.validate_input"):
-                input_problems = check_simple_behavior(tuple(serial), system_type)
-            if input_problems:
-                if metrics is not None:
-                    metrics.inc("certify.runs")
-                    metrics.inc("certify.rejected")
-                    metrics.inc("certify.rejected.malformed_input")
-                return Certificate(
-                    False,
-                    [],
-                    None,
-                    SerializationGraph(),
-                    input_problems=input_problems,
-                )
-        with tracer.span("certify.arv"):
-            arv_violations = columnar_arv_violations(store)
-        with tracer.span("certify.build_graph"):
-            graph = build_columnar_graph(store, tracer=tracer, metrics=metrics)
-        with tracer.span("certify.find_cycle"):
-            cycle = graph.find_cycle()
-        certificate = Certificate(
-            not arv_violations and cycle is None, arv_violations, cycle, graph
-        )
-        if certificate.certified and construct_witness:
-            _witness_phase(certificate, tuple(serial), system_type, None, tracer)
-        _count_verdict(certificate, metrics)
-    return certificate

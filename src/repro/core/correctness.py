@@ -49,8 +49,12 @@ from .actions import (
     is_serial_action,
     transaction_of,
 )
-from .events import StatusIndex, project_transaction, serial_projection
-from .graph import CycleError
+from .columnar import (
+    ColumnarHistory,
+    build_columnar_graph,
+    columnar_arv_violations,
+)
+from .events import StatusIndex, project_transaction
 from .history import HistoryIndex
 from .names import ROOT, ObjectName, SystemType, TransactionName
 from .operations import (
@@ -58,8 +62,8 @@ from .operations import (
     operation_payloads,
     operations_of_object,
 )
-from .return_values import ReturnValueViolation, check_appropriate_return_values
-from .serialization_graph import SerializationGraph, build_serialization_graph
+from .return_values import ReturnValueViolation
+from .serialization_graph import SerializationGraph
 from .sibling_order import SiblingOrder
 
 __all__ = [
@@ -125,14 +129,12 @@ class Certificate:
 
 
 def certify(
-    behavior: Sequence[Action],
+    behavior: Iterable[Action],
     system_type: SystemType,
     construct_witness: bool = True,
     validate_input: bool = False,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    indexed: bool = True,
-    columnar: bool = False,
 ) -> Certificate:
     """Apply Theorem 8/19 to (the serial projection of) ``behavior``.
 
@@ -143,59 +145,48 @@ def certify(
     ``T0``.  Any witness problem is listed in ``witness_problems`` and
     makes the certificate non-certified (fail closed: on a well-formed
     log the theorem says it never happens, so a problem means the input
-    is malformed).  Given the history index, no witness step rescans the
-    log once per transaction or once per object.
+    is malformed).
 
     With ``validate_input``, first checks the simple-database constraints
     the theorems presuppose (Section 2.3.1); violations are reported in
     ``input_problems`` and make the certificate non-certified — a
     malformed log deserves a diagnosis, not a verdict.
 
-    By default one :class:`repro.core.history.HistoryIndex` is built over
-    ``serial(beta)`` and shared by every phase — ARV, graph construction,
-    witness building and witness-projection comparison all read its
-    cached projections and memoized visibility.  ``indexed=False`` keeps
-    the original per-phase scans (a plain :class:`StatusIndex`) as the
-    A/B baseline; the verdicts are identical either way, a property the
-    test suite asserts on seeded workloads.  ``columnar=True`` routes to
-    the third lane, :func:`repro.core.columnar.certify_columnar` — the
-    dense-int struct-of-arrays engine — with identical certificates and
-    span/metric names (the three-way equivalence suite asserts this).
+    ``behavior`` may be any iterable: it streams once into a
+    :class:`repro.core.columnar.ColumnarHistory` (dense ids, int columns,
+    bitset visibility), which answers the ARV check, graph construction
+    and the cycle search; the serial actions are kept only when the
+    witness or input validation needs them.  The per-phase functions of
+    the paper's definitions (:func:`check_appropriate_return_values`,
+    :func:`build_serialization_graph`, :func:`build_witness`, ...) return
+    the same answers on the object representation.
 
-    ``tracer`` wraps the run in a ``certify`` span whose children cover
-    the phases (projection, input validation, ARV check, graph build,
-    cycle search, witness — the last split into order, build, validate
-    and check); ``metrics`` gains phase gauges/counters, rejections
-    counted by cause.  Both default to no-ops with ~zero overhead.
+    ``tracer`` wraps the run in a ``certify`` span (tag: ``events``, the
+    actions consumed) whose children cover the phases (projection, input
+    validation, ARV check, graph build, cycle search, witness — the last
+    split into order, build, validate and check); ``metrics`` gains the
+    ``history.columnar.*`` store counters, phase gauges/counters and
+    rejections counted by cause.  Both default to no-ops with ~zero
+    overhead.
     """
-    if columnar:
-        # imported lazily: columnar builds on this module's Certificate
-        from .columnar import certify_columnar
-
-        return certify_columnar(
-            behavior,
-            system_type,
-            construct_witness=construct_witness,
-            validate_input=validate_input,
-            tracer=tracer,
-            metrics=metrics,
-        )
     tracer = tracer if tracer is not None else NULL_TRACER
-    with tracer.span("certify", events=len(behavior)):
+    keep = construct_witness or validate_input
+    store = ColumnarHistory(system_type, metrics=metrics)
+    serial: List[Action] = []
+    with tracer.span("certify") as span:
         with tracer.span("certify.project"):
-            serial = serial_projection(behavior)
-            index = (
-                HistoryIndex(serial, system_type, metrics)
-                if indexed
-                else StatusIndex(serial)
-            )
-        input_problems: List[str] = []
+            events = 0
+            for events, action in enumerate(behavior, 1):
+                if store.append(action) and keep:
+                    serial.append(action)
+        span.set_tag("events", events)
+        store.record_build_metrics()
         if validate_input:
             # imported lazily: the simple database lives one layer above core
             from ..serial.simple_db import check_simple_behavior
 
             with tracer.span("certify.validate_input"):
-                input_problems = check_simple_behavior(serial, system_type)
+                input_problems = check_simple_behavior(tuple(serial), system_type)
             if input_problems:
                 if metrics is not None:
                     metrics.inc("certify.runs")
@@ -209,25 +200,16 @@ def certify(
                     input_problems=input_problems,
                 )
         with tracer.span("certify.arv"):
-            arv_violations = check_appropriate_return_values(
-                serial, system_type, index
-            )
+            arv_violations = columnar_arv_violations(store)
         with tracer.span("certify.build_graph"):
-            graph = build_serialization_graph(
-                serial,
-                system_type,
-                index,
-                tracer=tracer,
-                metrics=metrics,
-                indexed=indexed,
-            )
+            graph = build_columnar_graph(store, tracer=tracer, metrics=metrics)
         with tracer.span("certify.find_cycle"):
             cycle = graph.find_cycle()
         certificate = Certificate(
             not arv_violations and cycle is None, arv_violations, cycle, graph
         )
         if certificate.certified and construct_witness:
-            _witness_phase(certificate, serial, system_type, index, tracer)
+            _witness_phase(certificate, tuple(serial), system_type, tracer)
         _count_verdict(certificate, metrics)
     return certificate
 
@@ -373,7 +355,7 @@ class _WitnessBuilder:
 
 
 # ---------------------------------------------------------------------------
-# The witness phase, shared by both batch lanes
+# The witness phase
 # ---------------------------------------------------------------------------
 
 
@@ -381,7 +363,6 @@ def _witness_phase(
     certificate: Certificate,
     serial: Behavior,
     system_type: SystemType,
-    index: Optional[StatusIndex],
     tracer: Tracer,
 ) -> None:
     """Order, build, validate and check the witness of ``certificate``.
@@ -393,20 +374,18 @@ def _witness_phase(
     order, the witness and its problems land on the certificate, which
     fails closed: any witness problem un-certifies it.
 
-    The visible set is computed once and serves both the builder and
-    the check; the check groups ``gamma`` by transaction in one pass and
-    compares each group with the ``beta | T`` the builder already
-    fetched — a cached slice when ``index`` is a :class:`HistoryIndex`
-    (built here when ``index`` is None).  With such an index the check
-    and the replay are linear in the log.
+    One :class:`HistoryIndex` over ``serial`` supplies the visible set
+    and the cached ``beta | T`` slices; the visible set serves both the
+    builder and the check, which groups ``gamma`` by transaction in one
+    pass and reports problems in transaction-name order.  The check and
+    the replay are linear in the log.
     """
     with tracer.span("certify.witness"):
         with tracer.span("certify.witness.order"):
             certificate.order = certificate.graph.to_sibling_order()
         try:
             with tracer.span("certify.witness.build"):
-                if index is None:
-                    index = HistoryIndex(serial, system_type)
+                index = HistoryIndex(serial, system_type)
                 visible = _visible_transactions(index)
                 builder = _WitnessBuilder(
                     serial, system_type, certificate.order, index, visible
@@ -422,7 +401,7 @@ def _witness_phase(
             if not problems:
                 with tracer.span("certify.witness.check"):
                     problems = witness_projection_problems(
-                        witness, visible, builder.local_sequence
+                        witness, sorted(visible), builder.local_sequence
                     )
             certificate.witness_problems = problems
         if certificate.witness_problems:
@@ -458,7 +437,7 @@ def witness_projection_problems(
 def _count_verdict(
     certificate: Certificate, metrics: Optional[MetricsRegistry]
 ) -> None:
-    """Fold a finished certificate into ``metrics`` (both batch lanes)."""
+    """Fold a finished certificate into ``metrics``."""
     if metrics is None:
         return
     metrics.inc("certify.runs")

@@ -366,9 +366,11 @@ def build_serialization_graph(
     """Construct ``SG(beta)`` from a sequence of serial actions.
 
     ``behavior`` is typically ``serial(beta)`` of a generic behavior, or
-    a simple behavior directly.  Nodes are seeded with every child whose
-    creation was requested under a parent visible to ``T0``, so that
-    topological sorting yields an order covering all relevant siblings.
+    a simple behavior directly.  Nodes are seeded, in transaction-name
+    order, with every child whose creation was requested under a parent
+    visible to ``T0``, so that topological sorting yields an order
+    covering all relevant siblings, and cycles and orders do not depend
+    on hash seeds.
 
     With no ``index``, one :class:`repro.core.history.HistoryIndex` is
     built here and drives every phase; ``indexed=False`` keeps the naive
@@ -381,7 +383,7 @@ def build_serialization_graph(
     (reusing the store on a covering ``HistoryIndex(..., columnar=True)``
     when one is passed) and the returned graph is the lazily-materialised
     :class:`repro.core.columnar.ColumnarSerializationGraph` — identical
-    structure, cycles and sibling orders to the other lanes.
+    structure, cycles and sibling orders to the object graph.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     if columnar:
@@ -408,7 +410,7 @@ def build_serialization_graph(
         )
     sg = SerializationGraph()
     with tracer.span("sg.seed_nodes"):
-        for transaction in index.create_requested:
+        for transaction in sorted(index.create_requested):
             if index.is_visible(transaction.parent, ROOT):
                 sg.add_node(transaction)
     with tracer.span("sg.conflict_pairs", events=len(behavior)):

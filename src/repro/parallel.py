@@ -73,20 +73,13 @@ class CaseVerdict:
         return f"{self.label}: {status} [{self.events} events]{suffix}"
 
 
-def _judge_case(
-    case: Case,
-    validate_input: bool,
-    indexed: bool = True,
-    columnar: bool = False,
-) -> CaseVerdict:
+def _judge_case(case: Case, validate_input: bool) -> CaseVerdict:
     label, behavior, system_type = case
     certificate = certify(
         behavior,
         system_type,
         construct_witness=False,
         validate_input=validate_input,
-        indexed=indexed,
-        columnar=columnar,
     )
     return CaseVerdict(
         label,
@@ -98,12 +91,9 @@ def _judge_case(
     )
 
 
-def _certify_shard(payload: Tuple[List[Tuple[int, Case]], bool, bool, bool]):
-    shard, validate_input, indexed, columnar = payload
-    return [
-        (position, _judge_case(case, validate_input, indexed, columnar))
-        for position, case in shard
-    ]
+def _certify_shard(payload: Tuple[List[Tuple[int, Case]], bool]):
+    shard, validate_input = payload
+    return [(position, _judge_case(case, validate_input)) for position, case in shard]
 
 
 def _pool_context():
@@ -126,8 +116,6 @@ def certify_corpus(
     jobs: int = 1,
     validate_input: bool = False,
     metrics: Optional[MetricsRegistry] = None,
-    indexed: bool = True,
-    columnar: bool = False,
 ) -> List[CaseVerdict]:
     """Batch-certify a corpus of behaviors, sharded over ``jobs`` workers.
 
@@ -136,30 +124,20 @@ def certify_corpus(
     suite asserts ``jobs=1`` and ``jobs=4`` verdict-equivalence on
     randomized corpora).  ``jobs <= 1`` — or a corpus of one — runs
     inline in this process.  ``metrics`` records the shard fan-out and
-    accept/reject counts.  Each case's :func:`repro.core.certify` builds
-    one shared history index per behavior; ``indexed=False`` selects the
-    naive per-phase scans and ``columnar=True`` the dense-int columnar
-    engine (the third A/B lane) — verdicts are identical across lanes.
+    accept/reject counts.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     jobs = min(jobs, len(cases)) if cases else 1
     if jobs <= 1:
-        verdicts = [
-            _judge_case(case, validate_input, indexed=indexed, columnar=columnar)
-            for case in cases
-        ]
+        verdicts = [_judge_case(case, validate_input) for case in cases]
         shards = 1 if cases else 0
     else:
         sharded = _shard(cases, jobs)
         shards = len(sharded)
         with _pool_context().Pool(jobs) as pool:
             chunks = pool.map(
-                _certify_shard,
-                [
-                    (shard, validate_input, indexed, columnar)
-                    for shard in sharded
-                ],
+                _certify_shard, [(shard, validate_input) for shard in sharded]
             )
         ordered: List[Tuple[int, CaseVerdict]] = [
             entry for chunk in chunks for entry in chunk

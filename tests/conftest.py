@@ -8,10 +8,13 @@ import pytest
 
 from repro import (
     OK,
+    ROOT,
     Abort,
     Access,
+    Certificate,
     Commit,
     Create,
+    HistoryIndex,
     ObjectName,
     ReadOp,
     ReportAbort,
@@ -19,9 +22,19 @@ from repro import (
     RequestCommit,
     RequestCreate,
     RWSpec,
+    SerializationGraph,
+    StatusIndex,
     SystemType,
     TransactionName,
+    WitnessError,
     WriteOp,
+    build_serialization_graph,
+    build_witness,
+    check_appropriate_return_values,
+    check_simple_behavior,
+    project_transaction,
+    serial_projection,
+    validate_serial_behavior,
 )
 
 
@@ -155,3 +168,60 @@ def dirty_read_behavior() -> Tuple[Tuple[Any, ...], SystemType]:
 def serial_two_txn_behavior() -> Tuple[Tuple[Any, ...], SystemType]:
     """A genuinely serial two-transaction behavior (always certifiable)."""
     return _scenario("serial")
+
+
+# ---------------------------------------------------------------------------
+# The reference batch certifier
+# ---------------------------------------------------------------------------
+
+
+def reference_certify(
+    behavior: Sequence[Any],
+    system_type: SystemType,
+    *,
+    indexed: bool,
+    construct_witness: bool = True,
+    validate_input: bool = False,
+) -> Certificate:
+    """Theorem 8/19 chained from the paper-definition phase functions.
+
+    ``certify`` runs the columnar engine; this is what the suites diff it
+    against.  ``indexed=True`` threads one ``HistoryIndex`` through the
+    phases, ``indexed=False`` the plain ``StatusIndex`` scans.  The
+    witness is checked by definition: one ``project_transaction`` scan
+    per visible transaction, in name order.
+    """
+    serial = serial_projection(behavior)
+    index = HistoryIndex(serial, system_type) if indexed else StatusIndex(serial)
+    if validate_input:
+        problems = check_simple_behavior(serial, system_type)
+        if problems:
+            return Certificate(
+                False, [], None, SerializationGraph(), input_problems=problems
+            )
+    arv = check_appropriate_return_values(serial, system_type, index)
+    graph = build_serialization_graph(serial, system_type, index, indexed=indexed)
+    cycle = graph.find_cycle()
+    certificate = Certificate(not arv and cycle is None, arv, cycle, graph)
+    if not (certificate.certified and construct_witness):
+        return certificate
+    certificate.order = graph.to_sibling_order()
+    try:
+        witness = build_witness(serial, system_type, certificate.order, index)
+    except WitnessError as exc:
+        certificate.witness_problems = [str(exc)]
+    else:
+        certificate.witness = witness
+        problems = validate_serial_behavior(witness, system_type)
+        if not problems:
+            mentioned = index.create_requested | index.created | {ROOT}
+            problems = [
+                f"witness projection differs at {transaction}"
+                for transaction in sorted(mentioned)
+                if index.is_visible(transaction, ROOT)
+                and project_transaction(witness, transaction)
+                != project_transaction(serial, transaction, index)
+            ]
+        certificate.witness_problems = problems
+    certificate.certified = not certificate.witness_problems
+    return certificate

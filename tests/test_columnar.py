@@ -1,18 +1,20 @@
-"""The columnar engine: three-way lane equivalence and dense-state checks.
+"""The columnar engine: three-way equivalence and dense-state checks.
 
-The dense-int struct-of-arrays engine (``certify(columnar=True)``) must
-be observably identical to both the naive scans (``indexed=False``) and
-the PR 3 history index (``indexed=True``): same verdicts, same ARV
-diagnostics, same cycle witnesses, same graph edges, same serial
-witnesses.  This suite sweeps 300 seeds across the existing generators,
-plus directed cases for the spots where a bitset engine can silently go
-wrong: word-size boundaries (>64 transactions), late-ABORT visibility
-flips, and contended interleavings with cycle witnesses.
+``certify`` runs the dense-int struct-of-arrays engine.  It must be
+observably identical to the reference certifier chained from the
+paper-definition phase functions, both over the naive scans
+(``indexed=False``) and over one shared history index
+(``indexed=True``): same verdicts, same ARV diagnostics, same cycle
+witnesses, same graph edges, same serial witnesses.  This suite sweeps
+300 seeds across the existing generators, plus directed cases for the
+spots where a bitset engine can silently go wrong: word-size boundaries
+(>64 transactions), late-ABORT visibility flips, and contended
+interleavings with cycle witnesses.
 """
 
 import pytest
 
-from repro.core import certify, certify_columnar
+from repro.core import certify
 from repro.core.columnar import ColumnarHistory, build_columnar_graph
 from repro.core.correctness import build_witness  # noqa: F401  (re-exported check)
 from repro.core.events import serial_projection
@@ -25,12 +27,13 @@ from repro.core.serialization_graph import (
     precedes_pairs,
 )
 from repro.core.view import serializability_theorem_applies
-from repro.parallel import certify_corpus
+from repro.parallel import CaseVerdict, certify_corpus
 
 from conftest import (
     BehaviorBuilder,
     dirty_read_behavior,
     lost_update_behavior,
+    reference_certify,
     rw_system,
     serial_two_txn_behavior,
 )
@@ -45,10 +48,11 @@ def graph_edges(certificate):
 
 
 def assert_lanes_agree(behavior, system, seed=None):
-    """All three lanes produce indistinguishable certificates."""
-    naive = certify(behavior, system, indexed=False)
-    fast = certify(behavior, system, indexed=True)
-    dense = certify(behavior, system, columnar=True)
+    """Both reference lanes and ``certify`` give indistinguishable
+    certificates."""
+    naive = reference_certify(behavior, system, indexed=False)
+    fast = reference_certify(behavior, system, indexed=True)
+    dense = certify(behavior, system)
     assert naive.certified == fast.certified == dense.certified, seed
     assert naive.cycle == fast.cycle == dense.cycle, seed
     assert (
@@ -62,7 +66,7 @@ def assert_lanes_agree(behavior, system, seed=None):
 
 
 class TestThreeWayEquivalence:
-    """naive ≡ indexed ≡ columnar, 300 seeds across both generators."""
+    """naive ≡ indexed ≡ certify, 300 seeds across both generators."""
 
     def test_220_simple_seeds_agree(self):
         rejected_seen = 0
@@ -159,7 +163,7 @@ class TestThreeWayEquivalence:
 
 
 class TestColumnarPlumbing:
-    """The columnar lane is reachable from every certifier entry point."""
+    """The columnar engine is reachable from every certifier entry point."""
 
     def test_graph_builder_columnar_flag(self):
         behavior, system = random_simple_behavior(5, steps=30)
@@ -190,7 +194,7 @@ class TestColumnarPlumbing:
         behavior, system = serial_two_txn_behavior()
         assert oracle_serially_correct(behavior, system, columnar=True).correct
         assert oracle_serially_correct(behavior, system, columnar=False).correct
-        certificate = certify(behavior, system, columnar=True)
+        certificate = certify(behavior, system)
         assert certificate.order is not None
         assert (
             serializability_theorem_applies(
@@ -207,15 +211,29 @@ class TestColumnarPlumbing:
         for seed in range(12):
             behavior, system = random_contended_behavior(seed)
             cases.append((f"case-{seed}", behavior, system))
-        dense = certify_corpus(cases, jobs=1, columnar=True)
-        plain = certify_corpus(cases, jobs=1, columnar=False)
-        assert dense == plain
+        reference = []
+        for label, behavior, system in cases:
+            certificate = reference_certify(
+                behavior, system, indexed=True, construct_witness=False
+            )
+            reference.append(
+                CaseVerdict(
+                    label,
+                    certificate.certified,
+                    len(certificate.arv_violations),
+                    certificate.cycle is not None,
+                    len(behavior),
+                )
+            )
+        assert certify_corpus(cases, jobs=1) == reference
 
-    def test_certify_columnar_streams_a_lazy_behavior(self):
+    def test_certify_streams_a_lazy_behavior(self):
         """No materialised list: a generator feeds the columns directly."""
         behavior, system = random_simple_behavior(9, steps=40)
-        eager = certify(behavior, system, construct_witness=False)
-        lazy = certify_columnar(
+        eager = reference_certify(
+            behavior, system, indexed=True, construct_witness=False
+        )
+        lazy = certify(
             (action for action in behavior),
             system,
             construct_witness=False,
@@ -242,15 +260,14 @@ class TestColumnarPlumbing:
             build.commit(top)
         behavior = build.build()
         cache = ConflictCache()
-        first = certify_columnar(
-            behavior, system, construct_witness=False, conflict_cache=cache
-        )
+        first = ColumnarHistory(system, conflict_cache=cache)
+        first.extend(behavior)
+        first_edges = sorted(first.conflict_edge_ids())
         assert cache.misses > 0
         misses_after_first = cache.misses
-        second = certify_columnar(
-            behavior, system, construct_witness=False, conflict_cache=cache
-        )
-        assert first.certified == second.certified
+        second = ColumnarHistory(system, conflict_cache=cache)
+        second.extend(behavior)
+        assert sorted(second.conflict_edge_ids()) == first_edges
         # every verdict the second run needed was already memoized
         assert cache.misses == misses_after_first
         assert cache.hits > 0
@@ -260,11 +277,13 @@ class TestColumnarPlumbing:
         sweeps: the shared verdict table stays empty."""
         behavior, system = random_contended_behavior(3)
         cache = ConflictCache()
-        certificate = certify_columnar(
-            behavior, system, construct_witness=False, conflict_cache=cache
+        store = ColumnarHistory(system, conflict_cache=cache)
+        store.extend(behavior)
+        graph = build_columnar_graph(store)
+        reference = reference_certify(
+            behavior, system, indexed=True, construct_witness=False
         )
-        reference = certify(behavior, system, construct_witness=False)
-        assert certificate.certified == reference.certified
+        assert graph.find_cycle() == reference.cycle
         assert len(cache) == 0  # no per-pair verdicts were ever needed
 
     def test_graph_materializes_lazily_and_identically(self):
@@ -313,7 +332,7 @@ class TestColumnarStore:
 
         behavior, system = random_simple_behavior(2, steps=30)
         metrics = MetricsRegistry()
-        certify(behavior, system, columnar=True, metrics=metrics)
+        certify(behavior, system, metrics=metrics)
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["history.columnar.builds"] == 1
         assert snapshot["counters"]["history.columnar.events"] > 0

@@ -54,7 +54,7 @@ def random_simple_behavior(seed: int, steps: int = 40):
     def new_name():
         nonlocal name_counter
         name_counter += 1
-        candidates = [t for t in created if not system.is_access(t)] + [ROOT]
+        candidates = [t for t in sorted(created) if not system.is_access(t)] + [ROOT]
         parent = rng.choice(candidates)
         return parent.child(f"n{name_counter}")
 
@@ -62,15 +62,16 @@ def random_simple_behavior(seed: int, steps: int = 40):
         options = []
         fresh = new_name()
         options.append(("request", fresh))
-        for t in requested - created - completed:
+        # sorted: set order would make the behavior depend on PYTHONHASHSEED
+        for t in sorted(requested - created - completed):
             options.append(("create", t))
-        for t in created - set(commit_requested):
+        for t in sorted(created - set(commit_requested)):
             options.append(("request_commit", t))
-        for t in set(commit_requested) - completed:
+        for t in sorted(set(commit_requested) - completed):
             options.append(("commit", t))
-        for t in requested - completed:
+        for t in sorted(requested - completed):
             options.append(("abort", t))
-        for t in completed - reported:
+        for t in sorted(completed - reported):
             options.append(("report", t))
         kind, t = rng.choice(options)
         if kind == "request":

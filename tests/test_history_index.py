@@ -1,10 +1,10 @@
 """The shared history index: indexed-vs-naive equivalence and memoization.
 
 The ``HistoryIndex`` fast path must be invisible in every output: the
-indexed and naive certification engines agree on verdicts, on the edge
-lists of the serialization graphs, and on cycle witnesses, across seeded
-random workloads (mirroring ``tests/test_online.py``'s incremental-vs-
-naive pattern).  The rest of this module pins the index's individual
+reference certifier over one shared index and over the naive scans
+agree on verdicts, on the edge lists of the serialization graphs, and on
+cycle witnesses, across seeded random workloads (mirroring
+``tests/test_online.py``'s incremental-vs-naive pattern).  The rest of this module pins the index's individual
 guarantees: projections are exact slices, orphan/visibility memoization
 stays correct under late ABORTs, the conflict cache and the read-run
 skip never change an edge.
@@ -19,6 +19,7 @@ from conftest import (
     BehaviorBuilder,
     dirty_read_behavior,
     lost_update_behavior,
+    reference_certify,
     rw_system,
     serial_two_txn_behavior,
 )
@@ -49,14 +50,14 @@ def graph_edges(certificate):
 
 
 class TestIndexedVsNaiveEngines:
-    """The A/B flag: ``certify(indexed=...)`` engines are indistinguishable."""
+    """``reference_certify(indexed=...)`` lanes are indistinguishable."""
 
     def test_200_seeded_workloads_agree(self):
         rejected_seen = 0
         for seed in range(200):
             behavior, system = random_simple_behavior(seed, steps=30)
-            fast = certify(behavior, system, indexed=True)
-            naive = certify(behavior, system, indexed=False)
+            fast = reference_certify(behavior, system, indexed=True)
+            naive = reference_certify(behavior, system, indexed=False)
             assert fast.certified == naive.certified, seed
             assert fast.arv_violations == naive.arv_violations, seed
             assert fast.cycle == naive.cycle, seed
@@ -70,8 +71,8 @@ class TestIndexedVsNaiveEngines:
         cyclic_seen = 0
         for seed in range(60):
             behavior, system = random_contended_behavior(seed)
-            fast = certify(behavior, system, indexed=True)
-            naive = certify(behavior, system, indexed=False)
+            fast = reference_certify(behavior, system, indexed=True)
+            naive = reference_certify(behavior, system, indexed=False)
             assert fast.certified == naive.certified, seed
             # identical witness, not just identical verdict: same parent,
             # same node sequence
@@ -86,8 +87,8 @@ class TestIndexedVsNaiveEngines:
     )
     def test_canonical_scenarios_agree(self, scenario):
         behavior, system = scenario()
-        fast = certify(behavior, system, indexed=True)
-        naive = certify(behavior, system, indexed=False)
+        fast = reference_certify(behavior, system, indexed=True)
+        naive = reference_certify(behavior, system, indexed=False)
         assert fast.certified == naive.certified
         assert fast.cycle == naive.cycle
         assert [str(v) for v in fast.arv_violations] == [
@@ -259,12 +260,18 @@ class TestConflictMachinery:
         assert counters["history.index.conflict.pairs_checked"] == 5
         assert counters["history.index.conflict.pairs_skipped_read_runs"] == 10
 
-    def test_certify_emits_history_index_counters(self):
+    def test_index_built_with_metrics_emits_history_index_counters(self):
         behavior, system = lost_update_behavior()
         metrics = MetricsRegistry()
-        certificate = certify(behavior, system, metrics=metrics)
-        assert certificate.cycle is not None
+        hist = HistoryIndex(behavior, system, metrics)
+        assert conflict_pairs(behavior, system, hist)
         counters = metrics.snapshot()["counters"]
         assert counters["history.index.builds"] == 1
         assert counters["history.index.events"] == len(behavior)
         assert counters["history.index.conflict.pairs_checked"] >= 1
+        # certify runs the columnar engine: it builds no index with metrics
+        engine = MetricsRegistry()
+        assert certify(behavior, system, metrics=engine).cycle is not None
+        counters = engine.snapshot()["counters"]
+        assert counters["history.columnar.builds"] == 1
+        assert not any(name.startswith("history.index.") for name in counters)

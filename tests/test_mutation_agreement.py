@@ -1,0 +1,113 @@
+"""``certify`` agrees with the reference certifier on mutated inputs.
+
+Well-formed generated behaviors exercise only the paths a correct log
+takes.  This suite mutates them — one event dropped or duplicated, two
+adjacent events swapped, a truncated prefix, a full shuffle — and
+certifies every mutant three ways: ``certify`` (the columnar engine) and
+the reference certifier chained from the paper-definition phase
+functions, over one shared history index and over the naive scans.  All
+three must return the same verdict, cycle, ARV diagnostics, input
+problems, witness problems and witness, with input validation off and
+on, and none may raise.
+"""
+
+import random
+from collections import Counter
+from functools import partial
+
+import pytest
+
+from repro import certify
+
+from conftest import reference_certify
+from test_core_properties import random_simple_behavior
+from test_online import random_contended_behavior
+from test_witness_phase import simulated_run
+
+KINDS = ("drop", "duplicate", "swap", "truncate", "shuffle")
+LANES = {
+    "certify": certify,
+    "indexed": partial(reference_certify, indexed=True),
+    "naive": partial(reference_certify, indexed=False),
+}
+
+
+def certificate_outcome(certificate):
+    """Everything the certifiers must agree on, ARVs as their messages."""
+    return (
+        certificate.certified,
+        certificate.cycle,
+        [str(violation) for violation in certificate.arv_violations],
+        certificate.input_problems,
+        certificate.witness_problems,
+        certificate.witness,
+    )
+
+
+def mutate(behavior, kind, rng):
+    """``behavior`` with one mutation of ``kind`` applied at random."""
+    if kind == "shuffle":
+        return tuple(rng.sample(behavior, len(behavior)))
+    i = rng.randrange(len(behavior) - 1)
+    if kind == "drop":
+        return behavior[:i] + behavior[i + 1 :]
+    if kind == "duplicate":
+        return behavior[: i + 1] + behavior[i:]
+    if kind == "swap":
+        return behavior[:i] + (behavior[i + 1], behavior[i]) + behavior[i + 2 :]
+    return behavior[:i]  # truncate
+
+
+def mutant_corpus(draws=3):
+    """``draws`` mutants of each kind per source behavior, seeded: nested
+    Moss and undo runs, random simple behaviors, contended interleavings."""
+    sources = [simulated_run(seed) for seed in range(8)]
+    sources += [random_simple_behavior(seed, steps=30) for seed in range(40)]
+    sources += [random_contended_behavior(seed) for seed in range(20)]
+    rng = random.Random(15)
+    return [
+        (f"source {number} {kind} #{draw}", mutate(tuple(behavior), kind, rng), system)
+        for number, (behavior, system) in enumerate(sources)
+        for draw in range(draws)
+        for kind in KINDS
+    ]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return mutant_corpus()
+
+
+@pytest.mark.parametrize("validate_input", [False, True])
+def test_certify_matches_the_reference_on_every_mutant(corpus, validate_input):
+    assert len(corpus) >= 1000
+    differences, crashes = [], []
+    seen = Counter()
+    for label, behavior, system in corpus:
+        outcomes = {}
+        for lane, run in LANES.items():
+            try:
+                certificate = run(behavior, system, validate_input=validate_input)
+            except Exception as exc:  # a crash fails the sweep like a mismatch
+                crashes.append((label, lane, repr(exc)))
+            else:
+                outcomes[lane] = certificate_outcome(certificate)
+        if len(outcomes) < len(LANES):
+            continue
+        outcome = outcomes.pop("certify")
+        if any(other != outcome for other in outcomes.values()):
+            differences.append((label, outcome, outcomes))
+            continue
+        certified, cycle, arvs, input_problems, witness_problems, _ = outcome
+        seen["certified" if certified else "rejected"] += 1
+        seen["cycle"] += cycle is not None
+        seen["arv"] += bool(arvs)
+        seen["input"] += bool(input_problems)
+        seen["witness"] += bool(witness_problems)
+    assert crashes == []
+    assert differences == []
+    # every rejection cause must occur, or the sweep proves nothing
+    causes = ("certified", "rejected", "cycle", "arv", "witness")
+    if validate_input:
+        causes += ("input",)
+    assert all(seen[cause] for cause in causes), seen

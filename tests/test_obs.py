@@ -226,48 +226,49 @@ class TestHooksIntegration:
 
     def test_certify_spans_cover_phases(self):
         result, system_type = run_workload(top_level=6)
-        for columnar in (False, True):
-            ring = RingBufferSink()
-            registry = MetricsRegistry()
-            tracer = Tracer(ring, metrics=registry)
-            certificate = certify(
-                result.behavior,
-                system_type,
-                tracer=tracer,
-                metrics=registry,
-                columnar=columnar,
-            )
-            assert certificate.certified
-            spans = ring.spans()
-            names = {span.name for span in spans}
-            assert {
-                "certify",
-                "certify.project",
-                "certify.arv",
-                "certify.build_graph",
-                "certify.find_cycle",
-                "certify.witness",
-                "certify.witness.order",
-                "certify.witness.build",
-                "certify.witness.validate",
-                "certify.witness.check",
-                "sg.conflict_pairs",
-                "sg.precedes_pairs",
-            } <= names, columnar
-            witness = next(s for s in spans if s.name == "certify.witness")
-            assert {
-                s.name for s in spans if s.parent_id == witness.span_id
-            } == {
-                "certify.witness.order",
-                "certify.witness.build",
-                "certify.witness.validate",
-                "certify.witness.check",
-            }, columnar
-            coverage = span_coverage(spans, "certify")
-            assert coverage is not None and coverage >= 0.75
-            gauges = registry.snapshot()["gauges"]
-            assert gauges["sg.nodes"] == len(certificate.graph.nodes())
-            assert gauges["sg.edges"] == certificate.graph.edge_count()
+        ring = RingBufferSink()
+        registry = MetricsRegistry()
+        tracer = Tracer(ring, metrics=registry)
+        # a lazy input: the events tag is set once the stream is consumed
+        certificate = certify(
+            (action for action in result.behavior),
+            system_type,
+            tracer=tracer,
+            metrics=registry,
+        )
+        assert certificate.certified
+        spans = ring.spans()
+        names = {span.name for span in spans}
+        assert {
+            "certify",
+            "certify.project",
+            "certify.arv",
+            "certify.build_graph",
+            "certify.find_cycle",
+            "certify.witness",
+            "certify.witness.order",
+            "certify.witness.build",
+            "certify.witness.validate",
+            "certify.witness.check",
+            "sg.conflict_pairs",
+            "sg.precedes_pairs",
+        } <= names
+        root = next(s for s in spans if s.name == "certify")
+        assert root.tags["events"] == len(result.behavior)
+        witness = next(s for s in spans if s.name == "certify.witness")
+        assert {
+            s.name for s in spans if s.parent_id == witness.span_id
+        } == {
+            "certify.witness.order",
+            "certify.witness.build",
+            "certify.witness.validate",
+            "certify.witness.check",
+        }
+        coverage = span_coverage(spans, "certify")
+        assert coverage is not None and coverage >= 0.75
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["sg.nodes"] == len(certificate.graph.nodes())
+        assert gauges["sg.edges"] == certificate.graph.edge_count()
 
     def test_certify_unchanged_without_instrumentation(self):
         result, system_type = run_workload()

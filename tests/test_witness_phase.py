@@ -1,7 +1,7 @@
 """The batch certifier's witness phase: fail-closed verdicts, one-pass checks.
 
-Both batch lanes share one witness phase (sibling order, witness build,
-serial replay, projection check).  Its two checks run in one pass each:
+``certify`` runs one witness phase (sibling order, witness build, serial
+replay, projection check).  Its two checks run in one pass each:
 :func:`witness_projection_problems` groups the witness ``gamma`` by
 transaction to test ``gamma | T == beta | T`` for every visible ``T``,
 and :func:`object_replay_problems` groups it by object to replay each
@@ -42,13 +42,8 @@ from repro.obs import MetricsRegistry
 from repro.scenarios import build_scenario, scenario_names
 from repro.sim.workload import CounterKind, RWKind
 
+from conftest import reference_certify
 from test_core_properties import random_simple_behavior
-
-LANES = {
-    "naive": {"indexed": False},
-    "indexed": {},
-    "columnar": {"columnar": True},
-}
 
 
 def reference_projection_problems(witness, serial, visible, index):
@@ -213,26 +208,30 @@ class TestFailClosed:
             behavior = random.Random(1).sample(behavior, len(behavior))
         else:
             behavior = behavior[1:]
-        for lane, flags in LANES.items():
-            registry = MetricsRegistry()
-            certificate = certify(behavior, system_type, metrics=registry, **flags)
-            assert not certificate.certified, lane
-            assert certificate.graph_is_acyclic and not certificate.arv_violations
-            assert len(certificate.witness_problems) == count, lane
-            text = certificate.explain()
-            assert text.startswith("NOT certified"), lane
-            for problem in certificate.witness_problems:
-                assert f"witness: {problem}" in text, lane
-            counters = registry.snapshot()["counters"]
-            assert counters["certify.rejected"] == 1, lane
-            assert counters["certify.rejected.witness"] == 1, lane
-            assert "certify.certified" not in counters, lane
+        registry = MetricsRegistry()
+        certificate = certify(behavior, system_type, metrics=registry)
+        assert not certificate.certified
+        assert certificate.graph_is_acyclic and not certificate.arv_violations
+        assert len(certificate.witness_problems) == count
+        text = certificate.explain()
+        assert text.startswith("NOT certified")
+        for problem in certificate.witness_problems:
+            assert f"witness: {problem}" in text
+        counters = registry.snapshot()["counters"]
+        assert counters["certify.rejected"] == 1
+        assert counters["certify.rejected.witness"] == 1
+        assert "certify.certified" not in counters
+        for indexed in (True, False):
+            reference = reference_certify(behavior, system_type, indexed=indexed)
+            assert not reference.certified, indexed
+            assert reference.witness_problems == certificate.witness_problems
 
     def test_accepted_runs_count_no_witness_rejection(self):
         behavior, system_type, _ = build_scenario("serial")
-        for lane, flags in LANES.items():
-            registry = MetricsRegistry()
-            assert certify(behavior, system_type, metrics=registry, **flags).certified
-            counters = registry.snapshot()["counters"]
-            assert counters["certify.certified"] == 1, lane
-            assert "certify.rejected.witness" not in counters, lane
+        registry = MetricsRegistry()
+        assert certify(behavior, system_type, metrics=registry).certified
+        counters = registry.snapshot()["counters"]
+        assert counters["certify.certified"] == 1
+        assert "certify.rejected.witness" not in counters
+        for indexed in (True, False):
+            assert reference_certify(behavior, system_type, indexed=indexed).certified
