@@ -1,7 +1,7 @@
 """R001 — A/B engine flags must keep both code paths alive.
 
 The ``indexed=`` (naive vs history-index graph construction) and
-``incremental=`` (naive DFS vs Pearce–Kelly cycle check) keyword flags
+``compaction=`` (uncompacted vs compacted online engine) keyword flags
 exist so every optimised engine retains its executable baseline.  The
 rule enforces two properties for every function that *declares* such a
 flag with a boolean default:
@@ -29,7 +29,6 @@ __all__ = ["ABFlagRule", "AB_FLAGS"]
 #: The keyword flags that select between A/B engine implementations.
 AB_FLAGS: Tuple[str, ...] = (
     "indexed",
-    "incremental",
     "compaction",
     "columnar",
     "validate",

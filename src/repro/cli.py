@@ -253,11 +253,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
         all_certified = True
         for label, behavior, system_type in cases:
-            verdict = OnlineCertifier(
-                system_type,
-                metrics=registry,
-                incremental=args.cycle_check == "incremental",
-            ).feed_all(behavior)
+            verdict = OnlineCertifier(system_type, metrics=registry).feed_all(
+                behavior
+            )
             prefix = f"{label}: " if len(cases) > 1 else ""
             print(
                 f"{prefix}CERTIFIED (online engine)"
@@ -363,12 +361,16 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         commit_as_you_go,
     )
 
-    config = StreamConfig(
-        workers=args.workers,
-        queue_size=args.queue_size,
-        compaction=not args.no_compaction,
-        compaction_interval=args.interval,
-    )
+    try:
+        config = StreamConfig(
+            workers=args.workers,
+            queue_size=args.queue_size,
+            compaction=not args.no_compaction,
+            compaction_interval=args.interval,
+        )
+    except ValueError as exc:
+        print(f"invalid stream configuration: {exc}", file=sys.stderr)
+        return 1
     registry = (
         MetricsRegistry()
         if args.metrics_json or args.flight or args.export_jsonl
@@ -950,11 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--engine", choices=("batch", "online"), default="batch",
                        help="batch (full certificate + witness) or online "
                             "(incremental verdict)")
-    audit.add_argument("--cycle-check", choices=("incremental", "naive"),
-                       default="incremental",
-                       help="online engine's acyclicity check: Pearce-Kelly "
-                            "incremental order maintenance (default) or a "
-                            "full DFS per new edge (the A/B baseline)")
     audit.add_argument("--metrics-json", metavar="PATH",
                        help="write a metrics snapshot as JSON")
     audit.set_defaults(func=_cmd_audit)

@@ -92,6 +92,7 @@ from .sibling_order import SiblingOrder
 
 __all__ = [
     "ColumnarHistory",
+    "action_kind",
     "ColumnarSerializationGraph",
     "build_columnar_graph",
     "columnar_arv_violations",
@@ -118,6 +119,17 @@ _KIND_OF: Dict[Type[Action], int] = {
     ReportCommit: K_REPORT_COMMIT,
     ReportAbort: K_REPORT_ABORT,
 }
+
+
+def action_kind(action: Action) -> Optional[int]:
+    """The kind code of a serial action; None for a non-serial one."""
+    kind = _KIND_OF.get(type(action))
+    if kind is None and is_serial_action(action):
+        # subclassed action types: resolve through isinstance
+        for action_type, code in _KIND_OF.items():
+            if isinstance(action, action_type):
+                return code
+    return kind
 
 
 def _unpack_bits(bits: int, count: int) -> bytes:
@@ -226,6 +238,10 @@ class ColumnarHistory:
                 self._txn_op.append(None)
         return dense
 
+    def chain(self, dense: int) -> Tuple[int, ...]:
+        """The ancestor chain of ``dense``: ids at depth 1..depth(T)."""
+        return self._txn_chains[dense]
+
     def txn_id_of(self, name: TransactionName) -> Optional[int]:
         """The dense id of ``name`` if it was interned, else None."""
         return self._txn_ids.get(name)
@@ -245,17 +261,9 @@ class ColumnarHistory:
 
     def append(self, action: Action) -> bool:
         """Fold one action into the columns; True iff it was serial."""
-        kind = _KIND_OF.get(type(action))
+        kind = action_kind(action)
         if kind is None:
-            if not is_serial_action(action):
-                return False
-            # subclassed action types: resolve through isinstance once
-            for action_type, code in _KIND_OF.items():
-                if isinstance(action, action_type):
-                    kind = code
-                    break
-            else:  # pragma: no cover - is_serial_action covers the 7 kinds
-                return False
+            return False
         dense = self.intern(action.transaction)
         position = self.events
         self.events = position + 1
@@ -820,14 +828,6 @@ class ColumnarSerializationGraph(SerializationGraph):
     def add_edge(self, edge: SiblingEdge) -> None:
         self._ensure()
         super().add_edge(edge)
-
-    def remove_node(self, node: TransactionName) -> None:
-        self._ensure()
-        super().remove_node(node)
-
-    def drop_group(self, parent: TransactionName) -> None:
-        self._ensure()
-        super().drop_group(parent)
 
     def parents(self) -> Tuple[TransactionName, ...]:
         self._ensure()

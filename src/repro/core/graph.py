@@ -65,20 +65,6 @@ class Digraph(Generic[N]):
         self._succ[src][dst] = labels
         self._pred[dst].add(src)
 
-    def remove_node(self, node: N) -> None:
-        """Remove ``node`` and every edge incident to it (missing is a no-op).
-
-        Used by the online certifier's prefix compaction to evict retired
-        sibling-group members; acyclicity is trivially preserved.
-        """
-        targets = self._succ.pop(node, None)
-        if targets is None:
-            return
-        for dst in targets:
-            self._pred[dst].discard(node)
-        for src in self._pred.pop(node, ()):
-            self._succ[src].pop(node, None)
-
     # -- inspection ----------------------------------------------------------
 
     def nodes(self) -> Tuple[N, ...]:

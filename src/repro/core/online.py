@@ -19,7 +19,18 @@ commit therefore
 
 ``OnlineCertifier.verdict()`` matches ``certify(prefix, ...)`` (without
 witness construction) after every fed prefix; the test suite asserts
-that equivalence on random behaviors.
+that equivalence on random and mutated behaviors.
+
+Transactions are interned through a
+:class:`repro.core.columnar.ColumnarHistory` (parents first, ``T0`` is
+0), the batch engine's id space, and all bookkeeping is keyed by those
+ints; names come back only in ARV messages, the latched cycle, flight
+dumps and :attr:`OnlineCertifier.graph`.  Each sibling group has one
+edge store: a Pearce–Kelly :class:`repro.core.graph.IncrementalTopology`
+over ids, which latches a cycle the moment an insert closes one, and
+per target one predecessor bitset per edge kind.  A bit is a node's
+rank among its siblings, so a bitset is as wide as the group, and it
+masks out re-added edges before they reach the topology.
 
 Prefix compaction
 -----------------
@@ -28,15 +39,15 @@ With ``compaction=True`` the certifier periodically retires finished
 top-level subtrees so memory tracks the *live window* of the stream
 instead of its whole history.  The split is by weight:
 
-* **Root-level state is permanent** — transaction status name sets,
-  the ``T0`` sibling buckets, and the ``T0`` sibling group of the
+* **Root-level state is permanent** — the interned ids and their status
+  flags, the ``T0`` sibling buckets, and the ``T0`` sibling group of the
   serialization graph.  These grow with the number of top-level
-  transactions (a name and a few edges each), exactly as in the
+  transactions (an id and a few edges each), exactly as in the
   uncompacted engine, and keeping them is what makes the verdict exact
   even when the stream later references a retired subtree (a late
   report, a late child, a late access under a committed ancestor).
-* **Subtree-level state is evicted** — the raw ``_TrackedOp`` records
-  with their payloads, the per-object visible rows / legality / state
+* **Subtree-level state is evicted** — the raw ``_Op`` records with
+  their payloads, the per-object visible rows / legality / state
   snapshots, nested sibling groups, and per-parent report/request
   buckets.  This is the per-*event* state, the actual memory driver.
 
@@ -58,23 +69,26 @@ open, and an idle record drops even while its rows are still hot.
 
 Evicted rows are folded into a per-object summary: the state after the
 compacted prefix (the base for future front-of-sequence insertions),
-the frozen ARV violations (merged back by stream position, preserving
-the exact verdict tuple), and a **conflict frontier** — per object, the
-distinct ``(op, value)`` pairs each retired top-level transaction
-contributed.  When a later operation becomes visible it derives its
-cross-subtree conflict edges against the frontier exactly as the
-uncompacted engine would against the raw rows (evicted rows always
+the frozen ARV violations (which precede every live row's), and a
+**conflict frontier** — bitsets over the ranks of the retired top-level
+transactions: an any-access and a writer bitset for read/write objects
+(``conflicts_iff_writer``), as the batch conflict sweep keeps, and one
+bitset per operation class otherwise.  A later visible operation
+derives its cross-subtree conflict edges from the frontier exactly as
+the uncompacted engine would from the raw rows (evicted rows always
 precede live ones, so the edge direction is fixed and both endpoints
-collapse to top-level names).  The only edges the compacted engine ever
-drops are *nested* edges from an evicted row or report to a later
-arrival inside the same retired subtree; those can never complete a new
-cycle, because every counter-edge back into the old portion of a nested
-group would need a smaller position than the retired prefix — excluded
-by stability.  Cycle and ARV verdicts are therefore identical to the
-uncompacted engine's on arbitrary streams (the latched cycle *witness*
-may differ, as edge insertion order does); randomized and directed
-suites assert that equivalence, and lint rule R001 enforces the A/B
-testing.
+collapse to top-level transactions).  The only edges the compacted
+engine ever drops are *nested* edges from an evicted row or report to a
+later arrival inside the same retired subtree; on a well-formed
+behavior those can never complete a new cycle, because every
+counter-edge back into the old portion of a nested group would need a
+smaller position than the retired prefix — excluded by stability.
+Cycle and ARV verdicts are therefore identical to the uncompacted
+engine's on well-formed (simple) behaviors; the latched cycle *witness*
+may differ, as edge insertion order does.  Malformed input can break
+the argument — a few shuffled mutants of the mutation suite lose a
+nested cycle under compaction, though ARV still rejects them — until
+the online engine checks its input (ROADMAP item 4(b)).
 """
 
 from __future__ import annotations
@@ -85,24 +99,30 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
-from .actions import (
-    Abort,
-    Action,
-    Commit,
-    Create,
-    ReportAbort,
-    ReportCommit,
-    RequestCommit,
-    RequestCreate,
-    is_report,
-    is_serial_action,
+from .actions import Action
+from .columnar import (
+    K_ABORT,
+    K_COMMIT,
+    K_REPORT_COMMIT,
+    K_REQUEST_COMMIT,
+    K_REQUEST_CREATE,
+    ColumnarHistory,
+    action_kind,
 )
-from .graph import Digraph, IncrementalTopology
+from .graph import IncrementalTopology
 from .history import ConflictCache, spec_is_read_only
-from .names import ROOT, ObjectName, SystemType, TransactionName, lca
+from .names import ObjectName, SystemType, TransactionName
 from .serialization_graph import CONFLICT, PRECEDES, SerializationGraph, SiblingEdge
 
 __all__ = ["OnlineVerdict", "OnlineCertifier"]
+
+# status flags, one byte per transaction id
+_COMMITTED = 1
+_ABORTED = 2
+# edge kinds: the index of a target's predecessor bitset in its group
+_CONFLICT = 0
+_PRECEDES = 1
+_EDGE_LABELS = (CONFLICT, PRECEDES)
 
 
 @dataclass(frozen=True)
@@ -114,47 +134,96 @@ class OnlineVerdict:
     cycle: Optional[Tuple[TransactionName, List[TransactionName]]]
 
 
-@dataclass
-class _TrackedOp:
+@dataclass(eq=False, slots=True)
+class _Object:
+    """One object's visible sequence, its columns and compaction summary.
+
+    ``states[i]`` is the object state *after* the i-th visible row, so
+    revalidation resumes from the insertion point instead of replaying
+    the whole prefix (safe because every serial specification treats
+    states as immutable values); ``base`` is the state before the first
+    retained row.
+    """
+
+    name: ObjectName
+    spec: Any
+    spec_id: int
+    #: read/write-structured: two operations conflict iff one writes
+    rw: bool
+    base: Any
+    rows: List[_Op] = field(default_factory=list)
+    legal: List[bool] = field(default_factory=list)
+    states: List[Any] = field(default_factory=list)
+    #: positions of pending (waiting, non-dead) operations: the stable
+    #: boundary for row trimming is their minimum
+    pending: Set[int] = field(default_factory=set)
+    #: violation messages of illegal rows already trimmed
+    frozen: List[str] = field(default_factory=list)
+    # conflict frontier: bitsets over T0-group ranks of retired tops
+    front_any: int = 0
+    front_writer: int = 0
+    #: generic specs: operation class -> tops that evicted it
+    front: Dict[int, int] = field(default_factory=dict)
+    front_ro: Set[int] = field(default_factory=set)
+
+    def illegal(self, row: _Op) -> str:
+        return f"object {self.name}: operation of {row.name} is illegal"
+
+
+@dataclass(eq=False, slots=True)
+class _Op:
+    """One access's REQUEST_COMMIT, waiting for or holding visibility."""
+
     position: int
-    transaction: TransactionName
+    #: dense ancestor chain (ids at depth 1..depth); the access is last
+    chain: Tuple[int, ...]
+    name: TransactionName
     op: Any
     value: Any
-    obj: ObjectName
-    pending: Set[TransactionName]  # uncommitted ancestors (excl. ROOT)
-    read_only: bool = False
-    dead: bool = False
-    visible: bool = False
+    obj: _Object
     #: dense operation-class id in the shared ConflictCache interner
-    cls: int = -1
-
-
-@dataclass
-class _TrackedTxn:
-    """A non-access transaction watched for parent-visibility (precedes)."""
-
-    transaction: TransactionName
-    pending: Set[TransactionName]
+    cls: int
+    read_only: bool
+    #: uncommitted ancestors (excluding T0)
+    pending: Set[int]
     dead: bool = False
     visible: bool = False
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
+class _Watch:
+    """A parent whose children's precedes edges wait for its visibility."""
+
+    dense: int
+    pending: Set[int]
+    dead: bool = False
+    visible: bool = False
+
+
+@dataclass(eq=False, slots=True)
 class _Subtree:
     """Bookkeeping for one top-level transaction's subtree.
 
-    Grouping tracked operations and parent-trackers by the child of
+    Grouping tracked operations and parent watches by the child of
     ``T0`` they live under makes aborts O(subtree) instead of O(history)
     and gives prefix compaction its unit of eviction.
     """
 
-    top: TransactionName
     #: position -> tracked operation (live accesses of this subtree)
-    ops: Dict[int, _TrackedOp] = field(default_factory=dict)
-    #: parent name -> tracker (every non-root parent touched in here)
-    parents: Dict[TransactionName, _TrackedTxn] = field(default_factory=dict)
-    #: operations + parent-trackers still waiting for an ancestor commit
+    ops: Dict[int, _Op] = field(default_factory=dict)
+    #: parent id -> watch (every non-root parent touched in here)
+    parents: Dict[int, _Watch] = field(default_factory=dict)
+    #: operations + parent watches still waiting for an ancestor commit
     unresolved: int = 0
+
+
+@dataclass(eq=False, slots=True)
+class _Group:
+    """One sibling group's edge store: the Pearce–Kelly order over ids,
+    and per target one predecessor bitset per edge kind."""
+
+    topology: IncrementalTopology[int] = field(default_factory=IncrementalTopology)
+    preds: Dict[int, List[int]] = field(default_factory=dict)
 
 
 class OnlineCertifier:
@@ -165,8 +234,9 @@ class OnlineCertifier:
     visibility insertion's suffix re-evaluation — the two hot paths a
     streaming deployment needs to watch.  ``metrics`` (optional) counts
     fed actions, visible insertions, revalidated suffix operations,
-    conflict/precedes edges and the cycle latch.  Both default to off
-    with a single ``None`` check of overhead per call.
+    conflict/precedes edges, the Pearce–Kelly work and the cycle latch.
+    Both default to off with a single ``None`` check of overhead per
+    call.
 
     ``flight`` (optional) attaches a
     :class:`repro.obs.flight.FlightRecorder`: every consumed serial
@@ -177,24 +247,13 @@ class OnlineCertifier:
     JSONL record.  Like the other hooks it defaults to off at a single
     ``None`` check.
 
-    ``incremental`` selects the acyclicity engine.  The default maintains
-    a Pearce–Kelly topological order per sibling group
-    (:class:`repro.core.graph.IncrementalTopology`): an edge insert only
-    searches the affected region between its endpoints and latches a
-    cycle the moment the forward frontier reaches the edge source.
-    ``incremental=False`` keeps the naive engine — a full DFS cycle
-    search over the whole sibling group after every new edge — as the
-    A/B baseline; the two engines produce identical verdicts (asserted
-    on randomized workloads by the test suite) and the naive engine is
-    what ``benchmarks/bench_e13_incremental.py`` measures against.
-
     ``compaction`` enables the bounded-memory mode described in the
     module docstring: every ``compaction_interval`` consumed actions a
     sweep retires quiescent top-level subtrees, folding their
-    operations into per-object summaries and a conflict frontier.  The default keeps the
-    uncompacted engine as the A/B baseline; verdicts are identical
-    either way on well-formed streams.  Sweep work is surfaced through
-    the ``online.compaction.*`` metrics and the
+    operations into per-object summaries and a conflict frontier.  The
+    default keeps the uncompacted engine as the A/B baseline; verdicts
+    are identical either way on well-formed streams.  Sweep work is
+    surfaced through the ``online.compaction.*`` metrics and the
     :meth:`compaction_stats` / :meth:`live_tracked_ops` introspectors.
     """
 
@@ -203,7 +262,6 @@ class OnlineCertifier:
         system_type: SystemType,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        incremental: bool = True,
         conflict_cache: Optional[ConflictCache] = None,
         compaction: bool = False,
         compaction_interval: int = 64,
@@ -214,14 +272,13 @@ class OnlineCertifier:
         if compaction_interval < 1:
             raise ValueError("compaction_interval must be >= 1")
         self.system_type = system_type
-        self.tracer = tracer if tracer is not None else None
+        self.tracer = tracer
         self.metrics = metrics
         self.flight = flight
         self.session = session
         #: Originating site label for post-mortems ("" outside
         #: repro.distributed); recorded in every flight-dump context.
         self.site = site
-        self.incremental = incremental
         self.compaction = compaction
         self.compaction_interval = compaction_interval
         # conflict verdicts are pure per (spec, ops, values): a cache may
@@ -229,68 +286,49 @@ class OnlineCertifier:
         self.conflict_cache = (
             conflict_cache if conflict_cache is not None else ConflictCache()
         )
-        self._topologies: Dict[TransactionName, IncrementalTopology[TransactionName]] = {}
+        # the id space: interning only, no events are appended
+        self._store = ColumnarHistory()
+        self._parent = self._store.txn_parent
+        self._status = bytearray()
+        #: rank of each id within its sibling group (its parent's children
+        #: in interning order), and each parent's children by rank
+        self._rank: List[int] = []
+        self._members: Dict[int, List[int]] = {}
+        self._register_ids()
         self._position = 0
-        self._committed: Set[TransactionName] = set()
-        self._aborted: Set[TransactionName] = set()
+        self._objects: Dict[ObjectName, _Object] = {}
+        for obj in system_type.object_names():
+            spec = system_type.spec(obj)
+            self._objects[obj] = _Object(
+                obj,
+                spec,
+                self.conflict_cache.spec_id(spec),
+                bool(getattr(spec, "conflicts_iff_writer", False)),
+                spec.initial,
+            )
         # ops awaiting visibility: uncommitted ancestor -> position -> op
-        self._waiting: Dict[TransactionName, Dict[int, _TrackedOp]] = {}
+        self._waiting: Dict[int, Dict[int, _Op]] = {}
         # per-top-level-subtree bookkeeping (aborts, compaction)
-        self._subtrees: Dict[TransactionName, _Subtree] = {}
-        # positions of pending (waiting, non-dead) ops per object: the
-        # per-object stable boundary is the minimum of this set
-        self._pending_by_object: Dict[ObjectName, Set[int]] = {}
-        # per-object visible sequences (sorted by position) + states
-        self._visible: Dict[ObjectName, List[_TrackedOp]] = {
-            obj: [] for obj in system_type.object_names()
-        }
-        self._legal: Dict[ObjectName, List[bool]] = {
-            obj: [] for obj in system_type.object_names()
-        }
-        # _states[obj][i] is the object state *after* applying the i-th
-        # visible operation; revalidation resumes from the insertion
-        # point instead of replaying the whole prefix.  Safe because
-        # every serial specification treats states as immutable values.
-        self._states: Dict[ObjectName, List[Any]] = {
-            obj: [] for obj in system_type.object_names()
-        }
-        # precedes bookkeeping, grouped by parent so parent-visibility
-        # events and new reports/requests touch one sibling group only
-        self._reports_by_parent: Dict[
-            TransactionName, Dict[TransactionName, int]
-        ] = {}
-        self._requests_by_parent: Dict[
-            TransactionName, Dict[TransactionName, int]
-        ] = {}
-        self._parents: Dict[TransactionName, _TrackedTxn] = {}
-        self._waiting_parents: Dict[
-            TransactionName, Dict[TransactionName, _TrackedTxn]
-        ] = {}
-        self._graph = SerializationGraph()
+        self._subtrees: Dict[int, _Subtree] = {}
+        # precedes bookkeeping: parent -> child -> first request/report
+        # position, plus each touched parent's visibility watch
+        self._requests: Dict[int, Dict[int, int]] = {}
+        self._reports: Dict[int, Dict[int, int]] = {}
+        self._watches: Dict[int, _Watch] = {}
+        self._waiting_parents: Dict[int, Dict[int, _Watch]] = {}
+        self._groups: Dict[int, _Group] = {}
         self._cycle: Optional[Tuple[TransactionName, List[TransactionName]]] = None
-        # compaction summaries + counters
         self._last_sweep = 0
-        self._compact_state: Dict[ObjectName, Any] = {}
-        self._compact_last_position: Dict[ObjectName, int] = {}
-        self._compact_count: Dict[ObjectName, int] = {}
-        self._frozen_violations: Dict[ObjectName, List[Tuple[int, str]]] = {}
-        # conflict frontier: obj -> retired top -> distinct evicted
-        # (op, value, read_only) triples; future visible ops derive
-        # their cross-subtree conflict edges from this instead of the
-        # evicted raw rows
-        self._frontier: Dict[
-            ObjectName, Dict[TransactionName, Set[Tuple[Any, Any, bool]]]
-        ] = {}
-        self._sweeps = 0
-        self._evicted_subtrees = 0
-        self._evicted_ops = 0
-        self._evicted_rows = 0
+        self._stats = dict.fromkeys(
+            ("sweeps", "evicted_subtrees", "evicted_ops", "evicted_rows"), 0
+        )
 
     # -- public API ---------------------------------------------------------
 
     def feed(self, action: Action) -> None:
         """Consume one action (non-serial actions are ignored)."""
-        if not is_serial_action(action):
+        kind = action_kind(action)
+        if kind is None:
             return
         if self.metrics is not None:
             self.metrics.inc("online.actions")
@@ -298,9 +336,9 @@ class OnlineCertifier:
             self.flight.record(self._position, action)
         if self.tracer is not None:
             with self.tracer.span("online.feed", kind=type(action).__name__):
-                self._consume(action)
+                self._consume(kind, action)
         else:
-            self._consume(action)
+            self._consume(kind, action)
         if (
             self.compaction
             and self._position - self._last_sweep >= self.compaction_interval
@@ -311,65 +349,44 @@ class OnlineCertifier:
             else:
                 self._compact()
 
-    def _consume(self, action: Action) -> None:
+    def _consume(self, kind: int, action: Action) -> None:
         position = self._position
-        self._position += 1
-        transaction = action.transaction
-        if not transaction.is_root:
-            self._subtree_for(transaction)
-        if isinstance(action, RequestCreate):
-            parent = transaction.parent
-            bucket = self._requests_by_parent.setdefault(parent, {})
-            if transaction not in bucket:
-                bucket[transaction] = position
+        self._position = position + 1
+        dense = self._store.intern(action.transaction)
+        if dense >= len(self._status):
+            self._register_ids()
+        if dense:
+            self._subtree(self._store.chain(dense)[0])
+        if kind == K_REQUEST_CREATE:
+            parent = self._parent_of(dense)
+            self._requests.setdefault(parent, {}).setdefault(dense, position)
+            if self._touch_parent(parent):
+                self._add_precedes_for_new_request(parent, dense)
+        elif kind == K_REQUEST_COMMIT:
+            if self.system_type.is_access(action.transaction):
+                self._track_operation(dense, action, position)
+        elif kind == K_COMMIT:
+            self._on_commit(dense)
+        elif kind == K_ABORT:
+            self._on_abort(dense)
+        elif kind >= K_REPORT_COMMIT:
+            parent = self._parent_of(dense)
+            self._reports.setdefault(parent, {}).setdefault(dense, position)
             self._touch_parent(parent)
-            if self._graph_parent_visible(parent):
-                self._add_precedes_for_new_request(transaction, position)
-        elif isinstance(action, RequestCommit) and self.system_type.is_access(
-            transaction
-        ):
-            self._track_operation(action, position)
-        elif isinstance(action, Commit):
-            self._on_commit(transaction)
-        elif isinstance(action, Abort):
-            self._on_abort(transaction)
-        elif is_report(action):
-            parent = transaction.parent
-            bucket = self._reports_by_parent.setdefault(parent, {})
-            first = transaction not in bucket
-            if first:
-                bucket[transaction] = position
-            self._touch_parent(parent)
-            if first and self._graph_parent_visible(parent):
-                self._add_precedes_for_new_report(transaction, position)
 
     def verdict(self) -> OnlineVerdict:
         """The Theorem 8/19 judgement of everything fed so far."""
         violations: List[str] = []
-        for obj, rows in self._visible.items():
-            legal = self._legal[obj]
-            frozen = self._frozen_violations.get(obj)
-            if frozen is None:
+        for state in self._objects.values():
+            # trimmed rows precede every retained or future row, so the
+            # frozen messages come first: the uncompacted engine's tuple
+            violations.extend(state.frozen)
+            if False in state.legal:
                 violations.extend(
-                    f"object {obj}: operation of {rows[i].transaction} is illegal"
-                    for i, ok in enumerate(legal)
+                    state.illegal(row)
+                    for row, ok in zip(state.rows, state.legal)
                     if not ok
                 )
-            else:
-                # merge compacted (frozen) violations with the live rows
-                # by stream position: the exact tuple the uncompacted
-                # engine would report
-                entries = list(frozen)
-                entries.extend(
-                    (
-                        rows[i].position,
-                        f"object {obj}: operation of {rows[i].transaction} is illegal",
-                    )
-                    for i, ok in enumerate(legal)
-                    if not ok
-                )
-                entries.sort()
-                violations.extend(message for _, message in entries)
         certified = not violations and self._cycle is None
         return OnlineVerdict(certified, tuple(violations), self._cycle)
 
@@ -381,269 +398,294 @@ class OnlineCertifier:
 
     @property
     def graph(self) -> SerializationGraph:
-        """The serialization graph accumulated so far."""
-        return self._graph
+        """The serialization graph accumulated so far, built on demand
+        from the edge stores (the edge closing a latched cycle included)."""
+        graph = SerializationGraph()
+        names = self._store.txn_names
+        for parent, group in self._groups.items():
+            members = self._members[parent]
+            for target, kinds in group.preds.items():
+                for kind, bits in enumerate(kinds):
+                    while bits:
+                        low = bits & -bits
+                        source = members[low.bit_length() - 1]
+                        graph.add_edge(
+                            SiblingEdge(names[source], names[target], _EDGE_LABELS[kind])
+                        )
+                        bits ^= low
+        return graph
 
     def live_tracked_ops(self) -> int:
         """Raw tracked operations currently retained (the memory driver).
 
-        Counts every distinct ``_TrackedOp`` still held: visible rows in
-        the per-object sequences plus the not-yet-visible (waiting or
-        dead) operations in the subtree records.  With
-        ``compaction=True`` this stays proportional to the live window
-        of the stream; without it, it grows with history length.
+        Counts every distinct ``_Op`` still held: visible rows in the
+        per-object sequences plus the not-yet-visible (waiting or dead)
+        operations in the subtree records.  With ``compaction=True``
+        this stays proportional to the live window of the stream;
+        without it, it grows with history length.
         """
-        total = sum(len(rows) for rows in self._visible.values())
+        total = sum(len(state.rows) for state in self._objects.values())
         for subtree in self._subtrees.values():
-            for tracked in subtree.ops.values():
-                if not tracked.visible:
-                    total += 1
+            total += sum(1 for op in subtree.ops.values() if not op.visible)
         return total
 
     def compaction_stats(self) -> Dict[str, int]:
-        """Sweep/eviction totals (also surfaced as ``online.compaction.*``)."""
+        """Sweep/eviction totals (also surfaced as ``online.compaction.*``).
+
+        ``frontier_entries`` counts the (object, retired top-level
+        transaction) pairs the conflict frontier holds.
+        """
+        frontier = 0
+        for state in self._objects.values():
+            tops = state.front_any
+            for bits in state.front.values():
+                tops |= bits
+            frontier += tops.bit_count()
         return {
-            "sweeps": self._sweeps,
-            "evicted_subtrees": self._evicted_subtrees,
-            "evicted_ops": self._evicted_ops,
-            "evicted_rows": self._evicted_rows,
+            **self._stats,
             "live_tracked_ops": self.live_tracked_ops(),
-            "frontier_entries": sum(
-                len(entries)
-                for per_top in self._frontier.values()
-                for entries in per_top.values()
-            ),
+            "frontier_entries": frontier,
         }
+
+    # -- ids and status ------------------------------------------------------
+
+    def _register_ids(self) -> None:
+        """Give every newly interned id a status flag and a group rank."""
+        parent = self._parent
+        for dense in range(len(self._status), len(parent)):
+            self._status.append(0)
+            members = self._members.setdefault(parent[dense], [])
+            self._rank.append(len(members))
+            members.append(dense)
+
+    def _parent_of(self, dense: int) -> int:
+        if not dense:
+            raise ValueError("T0 has no parent")
+        return self._parent[dense]
+
+    def _uncommitted(self, chain: Tuple[int, ...]) -> Set[int]:
+        status = self._status
+        return {ancestor for ancestor in chain if not status[ancestor] & _COMMITTED}
+
+    def _dead(self, chain: Tuple[int, ...]) -> bool:
+        status = self._status
+        return bool(status[0] & _ABORTED) or any(
+            status[ancestor] & _ABORTED for ancestor in chain
+        )
+
+    def _subtree(self, top: int) -> _Subtree:
+        subtree = self._subtrees.get(top)
+        if subtree is None:
+            subtree = self._subtrees[top] = _Subtree()
+        return subtree
 
     # -- visibility machinery -------------------------------------------------
 
-    def _subtree_for(self, transaction: TransactionName) -> _Subtree:
-        top = transaction.prefix(1)
-        subtree = self._subtrees.get(top)
-        if subtree is None:
-            subtree = self._subtrees[top] = _Subtree(top)
-        return subtree
-
-    def _uncommitted_chain(self, transaction: TransactionName) -> Set[TransactionName]:
-        return {
-            ancestor
-            for ancestor in transaction.ancestors()
-            if not ancestor.is_root and ancestor not in self._committed
-        }
-
-    def _chain_dead(self, transaction: TransactionName) -> bool:
-        return any(
-            ancestor in self._aborted for ancestor in transaction.ancestors()
-        )
-
-    def _track_operation(self, action: RequestCommit, position: int) -> None:
-        if self._chain_dead(action.transaction):
+    def _track_operation(self, dense: int, action: Action, position: int) -> None:
+        chain = self._store.chain(dense)
+        if self._dead(chain):
             return  # dead on arrival: can never become visible
         access = self.system_type.access(action.transaction)
-        tracked = _TrackedOp(
+        state = self._objects[access.obj]
+        value = action.value  # type: ignore[union-attr]
+        tracked = _Op(
             position,
+            chain,
             action.transaction,
             access.op,
-            action.value,
-            access.obj,
-            self._uncommitted_chain(action.transaction),
-            read_only=spec_is_read_only(self.system_type.spec(access.obj), access.op),
-            cls=self.conflict_cache.operation_id(access.op, action.value),
+            value,
+            state,
+            self.conflict_cache.operation_id(access.op, value),
+            spec_is_read_only(state.spec, access.op),
+            self._uncommitted(chain),
         )
-        subtree = self._subtree_for(action.transaction)
+        subtree = self._subtree(chain[0])
         subtree.ops[position] = tracked
         if not tracked.pending:
             self._make_op_visible(tracked)
-        else:
-            subtree.unresolved += 1
-            self._pending_by_object.setdefault(tracked.obj, set()).add(position)
-            for ancestor in tracked.pending:
-                self._waiting.setdefault(ancestor, {})[position] = tracked
-
-    def _touch_parent(self, parent: TransactionName) -> None:
-        if parent in self._parents:
             return
-        tracked = _TrackedTxn(parent, self._uncommitted_chain(parent))
-        self._parents[parent] = tracked
-        if not parent.is_root:
-            self._subtree_for(parent).parents[parent] = tracked
-        if self._chain_dead(parent):
-            tracked.dead = True
-            return
-        if not tracked.pending:
-            self._make_parent_visible(tracked)
-        else:
-            self._subtree_for(parent).unresolved += 1
-            for ancestor in tracked.pending:
-                self._waiting_parents.setdefault(ancestor, {})[parent] = tracked
+        subtree.unresolved += 1
+        state.pending.add(position)
+        for ancestor in tracked.pending:
+            self._waiting.setdefault(ancestor, {})[position] = tracked
 
-    def _on_commit(self, transaction: TransactionName) -> None:
-        self._committed.add(transaction)
-        for tracked in list(self._waiting.pop(transaction, {}).values()):
+    def _touch_parent(self, parent: int) -> bool:
+        """Watch ``parent`` for visibility (once); True iff it is visible."""
+        watch = self._watches.get(parent)
+        if watch is not None:
+            return watch.visible
+        chain = self._store.chain(parent)
+        watch = self._watches[parent] = _Watch(parent, self._uncommitted(chain))
+        if parent:
+            self._subtree(chain[0]).parents[parent] = watch
+        if self._dead(chain):
+            watch.dead = True
+            return False
+        if not watch.pending:
+            self._make_parent_visible(watch)
+            return True
+        self._subtree(chain[0]).unresolved += 1
+        for ancestor in watch.pending:
+            self._waiting_parents.setdefault(ancestor, {})[parent] = watch
+        return False
+
+    def _on_commit(self, dense: int) -> None:
+        self._status[dense] |= _COMMITTED
+        for tracked in self._waiting.pop(dense, {}).values():
             if tracked.dead or tracked.visible:
                 continue
-            tracked.pending.discard(transaction)
+            tracked.pending.discard(dense)
             if not tracked.pending:
-                subtree = self._subtree_for(tracked.transaction)
-                subtree.unresolved -= 1
-                pending_here = self._pending_by_object.get(tracked.obj)
-                if pending_here is not None:
-                    pending_here.discard(tracked.position)
+                self._subtree(tracked.chain[0]).unresolved -= 1
+                tracked.obj.pending.discard(tracked.position)
                 self._make_op_visible(tracked)
-        for watcher in list(self._waiting_parents.pop(transaction, {}).values()):
-            if watcher.dead or watcher.visible:
+        for watch in self._waiting_parents.pop(dense, {}).values():
+            if watch.dead or watch.visible:
                 continue
-            watcher.pending.discard(transaction)
-            if not watcher.pending:
-                self._subtree_for(watcher.transaction).unresolved -= 1
-                self._make_parent_visible(watcher)
+            watch.pending.discard(dense)
+            if not watch.pending:
+                self._subtree(self._store.chain(watch.dense)[0]).unresolved -= 1
+                self._make_parent_visible(watch)
 
-    def _on_abort(self, transaction: TransactionName) -> None:
-        self._aborted.add(transaction)
-        if transaction.is_root:
+    def _on_abort(self, dense: int) -> None:
+        self._status[dense] |= _ABORTED
+        if not dense:
             subtrees = list(self._subtrees.values())
         else:
-            subtree = self._subtrees.get(transaction.prefix(1))
+            subtree = self._subtrees.get(self._store.chain(dense)[0])
             subtrees = [subtree] if subtree is not None else []
         for subtree in subtrees:
-            self._kill_descendants(subtree, transaction)
+            self._kill_descendants(subtree, dense)
 
-    def _kill_descendants(
-        self, subtree: _Subtree, transaction: TransactionName
-    ) -> None:
+    def _kill_descendants(self, subtree: _Subtree, dense: int) -> None:
         """Mark the aborted transaction's waiting descendants dead and evict
         their waiting-list entries eagerly (the abort-leak fix: dead
         entries no longer linger until an unrelated ancestor commits)."""
+        depth = len(self._store.chain(dense))
+
+        def under(chain: Tuple[int, ...]) -> bool:
+            return not dense or (len(chain) >= depth and chain[depth - 1] == dense)
+
         for tracked in subtree.ops.values():
-            if tracked.visible or tracked.dead:
-                continue
-            if not transaction.is_ancestor_of(tracked.transaction):
+            if tracked.visible or tracked.dead or not under(tracked.chain):
                 continue
             tracked.dead = True
             subtree.unresolved -= 1
-            pending_here = self._pending_by_object.get(tracked.obj)
-            if pending_here is not None:
-                pending_here.discard(tracked.position)
+            tracked.obj.pending.discard(tracked.position)
             for ancestor in tracked.pending:
                 bucket = self._waiting.get(ancestor)
                 if bucket is not None:
                     bucket.pop(tracked.position, None)
                     if not bucket:
                         del self._waiting[ancestor]
-        for watcher in subtree.parents.values():
-            if watcher.visible or watcher.dead:
+        for watch in subtree.parents.values():
+            if watch.visible or watch.dead:
                 continue
-            if not transaction.is_ancestor_of(watcher.transaction):
+            if not under(self._store.chain(watch.dense)):
                 continue
-            watcher.dead = True
+            watch.dead = True
             subtree.unresolved -= 1
-            for ancestor in watcher.pending:
-                parent_bucket = self._waiting_parents.get(ancestor)
-                if parent_bucket is not None:
-                    parent_bucket.pop(watcher.transaction, None)
-                    if not parent_bucket:
+            for ancestor in watch.pending:
+                watchers = self._waiting_parents.get(ancestor)
+                if watchers is not None:
+                    watchers.pop(watch.dense, None)
+                    if not watchers:
                         del self._waiting_parents[ancestor]
 
     # -- graph + ARV maintenance ---------------------------------------------
 
-    def _graph_parent_visible(self, parent: TransactionName) -> bool:
-        tracked = self._parents.get(parent)
-        return tracked is not None and tracked.visible
-
-    def _make_op_visible(self, tracked: _TrackedOp) -> None:
+    def _make_op_visible(self, tracked: _Op) -> None:
         tracked.visible = True
-        sequence = self._visible[tracked.obj]
-        spec = self.system_type.spec(tracked.obj)
-        cache = self.conflict_cache
+        state = tracked.obj
+        top = tracked.chain[0]
         # conflict edges against the compacted prefix, via the frontier:
         # evicted rows always precede this op, so the edge runs from the
         # retired top to this op's top; intra-subtree (nested) pairs are
         # skipped — provably unable to complete a new cycle
-        frontier = self._frontier.get(tracked.obj)
-        if frontier:
-            my_top = tracked.transaction.prefix(1)
-            for top, entries in frontier.items():
-                if top == my_top:
+        if state.rw:
+            partners = state.front_writer if tracked.read_only else state.front_any
+        else:
+            partners = 0
+            others = ~(1 << self._rank[top])
+            for cls, tops in state.front.items():
+                if not tops & others:
                     continue
-                for op, value, read_only in entries:
-                    if tracked.read_only and read_only:
-                        continue
-                    if cache.conflicts(spec, op, value, tracked.op, tracked.value):
-                        self._add_edge(SiblingEdge(top, my_top, CONFLICT))
-                        break  # further entries would re-add the same edge
+                if tracked.read_only and cls in state.front_ro:
+                    continue
+                if self.conflict_cache.conflicts_ids(state.spec_id, cls, tracked.cls):
+                    partners |= tops
+        if partners:
+            self._add_frontier_edges(partners, top)
         # conflict edges against every already-visible op on the object;
         # read/read pairs commute (both ops preserve the state) and are
-        # skipped before the spec or the verdict cache is consulted.
-        # Verdicts go through the dense-id interface: the op classes were
-        # interned at track time, so the hot loop hashes small ints
-        spec_id = cache.spec_id(spec)
-        for other in sequence:
+        # skipped before the spec or the verdict cache is consulted, and
+        # read/write specs need no verdict at all
+        conflicts = None if state.rw else self.conflict_cache.conflicts_ids
+        for other in state.rows:
             if tracked.read_only and other.read_only:
-                continue
-            if other.transaction.is_related_to(tracked.transaction):
                 continue
             first, second = (
                 (other, tracked) if other.position < tracked.position else (tracked, other)
             )
-            if cache.conflicts_ids(spec_id, first.cls, second.cls):
-                depth = lca(first.transaction, second.transaction).depth + 1
-                self._add_edge(
-                    SiblingEdge(
-                        first.transaction.prefix(depth),
-                        second.transaction.prefix(depth),
-                        CONFLICT,
-                    )
-                )
+            # the children of the least common ancestor; none when one
+            # access is an ancestor of the other
+            mine, theirs = first.chain, second.chain
+            limit = min(len(mine), len(theirs))
+            depth = 0
+            while depth < limit and mine[depth] == theirs[depth]:
+                depth += 1
+            if depth == limit:
+                continue
+            if conflicts is not None and not conflicts(
+                state.spec_id, first.cls, second.cls
+            ):
+                continue
+            self._add_edge(mine[depth], theirs[depth], _CONFLICT)
         # insert by position and re-validate the suffix
-        index = 0
-        while index < len(sequence) and sequence[index].position < tracked.position:
-            index += 1
-        sequence.insert(index, tracked)
-        self._legal[tracked.obj].insert(index, True)
-        self._states[tracked.obj].insert(index, None)
+        rows = state.rows
+        index = len(rows)
+        while index and rows[index - 1].position > tracked.position:
+            index -= 1
+        rows.insert(index, tracked)
+        state.legal.insert(index, True)
+        state.states.insert(index, None)
         if self.metrics is not None:
             self.metrics.inc("online.visible_insertions")
-            if index < len(sequence) - 1:
+            if index < len(rows) - 1:
                 # a late commit landed mid-sequence: the non-monotone case
                 self.metrics.inc("online.midstream_insertions")
         if self.tracer is not None:
             with self.tracer.span(
                 "online.revalidate",
-                obj=str(tracked.obj),
-                suffix=len(sequence) - index,
+                obj=str(state.name),
+                suffix=len(rows) - index,
             ):
-                self._revalidate(tracked.obj, index)
+                self._revalidate(state, index)
         else:
-            self._revalidate(tracked.obj, index)
+            self._revalidate(state, index)
 
-    def _revalidate(self, obj: ObjectName, start: int) -> None:
+    def _revalidate(self, state: _Object, start: int) -> None:
+        rows = state.rows
         if self.metrics is not None:
-            self.metrics.inc(
-                "online.revalidated_ops", len(self._visible[obj]) - start
-            )
+            self.metrics.inc("online.revalidated_ops", len(rows) - start)
             self.metrics.inc("online.revalidate.skipped_prefix_ops", start)
-        spec = self.system_type.spec(obj)
         # resume from the cached state at the insertion point: the stable
         # prefix is never replayed (per-object decomposition of the work).
         # After compaction the base of the sequence is the summarised
         # state of the evicted prefix instead of the spec's initial state.
-        states = self._states[obj]
-        if start > 0:
-            state: Any = states[start - 1]
-        elif obj in self._compact_state:
-            state = self._compact_state[obj]
-        else:
-            state = spec.initial
-        legal = self._legal[obj]
+        states = state.states
+        current: Any = states[start - 1] if start else state.base
+        legal = state.legal
+        apply = state.spec.apply
         newly_illegal: List[TransactionName] = []
-        for index in range(start, len(self._visible[obj])):
-            tracked = self._visible[obj][index]
-            state, expected = spec.apply(state, tracked.op)
-            states[index] = state
+        for index in range(start, len(rows)):
+            row = rows[index]
+            current, expected = apply(current, row.op)
+            states[index] = current
             was_legal = legal[index]
-            legal[index] = expected == tracked.value
+            legal[index] = expected == row.value
             if was_legal and not legal[index] and self.flight is not None:
-                newly_illegal.append(tracked.transaction)
+                newly_illegal.append(row.name)
         if newly_illegal and self.flight is not None:
             self.flight.dump(
                 "arv",
@@ -652,90 +694,76 @@ class OnlineCertifier:
                     self.metrics.snapshot() if self.metrics is not None else None
                 ),
                 context={
-                    "object": str(obj),
+                    "object": str(state.name),
                     "illegal": [str(name) for name in newly_illegal],
                     "site": self.site,
                 },
             )
 
-    def _make_parent_visible(self, tracked: _TrackedTxn) -> None:
-        tracked.visible = True
-        parent = tracked.transaction
-        reports = self._reports_by_parent.get(parent)
-        requests = self._requests_by_parent.get(parent)
+    def _make_parent_visible(self, watch: _Watch) -> None:
+        watch.visible = True
+        reports = self._reports.get(watch.dense)
+        requests = self._requests.get(watch.dense)
         if not reports or not requests:
             return
         for reported, report_pos in reports.items():
             for requested, request_pos in requests.items():
                 if reported != requested and report_pos < request_pos:
-                    self._add_edge(SiblingEdge(reported, requested, PRECEDES))
+                    self._add_edge(reported, requested, _PRECEDES)
 
-    def _add_precedes_for_new_report(
-        self, reported: TransactionName, position: int
-    ) -> None:
-        requests = self._requests_by_parent.get(reported.parent)
-        if not requests:
+    def _add_precedes_for_new_request(self, parent: int, requested: int) -> None:
+        # every recorded report came before this request
+        for reported in self._reports.get(parent, ()):
+            if reported != requested:
+                self._add_edge(reported, requested, _PRECEDES)
+
+    def _add_frontier_edges(self, partners: int, target: int) -> None:
+        """Conflict edges into top-level ``target`` from the T0-group
+        ranks set in ``partners``, skipping itself and existing edges."""
+        partners &= ~(1 << self._rank[target])
+        group = self._groups.get(0)
+        if group is not None and target in group.preds:
+            conflict, precedes = group.preds[target]
+            partners &= ~(conflict | precedes)
+        members = self._members[0]
+        while partners:
+            low = partners & -partners
+            self._add_edge(members[low.bit_length() - 1], target, _CONFLICT)
+            partners ^= low
+
+    def _add_edge(self, source: int, target: int, kind: int) -> None:
+        parent = self._parent[source]
+        group = self._groups.get(parent)
+        if group is None:
+            group = self._groups[parent] = _Group()
+        bit = 1 << self._rank[source]
+        preds = group.preds.get(target)
+        if preds is None:
+            preds = group.preds[target] = [0, 0]
+        elif (preds[0] | preds[1]) & bit:
+            preds[kind] |= bit  # an existing edge gains a label at most
             return
-        for requested, request_pos in requests.items():
-            if requested != reported and position < request_pos:
-                self._add_edge(SiblingEdge(reported, requested, PRECEDES))
-
-    def _add_precedes_for_new_request(
-        self, requested: TransactionName, position: int
-    ) -> None:
-        reports = self._reports_by_parent.get(requested.parent)
-        if not reports:
-            return
-        for reported, report_pos in reports.items():
-            if reported != requested and report_pos < position:
-                self._add_edge(SiblingEdge(reported, requested, PRECEDES))
-
-    def _add_edge(self, edge: SiblingEdge) -> None:
-        group = self._graph.graph_for(edge.parent)
-        had_edge = group.has_edge(edge.source, edge.target)
-        self._graph.add_edge(edge)
-        if self.metrics is not None and not had_edge:
-            self.metrics.inc(
-                "online.edges.conflict"
-                if edge.kind == CONFLICT
-                else "online.edges.precedes"
-            )
-        if self._cycle is None and not had_edge:
-            if self.incremental:
-                self._check_cycle_incremental(edge)
-            else:
-                self._check_cycle_naive(edge, group)
-
-    def _check_cycle_naive(
-        self, edge: SiblingEdge, group: Digraph[TransactionName]
-    ) -> None:
-        """The A/B baseline: full DFS over the sibling group per new edge."""
+        preds[kind] |= bit
         if self.metrics is not None:
-            self.metrics.inc("online.cycle_checks")
-        cycle = group.find_cycle()
-        if cycle is not None:
-            self._latch_cycle(edge.parent, cycle)
-
-    def _check_cycle_incremental(self, edge: SiblingEdge) -> None:
-        """Pearce–Kelly insert: search only the affected index region."""
-        topology = self._topologies.get(edge.parent)
-        if topology is None:
-            topology = self._topologies[edge.parent] = IncrementalTopology()
-        cycle = topology.add_edge(edge.source, edge.target)
+            self.metrics.inc(
+                "online.edges.conflict" if kind == _CONFLICT else "online.edges.precedes"
+            )
+        if self._cycle is not None:
+            return  # the verdict is monotone: once latched, always cyclic
+        topology = group.topology
+        cycle = topology.add_edge(source, target)
         if self.metrics is not None:
             self.metrics.inc("online.incremental.edge_inserts")
             self.metrics.inc(
                 "online.incremental.affected_nodes", topology.last_affected
             )
         if cycle is not None:
-            self._latch_cycle(edge.parent, cycle)
+            self._latch_cycle(parent, cycle)
 
-    def _latch_cycle(
-        self, parent: TransactionName, cycle: List[TransactionName]
-    ) -> None:
-        self._cycle = (parent, cycle)
+    def _latch_cycle(self, parent: int, cycle: List[int]) -> None:
+        names = self._store.txn_names
+        self._cycle = (names[parent], [names[dense] for dense in cycle])
         if self.metrics is not None:
-            # the verdict is monotone: once latched, always cyclic
             self.metrics.inc("online.cycle_latched")
         if self.flight is not None:
             self.flight.dump(
@@ -753,143 +781,86 @@ class OnlineCertifier:
     def _compact(self) -> None:
         """One compaction sweep: trim stable row prefixes, retire records."""
         self._last_sweep = self._position
-        self._sweeps += 1
-        boundaries: Dict[ObjectName, int] = {}
-        for obj, positions in self._pending_by_object.items():
-            if positions:
-                boundaries[obj] = min(positions)
-        self._trim_rows(boundaries)
-        evictable = self._evictable_subtrees()
+        self._stats["sweeps"] += 1
+        horizon = self._position  # every row position is < horizon
+        for state in self._objects.values():
+            if state.rows:
+                self._trim_rows(state, min(state.pending, default=horizon))
+        evictable = {
+            top
+            for top, subtree in self._subtrees.items()
+            if not subtree.unresolved
+            and all(op.dead or op.visible for op in subtree.ops.values())
+        }
         if evictable:
             self._evict_subtrees(evictable)
         if self.metrics is not None:
             self.metrics.inc("online.compaction.sweeps")
             if evictable:
-                self.metrics.inc(
-                    "online.compaction.evicted_subtrees", len(evictable)
-                )
+                self.metrics.inc("online.compaction.evicted_subtrees", len(evictable))
             self.metrics.set_gauge(
                 "online.compaction.live_tracked_ops", self.live_tracked_ops()
             )
 
-    def _trim_rows(self, boundaries: Dict[ObjectName, int]) -> None:
-        """Fold each object's *stable prefix* into its compaction summary.
+    def _trim_rows(self, state: _Object, boundary: int) -> None:
+        """Fold the object's *stable prefix* — the leading rows positioned
+        before ``boundary``, every still-pending operation on the object —
+        into its summary: its frontier, its frozen violations and the
+        base state (see the module docstring).  Rows trim independently
+        of their subtree records, so a long-running transaction's
+        settled prefix compacts while the transaction stays open."""
+        rows = state.rows
+        cut = 0
+        while cut < len(rows) and rows[cut].position < boundary:
+            cut += 1
+        if not cut:
+            return
+        legal = state.legal
+        for i in range(cut):
+            row = rows[i]
+            top = row.chain[0]
+            bit = 1 << self._rank[top]
+            if state.rw:
+                state.front_any |= bit
+                if not row.read_only:
+                    state.front_writer |= bit
+            else:
+                state.front[row.cls] = state.front.get(row.cls, 0) | bit
+                if row.read_only:
+                    state.front_ro.add(row.cls)
+            if not legal[i]:
+                state.frozen.append(state.illegal(row))
+                if self.metrics is not None:
+                    self.metrics.inc("online.compaction.frozen_violations")
+            subtree = self._subtrees.get(top)
+            if subtree is not None:
+                subtree.ops.pop(row.position, None)
+        self._stats["evicted_rows"] += cut
+        # rows are position-sorted, so the state after the last trimmed
+        # row is absolute over the whole evicted prefix
+        state.base = state.states[cut - 1]
+        del rows[:cut]
+        del legal[:cut]
+        del state.states[:cut]
+        if self.metrics is not None:
+            self.metrics.inc("online.compaction.evicted_rows", cut)
 
-        A visible row is stable once its position precedes every
-        still-pending operation on its object: no future visibility
-        insertion can land at or before it (pending operations sit at or
-        beyond the boundary, brand-new ones beyond the stream horizon),
-        so its legality and its contribution to later resume states are
-        final.  Trimming strictly leading rows keeps the retained
-        sequence hole-free — every surviving ``_states`` snapshot still
-        includes the whole evicted prefix, and a front-of-sequence
-        insertion resumes from ``_compact_state`` instead.
-
-        Each trimmed row is folded into the object's conflict frontier
-        (keyed by its top-level transaction, which is all a future
-        cross-subtree conflict edge needs) and, when illegal, into the
-        frozen ARV violations.  Rows are trimmed independently of their
-        subtree records: a long-running transaction's settled prefix
-        compacts even while the transaction itself stays open.
-        """
-        horizon = self._position  # every row position is < horizon
-        for obj, rows in self._visible.items():
-            if not rows:
-                continue
-            boundary = boundaries.get(obj, horizon)
-            cut = 0
-            while cut < len(rows) and rows[cut].position < boundary:
-                cut += 1
-            if cut == 0:
-                continue
-            legal = self._legal[obj]
-            states = self._states[obj]
-            frontier = self._frontier.setdefault(obj, {})
-            for i in range(cut):
-                row = rows[i]
-                self._evicted_rows += 1
-                self._compact_count[obj] = self._compact_count.get(obj, 0) + 1
-                frontier.setdefault(row.transaction.prefix(1), set()).add(
-                    (row.op, row.value, row.read_only)
-                )
-                if not legal[i]:
-                    self._frozen_violations.setdefault(obj, []).append(
-                        (
-                            row.position,
-                            f"object {obj}: operation of {row.transaction} is illegal",
-                        )
-                    )
-                    if self.metrics is not None:
-                        self.metrics.inc("online.compaction.frozen_violations")
-                subtree = self._subtrees.get(row.transaction.prefix(1))
-                if subtree is not None:
-                    subtree.ops.pop(row.position, None)
-            # rows are position-sorted, so the state after the last
-            # trimmed row is absolute over the whole evicted prefix: the
-            # base for any future front-of-sequence insertion
-            self._compact_last_position[obj] = rows[cut - 1].position
-            self._compact_state[obj] = states[cut - 1]
-            del rows[:cut]
-            del legal[:cut]
-            del states[:cut]
-            if self.metrics is not None:
-                self.metrics.inc("online.compaction.evicted_rows", cut)
-
-    def _evictable_subtrees(self) -> Set[TransactionName]:
-        """Top-level subtrees whose bookkeeping records are quiescent.
-
-        A record can be dropped once nothing in its subtree is still
-        waiting for an ancestor commit and every tracked operation is
-        either dead or already visible — nothing in the record can ever
-        fire again.  Late events referencing the subtree afterwards (a
-        report, a new child, even a new access under a committed
-        ancestor) are handled exactly by the permanent root-level state:
-        the status name sets, the ``T0`` sibling buckets and graph, and
-        the per-object conflict frontier.
-        """
-        quiescent: Set[TransactionName] = set()
-        for top, subtree in self._subtrees.items():
-            if subtree.unresolved:
-                continue
-            if all(
-                tracked.dead or tracked.visible
-                for tracked in subtree.ops.values()
-            ):
-                quiescent.add(top)
-        return quiescent
-
-    def _evict_subtrees(self, evictable: Set[TransactionName]) -> None:
-        """Drop the bookkeeping records of quiescent top-level subtrees.
-
-        This removes the per-subtree op/parent trackers, the nested
-        (within-subtree) report/request buckets and the nested sibling
-        groups — state that only drives events which can no longer fire.
-        Visible rows are *not* touched here; they retire separately via
-        :meth:`_trim_rows` once stable.  Root-level state — the status
-        name sets, the ``T0`` buckets and the ``T0`` sibling group — is
-        deliberately left intact: it is what keeps late events that
-        reference a retired subtree exact.
-        """
+    def _evict_subtrees(self, evictable: Set[int]) -> None:
+        """Drop the records of quiescent top-level subtrees: their op
+        trackers, parent watches, nested report/request buckets and
+        nested sibling groups.  Visible rows retire separately (see
+        :meth:`_trim_rows`); root-level state stays, keeping late events
+        that reference a retired subtree exact."""
         for top in evictable:
             subtree = self._subtrees.pop(top)
-            self._evicted_subtrees += 1
-            self._evicted_ops += len(subtree.ops)
+            self._stats["evicted_subtrees"] += 1
+            self._stats["evicted_ops"] += len(subtree.ops)
             if self.metrics is not None:
                 self.metrics.inc("online.compaction.evicted_ops", len(subtree.ops))
-            for parent_name in subtree.parents:
-                self._requests_by_parent.pop(parent_name, None)
-                self._reports_by_parent.pop(parent_name, None)
-                self._parents.pop(parent_name, None)
-        # nested sibling groups of the evicted subtrees, wholesale
-        for parent in [
-            p
-            for p in self._graph.parents()
-            if not p.is_root and p.prefix(1) in evictable
-        ]:
-            self._graph.drop_group(parent)
-        for parent in [
-            p
-            for p in self._topologies
-            if not p.is_root and p.prefix(1) in evictable
-        ]:
-            del self._topologies[parent]
+            for parent in subtree.parents:
+                self._requests.pop(parent, None)
+                self._reports.pop(parent, None)
+                self._watches.pop(parent, None)
+        chain = self._store.chain
+        for parent in [p for p in self._groups if p and chain(p)[0] in evictable]:
+            del self._groups[parent]

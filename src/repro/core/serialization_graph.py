@@ -269,24 +269,6 @@ class SerializationGraph:
         """Add a labelled sibling edge to its parent's group."""
         self.graph_for(edge.parent).add_edge(edge.source, edge.target, edge.kind)
 
-    def remove_node(self, node: TransactionName) -> None:
-        """Remove ``node`` (and incident edges) from its parent's group.
-
-        Part of the online certifier's prefix compaction: a retired
-        sibling can be dropped without touching the rest of the group.
-        Unknown nodes are a no-op; an emptied group is deleted.
-        """
-        group = self._graphs.get(node.parent)
-        if group is None:
-            return
-        group.remove_node(node)
-        if not len(group):
-            del self._graphs[node.parent]
-
-    def drop_group(self, parent: TransactionName) -> None:
-        """Delete the whole sibling group under ``parent`` (compaction)."""
-        self._graphs.pop(parent, None)
-
     def parents(self) -> Tuple[TransactionName, ...]:
         """The parents whose sibling groups have nodes or edges, sorted."""
         return tuple(sorted(self._graphs))

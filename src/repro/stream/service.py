@@ -87,13 +87,14 @@ class StreamConfig:
     queue_size: int = 256
     compaction: bool = True
     compaction_interval: int = 64
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.queue_size < 1:
             raise ValueError("queue_size must be at least 1")
+        if self.compaction_interval < 1:
+            raise ValueError("compaction_interval must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,6 @@ class StreamService:
         certifier = OnlineCertifier(
             system_type,
             metrics=metrics,
-            incremental=self.config.incremental,
             conflict_cache=conflict_cache,
             compaction=self.config.compaction,
             compaction_interval=self.config.compaction_interval,

@@ -170,19 +170,36 @@ def random_contended_behavior(seed, transactions=3, objects=2):
     return b.build(), system
 
 
+def naive_cycle_after_each_feed(certifier, behavior):
+    """Feed ``behavior``; after every feed that adds an edge, run a full
+    DFS over the accumulated graph.  Returns whether any search found a
+    cycle: the verdict the Pearce–Kelly latch must agree with."""
+    found = False
+    edges = 0
+    for action in behavior:
+        certifier.feed(action)
+        graph = certifier.graph
+        if graph.edge_count() != edges:
+            edges = graph.edge_count()
+            found = found or graph.find_cycle() is not None
+    return found
+
+
 class TestIncrementalVsNaiveEngines:
-    """The A/B flag: both acyclicity engines produce identical verdicts."""
+    """The Pearce–Kelly latch against a naive full DFS over the graph."""
 
     def test_200_seeded_workloads_agree(self):
         rejected_seen = 0
         for seed in range(200):
             behavior, system = random_simple_behavior(seed, steps=30)
-            incremental = OnlineCertifier(system).feed_all(behavior)
-            naive = OnlineCertifier(system, incremental=False).feed_all(behavior)
-            assert incremental.certified == naive.certified, seed
-            assert incremental.arv_violations == naive.arv_violations, seed
-            assert (incremental.cycle is None) == (naive.cycle is None), seed
-            rejected_seen += not incremental.certified
+            certifier = OnlineCertifier(system)
+            naive = naive_cycle_after_each_feed(certifier, behavior)
+            verdict = certifier.verdict()
+            assert (verdict.cycle is not None) == naive, seed
+            certified, arv_ok, acyclic = batch_verdict(behavior, system)
+            assert verdict.certified == certified, seed
+            assert (not verdict.arv_violations) == arv_ok, seed
+            rejected_seen += not verdict.certified
         # the sweep must actually exercise both verdicts
         assert 0 < rejected_seen < 200
 
@@ -194,11 +211,12 @@ class TestIncrementalVsNaiveEngines:
         cyclic_seen = 0
         for seed in range(60):
             behavior, system = random_contended_behavior(seed)
-            incremental = OnlineCertifier(system).feed_all(behavior)
-            naive = OnlineCertifier(system, incremental=False).feed_all(behavior)
-            assert incremental.certified == naive.certified, seed
-            assert (incremental.cycle is None) == (naive.cycle is None), seed
-            cyclic_seen += incremental.cycle is not None
+            certifier = OnlineCertifier(system)
+            naive = naive_cycle_after_each_feed(certifier, behavior)
+            verdict = certifier.verdict()
+            assert (verdict.cycle is not None) == naive, seed
+            assert verdict.certified == batch_verdict(behavior, system)[0], seed
+            cyclic_seen += verdict.cycle is not None
         # the sweep must actually exercise the cycle-latch path
         assert cyclic_seen > 0
 
@@ -206,15 +224,11 @@ class TestIncrementalVsNaiveEngines:
     @given(st.integers(0, 100_000))
     def test_engines_agree_on_every_prefix(self, seed):
         behavior, system = random_simple_behavior(seed, steps=35)
-        incremental = OnlineCertifier(system)
-        naive = OnlineCertifier(system, incremental=False)
+        certifier = OnlineCertifier(system)
         for cut, action in enumerate(behavior, start=1):
-            incremental.feed(action)
-            naive.feed(action)
-            a, b = incremental.verdict(), naive.verdict()
-            assert a.certified == b.certified, (seed, cut)
-            assert a.arv_violations == b.arv_violations, (seed, cut)
-            assert (a.cycle is None) == (b.cycle is None), (seed, cut)
+            certifier.feed(action)
+            naive = certifier.graph.find_cycle()
+            assert (certifier.verdict().cycle is None) == (naive is None), (seed, cut)
 
     def test_incremental_latches_a_real_cycle(self):
         """The latched cycle's consecutive pairs are edges of SG(beta)."""
@@ -237,30 +251,20 @@ class TestIncrementalVsNaiveEngines:
         counters = registry.snapshot()["counters"]
         assert counters["online.incremental.edge_inserts"] >= 2
         assert counters["online.cycle_latched"] == 1
-        assert "online.cycle_checks" not in counters  # naive-only counter
-
-    def test_naive_counters(self):
-        from repro import MetricsRegistry
-
-        behavior, system = lost_update_behavior()
-        registry = MetricsRegistry()
-        OnlineCertifier(system, incremental=False, metrics=registry).feed_all(
-            behavior
-        )
-        counters = registry.snapshot()["counters"]
-        assert counters["online.cycle_checks"] >= 2
-        assert counters["online.cycle_latched"] == 1
-        assert "online.incremental.edge_inserts" not in counters
+        assert "online.cycle_checks" not in counters  # the naive lane is gone
 
 
 class TestAbortAndDeadChainEdgeCases:
-    """Visibility edge cases around aborts, for both acyclicity engines."""
+    """Visibility edge cases around aborts, with the cycle verdict read
+    from the Pearce–Kelly latch and from a full DFS over the graph."""
 
-    @pytest.fixture(params=[True, False], ids=["incremental", "naive"])
-    def engine(self, request):
-        return request.param
+    @pytest.fixture(params=["incremental", "naive"])
+    def cycle_of(self, request):
+        if request.param == "incremental":
+            return lambda certifier: certifier.verdict().cycle
+        return lambda certifier: certifier.graph.find_cycle()
 
-    def test_abort_after_latch_keeps_cycle_and_matches_batch(self, engine):
+    def test_abort_after_latch_keeps_cycle_and_matches_batch(self, cycle_of):
         """An abort kills a *pending* op's edge, never a latched cycle's.
 
         t3's access would have inserted mid-sequence on the cycle's
@@ -277,9 +281,9 @@ class TestAbortAndDeadChainEdgeCases:
         b.write(t2, "w", "x", 2)
         b.commit(t1)
         b.commit(t2)  # lost update: cycle t1 <-> t2 latches here
-        certifier = OnlineCertifier(system, incremental=engine)
+        certifier = OnlineCertifier(system)
         certifier.feed_all(b.build())
-        latched = certifier.verdict().cycle
+        latched = cycle_of(certifier)
         assert latched is not None
         # t3 writes x but aborts before its chain commits
         b2 = BehaviorBuilder(system)
@@ -289,11 +293,11 @@ class TestAbortAndDeadChainEdgeCases:
         for action in b2.build():
             certifier.feed(action)
         verdict = certifier.verdict()
-        assert verdict.cycle == latched  # the latch is monotone
+        assert cycle_of(certifier) == latched  # the latch is monotone
         full = b.build() + b2.build()
         assert batch_verdict(full, system)[0] == verdict.certified
 
-    def test_dead_chain_operation_never_becomes_visible(self, engine):
+    def test_dead_chain_operation_never_becomes_visible(self, cycle_of):
         """An access requested under an already-aborted ancestor is dead
         on arrival (`_chain_dead`): no visibility, no edges, no ARV."""
         from repro import (
@@ -321,14 +325,15 @@ class TestAbortAndDeadChainEdgeCases:
             RequestCommit(access, OK),
             Commit(access),     # the access chain commits under a dead t1
         )
-        certifier = OnlineCertifier(system, incremental=engine)
+        certifier = OnlineCertifier(system)
         verdict = certifier.feed_all(behavior)
         assert verdict.certified
+        assert cycle_of(certifier) is None
         assert certifier.graph.edge_count() == 0
         certified, arv_ok, acyclic = batch_verdict(behavior, system)
         assert verdict.certified == certified
 
-    def test_abort_triggered_mid_sequence_revalidation(self, engine):
+    def test_abort_triggered_mid_sequence_revalidation(self, cycle_of):
         """A late commit inserts mid-sequence while a competing pending
         write on the same object dies by abort; the suffix revalidates
         against the surviving history and matches batch on every prefix.
@@ -343,14 +348,14 @@ class TestAbortAndDeadChainEdgeCases:
         b.abort(t3)                # t3's write dies: never inserts
         b.commit(t1)               # t1's write inserts *before* t2's read
         behavior = b.build()
-        certifier = OnlineCertifier(system, incremental=engine)
+        certifier = OnlineCertifier(system)
         for cut, action in enumerate(behavior, start=1):
             certifier.feed(action)
             online = certifier.verdict()
             certified, arv_ok, acyclic = batch_verdict(behavior[:cut], system)
             assert online.certified == certified, cut
             assert (not online.arv_violations) == arv_ok, cut
-            assert (online.cycle is None) == acyclic, cut
+            assert (cycle_of(certifier) is None) == acyclic, cut
         assert certifier.verdict().certified
 
 

@@ -142,19 +142,16 @@ class TestCLI:
         snapshot = json.loads(metrics.read_text())
         assert snapshot["gauges"]["parallel.shards"] == 3
 
-    def test_audit_online_engine_cycle_check_flag(self, tmp_path, capsys):
+    def test_audit_online_engine(self, tmp_path, capsys):
         output = tmp_path / "run.json"
         assert main([
             "record", "--seed", "3", "--transactions", "3", "--objects", "2",
             "-o", str(output),
         ]) == 0
-        for flag in ("incremental", "naive"):
-            code = main([
-                "audit", str(output), "--engine", "online",
-                "--cycle-check", flag,
-            ])
-            assert code == 0
-            assert "CERTIFIED (online engine)" in capsys.readouterr().out
+        capsys.readouterr()
+        code = main(["audit", str(output), "--engine", "online"])
+        assert code == 0
+        assert "CERTIFIED (online engine)" in capsys.readouterr().out
 
     def test_case_verdict_str(self):
         verdict = CaseVerdict("run.json", False, 2, True, 64)

@@ -117,13 +117,23 @@ class TestR001ABFlags:
         assert findings, "expected a coverage finding with no tests"
         assert any("indexed=False and indexed=True" in f.message for f in findings)
 
-    def test_real_suite_covers_both_values_of_both_flags(self):
+    def test_real_suite_covers_both_values_of_both_flags(self, tmp_path):
         context = LintContext(root=SRC_ROOT, tests_root=TESTS_DIR)
-        coverage = context.test_flag_values(("indexed", "incremental"))
+        coverage = context.test_flag_values(("indexed", "compaction"))
         assert coverage["indexed"] == {True, False}
-        # incremental=True only flows through a parametrized fixture;
-        # the scanner must resolve fixture/parametrize bindings.
-        assert coverage["incremental"] == {True, False}
+        assert coverage["compaction"] == {True, False}
+        # a flag whose values only flow through a parametrized fixture:
+        # the scanner must resolve fixture/parametrize bindings
+        (tmp_path / "test_fixture_flag.py").write_text(
+            "import pytest\n"
+            "@pytest.fixture(params=[True, False])\n"
+            "def engine(request):\n"
+            "    return request.param\n"
+            "def test_it(engine):\n"
+            "    run(compaction=engine)\n"
+        )
+        bound = LintContext(root=SRC_ROOT, tests_root=tmp_path)
+        assert bound.test_flag_values(("compaction",))["compaction"] == {True, False}
 
     def test_robustness_validate_flag_is_an_ab_flag(self):
         # the static-only vs validated lanes of analyze_robustness are

@@ -45,6 +45,23 @@ class TestConfig:
             StreamConfig(workers=0)
         with pytest.raises(ValueError):
             StreamConfig(queue_size=0)
+        with pytest.raises(ValueError):
+            StreamConfig(compaction_interval=0)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--interval", "0"], "compaction_interval must be at least 1"),
+            (["--workers", "0"], "workers must be at least 1"),
+        ],
+    )
+    def test_cli_reports_a_rejected_config_on_one_line(self, capsys, flags, message):
+        from repro.cli import main
+
+        assert main(["stream", "--transactions", "2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid stream configuration: {message}\n"
 
 
 class TestVerdictParity:
