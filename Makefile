@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test bench bench-smoke examples scenarios trace-demo docs lint typecheck robustness ci all
+.PHONY: install test bench bench-smoke examples scenarios trace-demo docs lint typecheck robustness hash-seeds ci all
 
 install:
 	pip install -e . || python setup.py develop
@@ -54,8 +54,26 @@ typecheck:
 robustness:
 	PYTHONPATH=src python -m repro robustness
 
-# Mirror the GitHub Actions CI jobs locally
-ci: lint typecheck robustness
+# The seeded generators and the certificates they feed must not depend
+# on set iteration order: re-run the generator-fed suites under two
+# other hash seeds (the CI test job's hash-seed step)
+HASH_SEED_SUITES = tests/test_core_properties.py tests/test_columnar.py \
+	tests/test_history_index.py tests/test_online.py \
+	tests/test_online_compaction.py tests/test_parallel.py \
+	tests/test_serde.py tests/test_stream.py \
+	tests/test_witness_phase.py tests/test_mutation_agreement.py \
+	tests/test_hash_seed_determinism.py
+
+hash-seeds:
+	@for seed in 10 23; do \
+		PYTHONHASHSEED=$$seed PYTHONPATH=src python -m pytest -x -q \
+			$(HASH_SEED_SUITES) || exit 1; \
+	done
+
+# Mirror the GitHub Actions CI jobs locally: lint, typing, robustness,
+# the docs job, the tier-1 tests and their hash-seed re-runs
+ci: lint typecheck robustness docs
 	PYTHONPATH=src python -m pytest -x -q
+	$(MAKE) hash-seeds
 
 all: test bench examples

@@ -231,12 +231,12 @@ def _load_cases(paths: Sequence[str]):
         path = Path(name)
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return None
         try:
             behavior, system_type = load_case(text)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             print(f"{path} is not a valid repro case: {exc}", file=sys.stderr)
             return None
         cases.append((str(path), behavior, system_type))

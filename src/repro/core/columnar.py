@@ -17,10 +17,11 @@ module changes the representation without changing any answer:
   transaction id, operation class id) instead of a list of action
   objects.  :meth:`ColumnarHistory.append` accepts a lazy event stream —
   nothing requires a materialised behavior.
-* **Bitset visibility and orphans.**  ``visible(·, T0)`` membership and
-  the orphan set are computed in one forward pass over transaction ids
-  (parents first) and stored both as Python-int bitsets (one bit per
-  transaction) and as flat flag bytes for O(1) point queries.
+* **Flag-byte visibility and orphans.**  Commit and abort status are one
+  byte per transaction id, set in O(1) per event.  ``visible(·, T0)``
+  membership and the orphan set are computed in one forward pass over
+  transaction ids (parents first) into flat flag bytes for O(1) point
+  queries, with Python-int bitset views on demand.
 * **Linear conflict enumeration.**  For read/write-structured specs
   (``conflicts_iff_writer``) each object is resolved in one pass: two
   running bitsets over top-level transactions (any-access, writer) give
@@ -32,16 +33,19 @@ module changes the representation without changing any answer:
 
 The object API stays a *view layer*: :class:`TransactionName` and
 operation objects are materialised only at the boundary — cycle
-witnesses, ARV diagnostics, sibling-edge provenance.  In particular
-:class:`ColumnarSerializationGraph` answers ``find_cycle`` by a dense
-DFS that replicates the object graph's traversal order exactly, and only
-builds the real per-group :class:`repro.core.graph.Digraph` structures
-when a caller walks nodes/edges or topologically sorts.
+witnesses, ARV diagnostics, sibling-edge provenance, the sibling order
+handed to callers.  In particular :class:`ColumnarSerializationGraph`
+answers ``find_cycle`` by a dense DFS and ``to_sibling_order`` by a
+dense Kahn sort, each replicating the object graph's traversal order
+exactly, and only builds the real per-group
+:class:`repro.core.graph.Digraph` structures when a caller walks
+nodes/edges or mutates the graph.
 
 This is the batch engine: :func:`repro.core.correctness.certify` streams
-its input into a :class:`ColumnarHistory` and runs every pre-witness
-phase here.  ``HistoryIndex(..., columnar=True)`` and the ``columnar=``
-flags on the graph builder and the oracle/view layers route here too.
+its input into a :class:`ColumnarHistory` and runs every phase on it,
+the witness phase's order and build included.
+``HistoryIndex(..., columnar=True)`` and the ``columnar=`` flags on the
+graph builder and the oracle/view layers route here too.
 Verdicts, ARVs, cycles and witnesses equal those of the paper-definition
 phase functions on the object representation (asserted by the
 equivalence and mutation suites).  Metrics appear under
@@ -81,7 +85,7 @@ from .actions import (
 from .history import ConflictCache, spec_is_read_only
 from .names import ROOT, ObjectName, SystemType, TransactionName
 from .return_values import ReturnValueViolation
-from .graph import Digraph
+from .graph import CycleError, Digraph
 from .serialization_graph import (
     CONFLICT,
     PRECEDES,
@@ -132,17 +136,6 @@ def action_kind(action: Action) -> Optional[int]:
     return kind
 
 
-def _unpack_bits(bits: int, count: int) -> bytes:
-    """One byte (0/1) per position of a ``count``-bit bitset int."""
-    if count <= 0:
-        return b""
-    raw = bits.to_bytes((count + 7) // 8, "little")
-    flags = bytearray(count)
-    for position in range(count):
-        flags[position] = (raw[position >> 3] >> (position & 7)) & 1
-    return bytes(flags)
-
-
 def _pack_bits(flags: Sequence[int]) -> int:
     """The bitset int whose bit ``i`` is set iff ``flags[i]`` is truthy."""
     packed = bytearray((len(flags) + 7) // 8)
@@ -153,7 +146,7 @@ def _pack_bits(flags: Sequence[int]) -> int:
 
 
 class ColumnarHistory:
-    """Struct-of-arrays history with dense ids and bitset derived state.
+    """Struct-of-arrays history with dense ids and flag-byte derived state.
 
     Feed events through :meth:`append` (accepts any iterable order the
     behavior arrives in; non-serial actions are dropped, mirroring
@@ -190,11 +183,9 @@ class ColumnarHistory:
         # -- the event log: parallel int columns -------------------------
         self.ev_kind = array("q")
         self.ev_txn = array("q")
-        # -- status bitsets (bit = transaction id) -----------------------
-        self.committed_bits = 0
-        self.aborted_bits = 0
-        self.created_bits = 0
-        self.reported_bits = 0
+        # -- completion status: one 0/1 byte per transaction id ----------
+        self._committed = bytearray()
+        self._aborted = bytearray()
         # -- per-object access REQUEST_COMMIT columns --------------------
         self.acc_pos: List["array[int]"] = []
         self.acc_txn: List["array[int]"] = []
@@ -224,6 +215,8 @@ class ColumnarHistory:
             self._txn_ids[name] = dense
             self.txn_names.append(name)
             self.txn_parent.append(parent_id)
+            self._committed.append(0)
+            self._aborted.append(0)
             if parent_id < 0:
                 self._txn_chains.append(())
             else:
@@ -279,11 +272,9 @@ class ColumnarHistory:
                 self.acc_txn[oid].append(dense)
                 self.acc_cls[oid].append(cls)
         elif kind == K_COMMIT:
-            self.committed_bits |= 1 << dense
+            self._committed[dense] = 1
         elif kind == K_ABORT:
-            self.aborted_bits |= 1 << dense
-        elif kind == K_CREATE:
-            self.created_bits |= 1 << dense
+            self._aborted[dense] = 1
         elif kind == K_REQUEST_CREATE:
             if dense not in self.request_pos:
                 self.request_pos[dense] = position
@@ -291,8 +282,7 @@ class ColumnarHistory:
                 self.requests_by_parent.setdefault(
                     self.txn_parent[dense], []
                 ).append(dense)
-        else:  # K_REPORT_COMMIT / K_REPORT_ABORT
-            self.reported_bits |= 1 << dense
+        elif kind != K_CREATE:  # K_REPORT_COMMIT / K_REPORT_ABORT
             self.first_report_pos.setdefault(dense, position)
         return True
 
@@ -304,13 +294,12 @@ class ColumnarHistory:
                 count += 1
         return count
 
-    # -- bitset derived state ----------------------------------------------
+    # -- derived visibility state -------------------------------------------
 
     def visible_bits(self) -> int:
         """Bitset: bit ``t`` set iff transaction ``t`` is visible to T0."""
         if self._visible_bits is None:
-            self.visible_flags()
-        assert self._visible_bits is not None
+            self._visible_bits = _pack_bits(self.visible_flags())
         return self._visible_bits
 
     def visible_flags(self) -> bytes:
@@ -323,7 +312,7 @@ class ColumnarHistory:
         flags = self._visible_flags
         if flags is None:
             count = len(self.txn_names)
-            committed = _unpack_bits(self.committed_bits, count)
+            committed = self._committed
             parent = self.txn_parent
             out = bytearray(count)
             out[0] = 1
@@ -332,14 +321,12 @@ class ColumnarHistory:
                     out[dense] = 1
             flags = bytes(out)
             self._visible_flags = flags
-            self._visible_bits = _pack_bits(flags)
         return flags
 
     def orphan_bits(self) -> int:
         """Bitset: bit ``t`` set iff some ancestor of ``t`` aborted."""
         if self._orphan_bits is None:
-            self.orphan_flags()
-        assert self._orphan_bits is not None
+            self._orphan_bits = _pack_bits(self.orphan_flags())
         return self._orphan_bits
 
     def orphan_flags(self) -> bytes:
@@ -347,7 +334,7 @@ class ColumnarHistory:
         flags = self._orphan_flags
         if flags is None:
             count = len(self.txn_names)
-            aborted = _unpack_bits(self.aborted_bits, count)
+            aborted = self._aborted
             parent = self.txn_parent
             out = bytearray(count)
             for dense in range(1, count):
@@ -355,7 +342,6 @@ class ColumnarHistory:
                     out[dense] = 1
             flags = bytes(out)
             self._orphan_flags = flags
-            self._orphan_bits = _pack_bits(flags)
         return flags
 
     def name_rank(self) -> List[int]:
@@ -473,7 +459,9 @@ class ColumnarHistory:
     ) -> None:
         """One-pass conflict edges for a writer-structured object.
 
-        ``any_tops``/``writer_tops`` are bitsets over *top-level* ids
+        ``any_tops``/``writer_tops`` are bitsets over the object's
+        *top-level* transactions, ranked by first access (so a bitset is
+        as wide as the tops touching this object, not as the whole log),
         accumulating the tops with a prior access / prior writer.  Each
         event ORs the appropriate partner mask into its top's incoming
         set — that covers every cross-top ordered pair with a writer.
@@ -483,22 +471,28 @@ class ColumnarHistory:
         chains = self._txn_chains
         any_tops = 0
         writer_tops = 0
+        #: the object's tops in first-access order: bit ``r`` is ``tops[r]``
+        tops: List[int] = []
+        top_rank: Dict[int, int] = {}
+        rank_of: Dict[int, int] = {}  # access leaf -> its top's rank
+        buckets: List[List[Tuple[int, bool]]] = []
         incoming: Dict[int, int] = {}
-        per_top: Dict[int, List[Tuple[int, bool]]] = {}
-        top_of: Dict[int, int] = {}
         for row, dense in enumerate(tids):
             is_read = read_only[row]
-            top = top_of.get(dense)
-            if top is None:
+            rank = rank_of.get(dense)
+            if rank is None:
                 top = chains[dense][0]
-                top_of[dense] = top
+                rank = top_rank.get(top)
+                if rank is None:
+                    rank = top_rank[top] = len(tops)
+                    tops.append(top)
+                    buckets.append([])
+                rank_of[dense] = rank
             partners = writer_tops if is_read else any_tops
             if partners:
-                incoming[top] = incoming.get(top, 0) | partners
-            bucket = per_top.get(top)
-            if bucket is None:
-                per_top[top] = bucket = []
-            else:
+                incoming[rank] = incoming.get(rank, 0) | partners
+            bucket = buckets[rank]
+            if bucket:
                 chain = chains[dense]
                 for prior, prior_read in bucket:
                     if prior == dense or (prior_read and is_read):
@@ -512,15 +506,16 @@ class ColumnarHistory:
                         continue  # ancestor-related accesses: no siblings
                     edges.add((prior_chain[depth], chain[depth]))
             bucket.append((dense, is_read))
-            bit = 1 << top
+            bit = 1 << rank
             any_tops |= bit
             if not is_read:
                 writer_tops |= bit
-        for top, bits in incoming.items():
-            bits &= ~(1 << top)
+        for rank, bits in incoming.items():
+            top = tops[rank]
+            bits &= ~(1 << rank)
             while bits:
                 low = bits & -bits
-                edges.add((low.bit_length() - 1, top))
+                edges.add((tops[low.bit_length() - 1], top))
                 bits ^= low
 
     def precedes_edge_ids(self) -> List[Tuple[int, int]]:
@@ -666,14 +661,17 @@ def columnar_arv_violations(
 class ColumnarSerializationGraph(SerializationGraph):
     """``SG(beta)`` over dense ids with on-demand object materialisation.
 
-    The cycle search — the only structural query the certifier needs —
-    runs directly on int adjacency lists built to replicate the object
+    The structural queries the certifier needs — the cycle search and
+    the topological sort into a sibling order — run directly on int
+    adjacency lists built to replicate the object
     :class:`SerializationGraph`'s insertion order exactly (seeded nodes,
     then conflict edges in name order, then precedes edges in name
-    order), so it returns the *same* cycle the object graph would.  Any
-    richer access (nodes, edges, topological sort, mutation) first
-    materialises the real per-group digraphs from the same dense data,
-    after which this behaves exactly like its base class.
+    order), so they return the *same* cycle and the *same* per-group
+    orders the object graph would (:meth:`sibling_order_ids` hands the
+    orders to the witness builder as ids).  Any richer access (nodes,
+    edges, mutation) first materialises the real per-group digraphs from
+    the same dense data, after which this behaves exactly like its base
+    class.
     """
 
     def __init__(
@@ -689,6 +687,7 @@ class ColumnarSerializationGraph(SerializationGraph):
         self._conflict_ids = list(conflict_ids)
         self._precedes_ids = list(precedes_ids)
         self._materialized = False
+        self._order_ids: Optional[Dict[int, List[int]]] = None
         # dense adjacency in first-insertion order, as Digraph would see it
         self._dense_groups: Dict[int, List[int]] = {}
         self._dense_nodes: Set[int] = set()
@@ -847,8 +846,56 @@ class ColumnarSerializationGraph(SerializationGraph):
         return self.dense_edge_count()
 
     def to_sibling_order(self) -> SiblingOrder:
-        self._ensure()
-        return super().to_sibling_order()
+        if self._materialized:
+            return super().to_sibling_order()
+        names = self._store.txn_names
+        order = SiblingOrder()
+        for group, ids in self.sibling_order_ids().items():
+            order.set_order(names[group], [names[dense] for dense in ids])
+        return order
+
+    def sibling_order_ids(self) -> Dict[int, List[int]]:
+        """The sibling order ``R`` over dense ids: group id -> sorted ids.
+
+        Kahn's algorithm per group over the dense adjacency,
+        transliterating :meth:`Digraph.topological_sort`: the ready list
+        starts with the group's zero-indegree nodes in insertion order
+        and newly freed nodes join at its back, so each group's order is
+        the one the materialised digraph would give.  Groups appear in
+        parent-name order, as in :meth:`parents`.  A cyclic group raises
+        :class:`repro.core.graph.CycleError` with the cycle the object
+        graph reports.  Computed once, for the graph as built:
+        :meth:`to_sibling_order` sorts a materialised graph (which may
+        have been mutated since) through the base class instead.
+        """
+        if self._order_ids is not None:
+            return self._order_ids
+        succ = self._dense_succ
+        names = self._store.txn_names
+        indegree = [0] * len(names)
+        for targets in succ.values():
+            for target in targets:
+                indegree[target] += 1
+        orders: Dict[int, List[int]] = {}
+        rank = self._store.name_rank()
+        for group in sorted(self._dense_groups, key=rank.__getitem__):
+            nodes = self._dense_groups[group]
+            ready = [dense for dense in nodes if not indegree[dense]]
+            position = 0
+            while position < len(ready):
+                node = ready[position]
+                position += 1
+                for target in succ[node]:
+                    indegree[target] -= 1
+                    if not indegree[target]:
+                        ready.append(target)
+            if len(ready) != len(nodes):
+                cycle = self._dense_group_cycle(group)
+                assert cycle is not None
+                raise CycleError([names[dense] for dense in cycle])
+            orders[group] = ready
+        self._order_ids = orders
+        return orders
 
     def to_networkx(self) -> Any:
         self._ensure()

@@ -22,6 +22,7 @@ un-certifies the behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import (
     Any,
     Callable,
@@ -50,12 +51,19 @@ from .actions import (
     transaction_of,
 )
 from .columnar import (
+    K_ABORT,
+    K_COMMIT,
+    K_CREATE,
+    K_REPORT_ABORT,
+    K_REPORT_COMMIT,
+    K_REQUEST_COMMIT,
+    K_REQUEST_CREATE,
     ColumnarHistory,
+    ColumnarSerializationGraph,
     build_columnar_graph,
     columnar_arv_violations,
 )
 from .events import StatusIndex, project_transaction
-from .history import HistoryIndex
 from .names import ROOT, ObjectName, SystemType, TransactionName
 from .operations import (
     is_serial_object_well_formed,
@@ -154,10 +162,13 @@ def certify(
 
     ``behavior`` may be any iterable: it streams once into a
     :class:`repro.core.columnar.ColumnarHistory` (dense ids, int columns,
-    bitset visibility), which answers the ARV check, graph construction
-    and the cycle search; the serial actions are kept only when the
-    witness or input validation needs them.  The per-phase functions of
-    the paper's definitions (:func:`check_appropriate_return_values`,
+    flag-byte visibility), which answers the ARV check, graph
+    construction, the cycle search and the witness phase's sibling order
+    and build; no :class:`repro.core.history.HistoryIndex` is built and
+    the graph's object digraphs are never materialised.  The serial
+    actions are kept only when the witness or input validation needs
+    them.  The per-phase functions of the paper's definitions
+    (:func:`check_appropriate_return_values`,
     :func:`build_serialization_graph`, :func:`build_witness`, ...) return
     the same answers on the object representation.
 
@@ -209,7 +220,9 @@ def certify(
             not arv_violations and cycle is None, arv_violations, cycle, graph
         )
         if certificate.certified and construct_witness:
-            _witness_phase(certificate, tuple(serial), system_type, tracer)
+            _witness_phase(
+                certificate, graph, store, tuple(serial), system_type, tracer
+            )
         _count_verdict(certificate, metrics)
     return certificate
 
@@ -361,6 +374,8 @@ class _WitnessBuilder:
 
 def _witness_phase(
     certificate: Certificate,
+    graph: ColumnarSerializationGraph,
+    store: ColumnarHistory,
     serial: Behavior,
     system_type: SystemType,
     tracer: Tracer,
@@ -374,23 +389,27 @@ def _witness_phase(
     order, the witness and its problems land on the certificate, which
     fails closed: any witness problem un-certifies it.
 
-    One :class:`HistoryIndex` over ``serial`` supplies the visible set
-    and the cached ``beta | T`` slices; the visible set serves both the
-    builder and the check, which groups ``gamma`` by transaction in one
-    pass and reports problems in transaction-name order.  The check and
-    the replay are linear in the log.
+    The order and the build run on the dense ids of ``store`` and of
+    ``graph`` (the certificate's): a Kahn sort per group of the dense
+    graph, then :class:`_DenseWitnessBuilder` over per-transaction event
+    positions.  They return what :meth:`SerializationGraph.to_sibling_order`
+    and :func:`build_witness` return on the object representation, and
+    no :class:`HistoryIndex` is built.  The two checks of ``gamma`` do
+    not trust the builder: the replay is :func:`validate_serial_behavior`,
+    and the projection check groups ``gamma`` by ``transaction(pi)`` in
+    one pass and reads each ``beta | T`` off the store's event positions,
+    reporting problems in transaction-name order.  Every step is linear
+    in the log, up to a log factor per sibling for the builder's heaps.
     """
     with tracer.span("certify.witness"):
         with tracer.span("certify.witness.order"):
-            certificate.order = certificate.graph.to_sibling_order()
+            certificate.order = graph.to_sibling_order()
         try:
             with tracer.span("certify.witness.build"):
-                index = HistoryIndex(serial, system_type)
-                visible = _visible_transactions(index)
-                builder = _WitnessBuilder(
-                    serial, system_type, certificate.order, index, visible
+                builder = _DenseWitnessBuilder(
+                    store, serial, graph.sibling_order_ids()
                 )
-                builder.emit_transaction(ROOT)
+                builder.emit_transaction(0)
                 witness = tuple(builder.output)
         except WitnessError as exc:
             certificate.witness_problems = [str(exc)]
@@ -401,11 +420,146 @@ def _witness_phase(
             if not problems:
                 with tracer.span("certify.witness.check"):
                     problems = witness_projection_problems(
-                        witness, sorted(visible), builder.local_sequence
+                        witness, builder.visible_names(), builder.local_sequence
                     )
             certificate.witness_problems = problems
         if certificate.witness_problems:
             certificate.certified = False
+
+
+class _DenseWitnessBuilder:
+    """:class:`_WitnessBuilder` on a :class:`ColumnarHistory`'s dense ids.
+
+    ``serial`` holds the store's events in order (event position ``i``
+    is ``serial[i]``) and ``order_ids`` is the sibling order over dense
+    ids.  One pass over the event columns lists each transaction's
+    ``beta | T`` positions and the transactions mentioned by a
+    REQUEST_CREATE or a CREATE.  Each parent keeps its pending visible
+    children in a heap keyed by rank in the parent's group order, so a
+    report runs the pending lower-ranked siblings first in O(log c)
+    each; children the order does not rank come after ranked ones, in
+    name order.  Output and :class:`WitnessError` messages are those of
+    :class:`_WitnessBuilder`.
+    """
+
+    def __init__(
+        self,
+        store: ColumnarHistory,
+        serial: Behavior,
+        order_ids: Dict[int, List[int]],
+    ) -> None:
+        self.store = store
+        self.serial = serial
+        self.names = store.txn_names
+        count = len(self.names)
+        parent = store.txn_parent
+        local: Dict[int, List[int]] = {}
+        mentioned = bytearray(count)
+        mentioned[0] = 1
+        for position, (kind, dense) in enumerate(zip(store.ev_kind, store.ev_txn)):
+            if kind == K_CREATE:
+                owner = dense
+                mentioned[dense] = 1
+            elif kind == K_REQUEST_COMMIT:
+                owner = dense
+            elif kind == K_COMMIT or kind == K_ABORT:
+                continue
+            else:  # REQUEST_CREATE and the reports belong to the parent
+                owner = parent[dense]
+                if kind == K_REQUEST_CREATE:
+                    mentioned[dense] = 1
+            positions = local.get(owner)
+            if positions is None:
+                local[owner] = [position]
+            else:
+                positions.append(position)
+        self.local = local
+        #: visible to T0 among the mentioned transactions (with T0)
+        self.visible = bytes(
+            flag & seen for flag, seen in zip(store.visible_flags(), mentioned)
+        )
+        #: heap key per id: rank in its group, else after every rank
+        name_rank = store.name_rank()
+        self.key = [count + rank for rank in name_rank]
+        for ids in order_ids.values():
+            for rank, dense in enumerate(ids):
+                self.key[dense] = rank
+        self.output: List[Action] = []
+
+    def local_sequence(self, transaction: TransactionName) -> Behavior:
+        """``beta | T`` read off the event positions."""
+        dense = self.store.txn_id_of(transaction)
+        positions = self.local.get(dense, ()) if dense is not None else ()
+        serial = self.serial
+        return tuple(serial[position] for position in positions)
+
+    def visible_names(self) -> List[TransactionName]:
+        """The transactions visible to ``T0``, in name order."""
+        visible = self.visible
+        rank = self.store.name_rank()
+        ids = [dense for dense in range(len(visible)) if visible[dense]]
+        ids.sort(key=rank.__getitem__)
+        return [self.names[dense] for dense in ids]
+
+    def emit_transaction(self, transaction: int) -> None:
+        """Emit the serial execution of ``transaction``'s subtree."""
+        names = self.names
+        serial = self.serial
+        kinds = self.store.ev_kind
+        txns = self.store.ev_txn
+        visible = self.visible
+        key = self.key
+        output = self.output
+        requested: Set[int] = set()
+        ran: Set[int] = set()
+        aborted_emitted: Set[int] = set()
+        pending: List[Tuple[int, int]] = []  # (key, child), visible only
+
+        def run_child(child: int) -> None:
+            if child in ran:
+                return
+            if child not in requested:
+                raise WitnessError(
+                    f"child {names[child]} must run before its REQUEST_CREATE "
+                    f"was emitted"
+                )
+            ran.add(child)
+            self.emit_transaction(child)
+            output.append(Commit(names[child]))
+
+        for position in self.local.get(transaction, ()):
+            kind = kinds[position]
+            if kind == K_REQUEST_CREATE:
+                child = txns[position]
+                if child not in requested:
+                    requested.add(child)
+                    if visible[child]:
+                        heappush(pending, (key[child], child))
+            elif kind == K_REPORT_COMMIT:
+                child = txns[position]
+                if not visible[child]:
+                    raise WitnessError(
+                        f"report of commit for non-visible child {names[child]}"
+                    )
+                # the pending R-predecessors of ``child``, then ``child``;
+                # an unranked child has none (its key exceeds every rank)
+                rank = key[child]
+                if rank < len(key):
+                    while pending and pending[0][0] < rank:
+                        run_child(heappop(pending)[1])
+                run_child(child)
+            elif kind == K_REPORT_ABORT:
+                child = txns[position]
+                if child not in aborted_emitted:
+                    aborted_emitted.add(child)
+                    output.append(Abort(names[child]))
+            elif kind == K_REQUEST_COMMIT:
+                while pending:
+                    run_child(heappop(pending)[1])
+            output.append(serial[position])
+        # visible children whose reports never arrived (possible only at T0)
+        while pending:
+            run_child(heappop(pending)[1])
 
 
 def witness_projection_problems(

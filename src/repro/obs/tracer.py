@@ -33,7 +33,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, IO, Iterable, List, Optional, Tuple, Union
 
 from .metrics import MetricsRegistry
 
@@ -122,9 +122,12 @@ class RingBufferSink(SpanSink):
 class JSONLFileSink(SpanSink):
     """Write each completed span as one JSON line (the trace-file format).
 
-    Lines are buffered and written in batches of ``flush_every`` (and on
-    :meth:`close`), keeping file I/O out of the traced region — a span's
-    completion costs one ``json.dumps`` plus a list append.
+    Completed :class:`Span` objects are buffered and serialized and
+    written in batches of ``flush_every`` (and on :meth:`close`), so a
+    span's completion costs one list append: neither ``json.dumps`` nor
+    file I/O runs inside the traced region, where a child's encoding
+    would count as untraced time of its parent.  A tag JSON cannot
+    encode raises ``TypeError`` from the flush that serializes it.
     """
 
     def __init__(
@@ -139,23 +142,27 @@ class JSONLFileSink(SpanSink):
             self._file = open(destination, "w", encoding="utf-8")
             self._owns_file = True
         self._flush_every = max(flush_every, 1)
-        self._pending: List[str] = []
+        self._pending: List[Span] = []
 
     def emit(self, span: Span) -> None:
-        self._pending.append(json.dumps(span.to_dict()))
+        self._pending.append(span)
         if len(self._pending) >= self._flush_every:
             self._flush()
 
     def _flush(self) -> None:
-        if self._pending:
-            self._file.write("\n".join(self._pending) + "\n")
-            self._pending.clear()
+        pending, self._pending = self._pending, []
+        if pending:
+            self._file.write(
+                "".join(json.dumps(span.to_dict()) + "\n" for span in pending)
+            )
 
     def close(self) -> None:
-        self._flush()
-        self._file.flush()
-        if self._owns_file:
-            self._file.close()
+        try:
+            self._flush()
+        finally:
+            self._file.flush()
+            if self._owns_file:
+                self._file.close()
 
 
 class LoggingSink(SpanSink):

@@ -154,6 +154,48 @@ class TestTracer:
         assert [span["name"] for span in spans] == ["b", "a"]
         assert all(span["dur"] >= 0 for span in spans)
 
+    def test_jsonl_sink_serializes_at_flush_not_in_the_span(
+        self, tmp_path, monkeypatch
+    ):
+        """A span's completion only buffers it: ``json.dumps`` runs when
+        the batch flushes, outside every traced region."""
+        import repro.obs.tracer as tracer_module
+
+        dumped = []
+        real_dumps = tracer_module.json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            dumped.append(obj["name"])
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(tracer_module.json, "dumps", counting_dumps)
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(JSONLFileSink(path, flush_every=3))
+        with tracer.span("root"):
+            with tracer.span("a"):
+                pass
+            with tracer.span("b"):
+                pass
+            assert dumped == []
+        assert dumped == ["a", "b", "root"]  # the third span flushed the batch
+        with tracer.span("c"):
+            pass
+        assert dumped == ["a", "b", "root"]
+        tracer.close()
+        assert dumped == ["a", "b", "root", "c"]
+        assert [span["name"] for span in load_jsonl_trace(path)] == dumped
+
+    def test_jsonl_sink_unencodable_tag_fails_at_flush(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sink = JSONLFileSink(path)
+        tracer = Tracer(sink)
+        with tracer.span("bad", payload=object()):
+            pass
+        with pytest.raises(TypeError):
+            tracer.close()
+        # the file is released even though the flush failed
+        assert sink._file.closed
+
     def test_spans_carry_epoch_wall_start(self, tmp_path):
         """``wall_start`` is epoch time, so traces from different
         processes (whose perf_counter origins differ) can be aligned."""

@@ -1,7 +1,12 @@
-"""The batch certifier's witness phase: fail-closed verdicts, one-pass checks.
+"""The batch certifier's witness phase: dense ids, fail-closed, one-pass checks.
 
 ``certify`` runs one witness phase (sibling order, witness build, serial
-replay, projection check).  Its two checks run in one pass each:
+replay, projection check).  The order and the build run on the columnar
+store's dense ids; they must return exactly what
+``Digraph.topological_sort`` over the materialised graph and
+:func:`build_witness` over a :class:`HistoryIndex` return, which the
+dense-phase tests diff on a wide log, on the 300-seed generators and on
+the mutation corpus.  The two checks run in one pass each:
 :func:`witness_projection_problems` groups the witness ``gamma`` by
 transaction to test ``gamma | T == beta | T`` for every visible ``T``,
 and :func:`object_replay_problems` groups it by object to replay each
@@ -24,13 +29,19 @@ from repro import (
     run_system,
 )
 from repro.core import certify
-from repro.core.actions import RequestCommit, transaction_of
+from repro.core.actions import Commit, ReportCommit, RequestCommit, transaction_of
+from repro.core.columnar import ColumnarSerializationGraph
 from repro.core.correctness import (
+    WitnessError,
     _visible_transactions,
+    build_witness,
     object_replay_problems,
     validate_serial_behavior,
     witness_projection_problems,
 )
+from repro.core.graph import CycleError
+from repro.core.names import ROOT
+from repro.core.serialization_graph import SerializationGraph
 from repro.core.events import project_object, project_transaction, serial_projection
 from repro.core.history import HistoryIndex
 from repro.core.operations import (
@@ -41,9 +52,11 @@ from repro.core.operations import (
 from repro.obs import MetricsRegistry
 from repro.scenarios import build_scenario, scenario_names
 from repro.sim.workload import CounterKind, RWKind
+from repro.stream import StreamWorkload, commit_as_you_go
 
-from conftest import reference_certify
+from conftest import lost_update_behavior, reference_certify
 from test_core_properties import random_simple_behavior
+from test_online import random_contended_behavior
 
 
 def reference_projection_problems(witness, serial, visible, index):
@@ -235,3 +248,159 @@ class TestFailClosed:
         assert "certify.rejected.witness" not in counters
         for indexed in (True, False):
             assert reference_certify(behavior, system_type, indexed=indexed).certified
+
+
+# ---------------------------------------------------------------------------
+# The dense order and build against the object-graph reference
+# ---------------------------------------------------------------------------
+
+
+def wide_log(top_level, seed, delay=0):
+    """A serial ``commit_as_you_go`` stream: ``top_level`` children of T0.
+
+    With ``delay``, each top-level commit is also reported to T0, the
+    reports held back and released in a shuffled batch every ``delay``
+    tops, so that several of T0's children wait in the builder's heap
+    when a report arrives.
+    """
+    system_type, actions = commit_as_you_go(
+        StreamWorkload(top_level=top_level, window=1, seed=seed)
+    )
+    if not delay:
+        return tuple(actions), system_type
+    rng = random.Random(seed)
+    values = {}
+    held = []
+    out = []
+    for action in actions:
+        out.append(action)
+        if isinstance(action, RequestCommit) and action.transaction.depth == 1:
+            values[action.transaction] = action.value
+        if isinstance(action, Commit) and action.transaction.depth == 1:
+            held.append(ReportCommit(action.transaction, values[action.transaction]))
+            if len(held) == delay:
+                out += rng.sample(held, len(held))
+                held = []
+    return tuple(out + held), system_type
+
+
+def assert_order_is_the_digraph_sort(order, graph):
+    """``order`` ranks each group of the (now materialised) ``graph``
+    exactly as ``Digraph.topological_sort`` does, and ranks nothing else."""
+    ranked = 0
+    for parent in graph.parents():
+        expected = graph.graph_for(parent).topological_sort()
+        assert order.sorted_children(parent, expected[::-1]) == expected, parent
+        assert all(order.holds(a, b) for a, b in zip(expected, expected[1:]))
+        ranked += len(expected)
+    assert repr(order) == f"SiblingOrder(ordered_children={ranked}, extra_pairs=0)"
+
+
+def reference_witness(behavior, system_type, graph):
+    """The witness and its problems by the object lane: the base-class
+    sibling order, ``build_witness`` and both checks over a HistoryIndex."""
+    serial = serial_projection(behavior)
+    index = HistoryIndex(serial, system_type)
+    order = SerializationGraph.to_sibling_order(graph)
+    try:
+        witness = build_witness(serial, system_type, order, index)
+    except WitnessError as exc:
+        return None, [str(exc)]
+    problems = validate_serial_behavior(witness, system_type)
+    if not problems:
+        problems = witness_projection_problems(
+            witness, sorted(_visible_transactions(index)), index.project_transaction
+        )
+    return witness, problems
+
+
+def assert_dense_phase_matches(behavior, system_type):
+    """``certify``'s order, witness and problems equal the object lane's;
+    returns the certificate (None-witness phases are skipped)."""
+    certificate = certify(behavior, system_type)
+    if certificate.cycle is not None or certificate.arv_violations:
+        assert certificate.order is None and certificate.witness is None
+        return certificate
+    graph = certificate.graph
+    assert isinstance(graph, ColumnarSerializationGraph)
+    assert_order_is_the_digraph_sort(certificate.order, graph)
+    witness, problems = reference_witness(behavior, system_type, graph)
+    assert certificate.witness == witness
+    assert certificate.witness_problems == problems
+    assert certificate.certified == (not problems)
+    return certificate
+
+
+class TestDensePhaseMatchesTheObjectLane:
+    def test_wide_log(self):
+        behavior, system_type = wide_log(1100, seed=21)
+        certificate = assert_dense_phase_matches(behavior, system_type)
+        assert certificate.certified
+        children = certificate.graph.graph_for(ROOT).nodes()
+        assert len(children) >= 1000
+        assert len(certificate.witness) == len(behavior)
+
+    def test_delayed_reports_pull_pending_siblings(self):
+        """Reports released in shuffled batches: each report first runs
+        the pending children the order ranks below it.  (Every report
+        precedes all later requests, so the graph has quadratically many
+        precedes edges; the reference builder is quadratic in T0's
+        children, hence the smaller log.)"""
+        behavior, system_type = wide_log(300, seed=21, delay=7)
+        certificate = assert_dense_phase_matches(behavior, system_type)
+        assert certificate.certified
+        reports = [a for a in behavior if isinstance(a, ReportCommit)]
+        assert sum(a.transaction.depth == 1 for a in reports) == 300
+
+    def test_300_generator_seeds(self):
+        witnessed = rejected = 0
+        for seed in range(220):
+            behavior, system_type = random_simple_behavior(seed, steps=30)
+            certificate = assert_dense_phase_matches(behavior, system_type)
+            witnessed += certificate.witness is not None
+            rejected += not certificate.certified
+        for seed in range(80):
+            behavior, system_type = random_contended_behavior(seed)
+            certificate = assert_dense_phase_matches(behavior, system_type)
+            witnessed += certificate.witness is not None
+        assert witnessed > 150 and rejected > 0
+
+    def test_mutation_corpus(self):
+        # imported here: the mutation suite imports this module's runs
+        from test_mutation_agreement import mutant_corpus
+
+        problems_seen = 0
+        for label, behavior, system_type in mutant_corpus():
+            certificate = assert_dense_phase_matches(behavior, system_type)
+            problems_seen += bool(certificate.witness_problems)
+        # the corpus reaches the builder's and the checks' failure paths
+        assert problems_seen > 50
+
+    def test_cyclic_graph_raises_the_object_graphs_cycle(self):
+        behavior, system_type = lost_update_behavior()
+        certificate = certify(behavior, system_type)
+        assert certificate.cycle is not None
+        with pytest.raises(CycleError) as dense:
+            certificate.graph.to_sibling_order()
+        materialised = certify(behavior, system_type).graph
+        materialised.parents()
+        with pytest.raises(CycleError) as reference:
+            materialised.to_sibling_order()
+        assert dense.value.cycle == reference.value.cycle
+        assert str(dense.value) == str(reference.value)
+
+
+class TestNoObjectIndexOnTheAcceptedPath:
+    @pytest.mark.parametrize("validate_input", [False, True])
+    def test_certify_builds_no_history_index_and_no_digraphs(
+        self, monkeypatch, validate_input
+    ):
+        behavior, system_type = simulated_run(3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("certify left the dense store")
+
+        monkeypatch.setattr(HistoryIndex, "__init__", forbidden)
+        monkeypatch.setattr(ColumnarSerializationGraph, "_ensure", forbidden)
+        certificate = certify(behavior, system_type, validate_input=validate_input)
+        assert certificate.certified and certificate.witness
