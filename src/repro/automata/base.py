@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.actions import Action
 
@@ -65,6 +65,18 @@ class IOAutomaton(ABC):
         Used by the simulation driver to discover what can happen next.
         """
         return iter(())
+
+    def routing_keys(self) -> Optional[Iterable[Hashable]]:
+        """The keys under which a :class:`Composition` indexes this automaton.
+
+        An automaton that returns keys promises that every action in its
+        signature names one of them as its transaction, as that
+        transaction's parent, or as its object (the ``obj`` of an
+        inform).  The composition then offers it only actions that name
+        one of its keys.  ``None`` (the default) makes no promise, and
+        the automaton is consulted for every action.
+        """
+        return None
 
     def step(self, state: Any, action: Action) -> Any:
         """Perform one step, checking enabledness for locally-controlled actions."""

@@ -253,23 +253,6 @@ class IncrementalTopology(Generic[N]):
     def has_edge(self, src: N, dst: N) -> bool:
         return src in self._succ and dst in self._succ[src]
 
-    def remove_node(self, node: N) -> None:
-        """Remove ``node`` and its incident edges (missing is a no-op).
-
-        Deleting a node cannot invalidate the maintained order — every
-        remaining edge keeps its endpoints' relative indices — so no
-        repair pass is needed.  The freed index is simply retired;
-        ``_next_index`` stays monotone.
-        """
-        targets = self._succ.pop(node, None)
-        if targets is None:
-            return
-        for dst in targets:
-            self._pred[dst].discard(node)
-        for src in self._pred.pop(node, ()):
-            self._succ[src].discard(node)
-        del self._index[node]
-
     def add_edge(self, src: N, dst: N) -> Optional[List[N]]:
         """Insert an edge, repairing the order; return a cycle if one forms.
 

@@ -18,7 +18,7 @@ parameters of an access are regarded as encoded in its name"; the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = [
     "TransactionName",
@@ -239,6 +239,7 @@ class SystemType:
     ) -> None:
         self._objects: Dict[ObjectName, Any] = dict(objects)
         self._accesses: Dict[TransactionName, Access] = {}
+        self._by_object: Optional[Dict[ObjectName, Tuple[TransactionName, ...]]] = None
         for name, access in (accesses or {}).items():
             self.register_access(name, access)
 
@@ -274,6 +275,7 @@ class SystemType:
             if ancestor in self._accesses:
                 raise ValueError(f"{name} is a descendant of the access {ancestor}")
         self._accesses[name] = access
+        self._by_object = None
 
     def is_access(self, name: TransactionName) -> bool:
         """True iff ``name`` is a registered access leaf."""
@@ -292,10 +294,23 @@ class SystemType:
 
     def accesses_to(self, obj: ObjectName) -> Tuple[TransactionName, ...]:
         """All registered access names touching ``obj``, sorted."""
-        return tuple(sorted(t for t, a in self._accesses.items() if a.obj == obj))
+        return tuple(sorted(self.accesses_by_object().get(obj, ())))
 
     def all_accesses(self) -> Mapping[TransactionName, Access]:
         return dict(self._accesses)
+
+    def accesses_by_object(self) -> Mapping[ObjectName, Tuple[TransactionName, ...]]:
+        """The registered accesses grouped by object, in registration order.
+
+        Built in one pass over the registry and kept until the next
+        registration, so the objects of one system share that pass.
+        """
+        if self._by_object is None:
+            grouped: Dict[ObjectName, List[TransactionName]] = {}
+            for name, access in self._accesses.items():
+                grouped.setdefault(access.obj, []).append(name)
+            self._by_object = {obj: tuple(names) for obj, names in grouped.items()}
+        return self._by_object
 
     def merged_with(self, other: "SystemType") -> "SystemType":
         """A new system type combining the objects and accesses of both."""

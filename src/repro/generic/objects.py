@@ -12,7 +12,7 @@ algorithms — Moss locking (:mod:`repro.locking.moss`) and undo logging
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Any, Iterator
+from typing import Any, Hashable, Iterator, Tuple
 
 from ..automata.base import IOAutomaton
 from ..core.actions import Action, Create, InformAbort, InformCommit, RequestCommit
@@ -45,6 +45,11 @@ class GenericObject(IOAutomaton):
         return isinstance(action, RequestCommit) and self.is_my_access(
             action.transaction
         )
+
+    def routing_keys(self) -> Tuple[Hashable, ...]:
+        """The object (its informs) and its accesses (their CREATE and
+        REQUEST_COMMIT)."""
+        return (self.obj,) + self.system_type.accesses_by_object().get(self.obj, ())
 
     @abstractmethod
     def initial_state(self) -> Any: ...

@@ -16,7 +16,8 @@ carries the behavior, ready for the Theorem 8/19 certifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from itertools import chain
+from typing import List, Optional
 
 from ..automata.composition import Composition
 from ..core.actions import (
@@ -103,10 +104,13 @@ def run_system(
     # Per-component caches of enabled outputs: a component's enabledness
     # depends only on its own state, and effects are pure, so its
     # outputs change only when ``Composition.effect`` hands it a new
-    # state object — after each step only those components are
-    # re-queried.  Enumeration order (component order, then each
-    # component's own order) is preserved exactly, so seeded runs are
-    # identical to the uncached driver.
+    # state object — after each step only the action's participants can
+    # have one, and only those that do are re-queried.  Enumeration
+    # order (component order, then each component's own order) is
+    # preserved exactly, so seeded runs are identical to the uncached
+    # driver.  Strongly compatible components share no outputs, so the
+    # caches concatenate without duplicates (``Composition.effect``
+    # rejects an action that two components output).
     output_cache = {
         component.name: list(component.enabled_outputs(state[component.name]))
         for component in system.components
@@ -114,13 +118,7 @@ def run_system(
     offer_aborts = getattr(policy, "offer_aborts", None)
 
     while stats.steps < max_steps:
-        enabled: List[Action] = []
-        seen = set()
-        for component in system.components:
-            for action in output_cache[component.name]:
-                if action not in seen:
-                    seen.add(action)
-                    enabled.append(action)
+        enabled: List[Action] = list(chain.from_iterable(output_cache.values()))
         if offer_aborts is not None:
             offer_aborts(controller.enabled_aborts(state[controller.name]))
         choice = policy.choose(enabled)
@@ -140,7 +138,7 @@ def run_system(
                     hooks.on_quiescence(stats.steps)
                 break
         previous, state = state, system.effect(state, choice)
-        for component in system.components:
+        for component in system.participants(choice):
             component_state = state[component.name]
             if component_state is not previous[component.name]:
                 output_cache[component.name] = list(

@@ -284,6 +284,10 @@ class ProgramTransaction(IOAutomaton):
             return action.transaction == self.transaction
         return False
 
+    def routing_keys(self) -> Tuple[TransactionName]:
+        """Every action of ``A_T`` names ``T`` or a child of ``T``."""
+        return (self.transaction,)
+
     # -- transitions ----------------------------------------------------------
 
     def initial_state(self) -> ProgramState:
@@ -375,10 +379,24 @@ class ProgramTransaction(IOAutomaton):
         raise ValueError(f"{self.name}: {action} not in signature")
 
     def enabled_outputs(self, state: ProgramState) -> Iterator[Action]:
+        """The calls :meth:`_may_request` allows, then the commit request
+        :meth:`_ready_to_commit` allows, found in one walk of the calls."""
+        if not state.created or state.commit_requested:
+            return
+        outcomes = state.outcome_map()
+        sequential = self.program.sequential
+        resolved = True  # every call so far has an outcome or is inactive
         for call in self.program.calls:
-            if self._may_request(state, call.component):
+            status = self._activation(call, outcomes)
+            if (
+                status == "active"
+                and (resolved or not sequential)
+                and call.component not in state.requested
+            ):
                 yield RequestCreate(self.transaction.child(call.component))
-        if self._ready_to_commit(state):
-            yield RequestCommit(
-                self.transaction, self.program.result_value(state.outcome_map())
-            )
+            if status == "unresolved" or (
+                status == "active" and call.component not in outcomes
+            ):
+                resolved = False
+        if resolved and not self.transaction.is_root:
+            yield RequestCommit(self.transaction, self.program.result_value(outcomes))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Commit, Create, IOAutomaton, RequestCreate
+from repro.core.names import ROOT
 from repro.automata.base import behavior_of, replay_schedule
 from repro.automata.composition import Composition
 
@@ -38,6 +39,13 @@ class Toggle(IOAutomaton):
     def enabled_outputs(self, state):
         if state:
             yield Commit(self.transaction)
+
+
+class KeyedToggle(Toggle):
+    """A :class:`Toggle` that declares its transaction as a routing key."""
+
+    def routing_keys(self):
+        return (self.transaction,)
 
 
 class Listener(Toggle):
@@ -137,3 +145,39 @@ class TestComposition:
         system = Composition([Toggle("a", T("t")), Toggle("b", T("t"))])
         with pytest.raises(ValueError):
             system.enabled(system.initial_state(), Commit(T("t")))
+
+    def test_duplicate_output_owner_rejected_by_effect(self):
+        """Strong compatibility: two components may not share an output,
+        and applying such an action must fail instead of stepping both."""
+        system = Composition([Toggle("a", T("t")), Toggle("b", T("t"))])
+        state = system.effect(system.initial_state(), Create(T("t")))
+        assert state == {"a": True, "b": True}
+        with pytest.raises(ValueError, match="output of multiple components"):
+            system.effect(state, Commit(T("t")))
+
+    def test_unkeyed_components_see_every_action(self):
+        toggle, listener = Toggle("toggle", T("t")), Listener("listener", T("t"))
+        system = Composition([toggle, listener])
+        assert system.participants(Create(T("t"))) == (toggle,)
+        assert system.participants(Commit(T("t"))) == (toggle, listener)
+        assert system.participants(Commit(T("u"))) == ()
+
+    def test_keyed_components_are_routed_in_component_order(self):
+        """A keyed component is found through its key, an unkeyed one is
+        always consulted, and the participants keep component order."""
+        listener = Listener("listener", T("t"))
+        keyed = KeyedToggle("keyed", T("t"))
+        other = KeyedToggle("other", T("u"))
+        system = Composition([other, listener, keyed])
+        assert system.participants(Commit(T("t"))) == (listener, keyed)
+        assert system.participants(Commit(T("u"))) == (other,)
+        assert system.participants(Create(T("t"))) == (keyed,)
+        # REQUEST_CREATE(T0/t) is looked up by T0/t and by T0; no one has it
+        assert system.participants(RequestCreate(T("t"))) == ()
+        state = system.effect(system.initial_state(), Create(T("t")))
+        assert state == {"other": False, "listener": False, "keyed": True}
+        assert system.enabled(state, Commit(T("t")))
+        assert not system.enabled(state, Commit(T("u")))
+        assert system.is_output(Commit(T("t"))) and not system.is_input(Commit(T("t")))
+        assert system.is_input(Create(T("t")))
+        assert not system.is_input(Create(ROOT.child("v")))

@@ -119,6 +119,20 @@ class TestSystemType:
         assert not system.is_access(T("t"))
         assert system.accesses_to(ObjectName("x")) == (access,)
 
+    def test_accesses_by_object_follows_registration(self):
+        x, y = ObjectName("x"), ObjectName("y")
+        system = SystemType({x: RWSpec(), y: RWSpec()})
+        system.register_access(T("t", "b"), Access(x, ReadOp()))
+        system.register_access(T("t", "a"), Access(x, ReadOp()))
+        assert system.accesses_by_object() == {x: (T("t", "b"), T("t", "a"))}
+        # a registration after a query is seen by the next query
+        system.register_access(T("u", "c"), Access(y, ReadOp()))
+        assert system.accesses_by_object() == {
+            x: (T("t", "b"), T("t", "a")),
+            y: (T("u", "c"),),
+        }
+        assert system.accesses_to(x) == (T("t", "a"), T("t", "b"))
+
     def test_unknown_object_rejected(self):
         system = self._system()
         with pytest.raises(KeyError):

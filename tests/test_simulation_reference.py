@@ -1,15 +1,21 @@
-"""The simulator's open-work enumeration against its full-history reference.
+"""The simulator's fast paths against their definitional references.
 
 The generic controller keeps its open work (creatable, committable and
-abortable transactions, owed reports and informs) in its state, and the
-driver re-queries a component only when the composition gave it a new
-state object.  The definitional versions live here as the reference:
-the controller enumeration that re-tests every transaction ever
-requested, committed or aborted against ``enabled``, and the driver loop
-that re-queries every component whose signature holds the applied
-action and filters the offered aborts through the enabled set.  Random
-controller schedules (enabled or not) and seeded Moss and undo runs
-under every scheduling policy must come out identical.
+abortable transactions, owed reports and informs) in its state; the
+composition routes each action to its participants through an index of
+routing keys; a program transaction enumerates its outputs in one walk
+of its calls; and the driver re-queries a component only when the
+composition gave it a new state object.  The definitional versions live
+here as the reference: the controller enumeration that re-tests every
+transaction ever requested, committed or aborted against ``enabled``;
+the composition step that scans every component's signature; the
+program enumeration that tests every call against ``enabled``; and the
+driver loop that applies steps through that scan, re-queries every
+component whose signature holds the applied action, drops duplicate
+offers and filters the offered aborts through the enabled set.  Random
+controller and program schedules (enabled or not) and seeded Moss and
+undo runs under every scheduling policy must come out identical, and
+the routed participants must equal the scanned ones on every action.
 """
 
 from typing import Any, Dict, Iterator, List, Optional, Set
@@ -19,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    ROOT,
     Abort,
     Access,
     Action,
@@ -28,12 +35,15 @@ from repro import (
     GenericController,
     InformAbort,
     InformCommit,
+    IOAutomaton,
     MossRWLockingObject,
+    MVTORWObject,
     ObjectName,
     ObsHooks,
     OrphanFreePolicy,
     RandomPolicy,
     ReadOp,
+    ReadUpdateLockingObject,
     ReportAbort,
     ReportCommit,
     RequestCommit,
@@ -42,19 +52,23 @@ from repro import (
     RunStats,
     SystemType,
     TransactionName,
+    TransactionProgram,
     UndoLoggingObject,
     WorkloadConfig,
     WriteOp,
     generate_workload,
     make_generic_system,
+    make_serial_system,
     run_system,
 )
 from repro.automata.composition import Composition
 from repro.generic.controller import GenericControllerState
 from repro.generic.objects import GenericObject
+from repro.serial.simple_db import make_simple_system
 from repro.sim.driver import RunResult
 from repro.sim.faults import AbortInjector, ScriptedAbortInjector
 from repro.sim.policies import SchedulingPolicy
+from repro.sim.programs import AccessCall, ProgramState, ProgramTransaction, SubtransactionCall
 from repro.sim.workload import CounterKind, RWKind
 
 from conftest import T, rw_system
@@ -178,7 +192,129 @@ def test_late_commit_request_owes_the_report_before_informs():
     ]
 
 
-# -- the reference driver -------------------------------------------------------
+# -- the reference program enumeration ----------------------------------------
+
+
+def reference_program_outputs(
+    transaction: ProgramTransaction, state: ProgramState
+) -> List[Action]:
+    """Each call's REQUEST_CREATE, then the commit request, tested
+    against ``enabled`` (that is, ``_may_request``/``_ready_to_commit``)."""
+    name, program = transaction.transaction, transaction.program
+    candidates: List[Action] = [
+        RequestCreate(name.child(call.component)) for call in program.calls
+    ]
+    candidates.append(RequestCommit(name, program.result_value(state.outcome_map())))
+    return [action for action in candidates if transaction.enabled(state, action)]
+
+
+def alternatives_program(sequential: bool) -> TransactionProgram:
+    """Accesses and a subtransaction, with a chain of alternatives (``c``
+    runs if ``b`` aborts, ``d`` if ``c`` aborts) and a value computed from
+    the outcomes."""
+    inner = TransactionProgram((AccessCall("r", X, ReadOp()),))
+    return TransactionProgram(
+        (
+            AccessCall("a", X, ReadOp()),
+            SubtransactionCall("b", inner),
+            AccessCall("c", Y, WriteOp(1), after_abort_of="b"),
+            SubtransactionCall("d", inner, after_abort_of="c"),
+            AccessCall("e", Y, ReadOp()),
+            AccessCall("f", X, WriteOp(2), after_abort_of="a"),
+        ),
+        sequential=sequential,
+        result=lambda outcomes: tuple(sorted(outcomes.items())),
+    )
+
+
+PROGRAM_CASES = {
+    f"{kind}-{where}": ProgramTransaction(name, alternatives_program(kind == "seq"))
+    for kind in ("seq", "par")
+    for where, name in (("top", T("p")), ("root", ROOT))
+}
+
+
+def program_actions(transaction: ProgramTransaction) -> List[Action]:
+    """Every action in the program transaction's signature, with two
+    reported values per child."""
+    name = transaction.transaction
+    actions: List[Action] = [Create(name), RequestCommit(name, "ok")]
+    for call in transaction.program.calls:
+        child = name.child(call.component)
+        actions += [RequestCreate(child), ReportAbort(child)]
+        actions += [ReportCommit(child, value) for value in VALUES]
+    return actions
+
+
+@pytest.mark.parametrize("case", sorted(PROGRAM_CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_program_enumeration_matches_enabled(case, data):
+    """Sequential and parallel programs with alternatives, under random
+    schedules of their signature (enabled or not): after every effect
+    the one-walk enumeration equals the ``enabled``-filtered one."""
+    transaction = PROGRAM_CASES[case]
+    schedule = data.draw(
+        st.lists(st.sampled_from(program_actions(transaction)), max_size=40)
+    )
+    state = transaction.initial_state()
+    assert list(transaction.enabled_outputs(state)) == reference_program_outputs(
+        transaction, state
+    )
+    for action in schedule:
+        state = transaction.effect(state, action)
+        assert list(transaction.enabled_outputs(state)) == reference_program_outputs(
+            transaction, state
+        )
+
+
+def test_program_enumeration_waits_for_alternatives():
+    """A sequential program blocks behind an unresolved alternative and
+    skips an inactive one; a parallel program requests what is active."""
+    transaction = PROGRAM_CASES["seq-top"]
+    p = T("p")
+    state = transaction.effect(transaction.initial_state(), Create(p))
+    assert list(transaction.enabled_outputs(state)) == [RequestCreate(p.child("a"))]
+    for action in (
+        RequestCreate(p.child("a")),
+        ReportCommit(p.child("a"), 1),
+        RequestCreate(p.child("b")),
+    ):
+        state = transaction.effect(state, action)
+    # c waits on b's outcome, so nothing after b may be requested
+    assert list(transaction.enabled_outputs(state)) == []
+    state = transaction.effect(state, ReportAbort(p.child("b")))
+    # b aborted: its alternative c is next
+    assert list(transaction.enabled_outputs(state)) == [RequestCreate(p.child("c"))]
+    for action in (RequestCreate(p.child("c")), ReportCommit(p.child("c"), 2)):
+        state = transaction.effect(state, action)
+    # c committed, so d is inactive and e is next; a committed, so f is
+    # inactive and the commit request waits only for e
+    assert list(transaction.enabled_outputs(state)) == [RequestCreate(p.child("e"))]
+    for action in (RequestCreate(p.child("e")), ReportCommit(p.child("e"), 1)):
+        state = transaction.effect(state, action)
+    assert list(transaction.enabled_outputs(state)) == [
+        RequestCommit(p, transaction.program.result_value(state.outcome_map()))
+    ]
+    parallel = PROGRAM_CASES["par-top"]
+    state = parallel.effect(parallel.initial_state(), Create(p))
+    assert list(parallel.enabled_outputs(state)) == [
+        RequestCreate(p.child(component)) for component in ("a", "b", "e")
+    ]
+
+
+# -- the reference composition step and driver --------------------------------
+
+
+def reference_effect(
+    system: Composition, state: Dict[str, Any], action: Action
+) -> Dict[str, Any]:
+    """Every component whose signature holds ``action`` performs it."""
+    new_state = dict(state)
+    for component in system.components:
+        if component.is_action(action):
+            new_state[component.name] = component.effect(state[component.name], action)
+    return new_state
 
 
 def reference_run_system(
@@ -190,8 +326,9 @@ def reference_run_system(
     resolve_deadlocks: bool = False,
     hooks: Optional[ObsHooks] = None,
 ) -> RunResult:
-    """Re-query every component whose signature holds the applied action;
-    offer the aborts not already enabled."""
+    """Apply each step through :func:`reference_effect`, re-query every
+    component whose signature holds the applied action, drop duplicate
+    offers, and offer the aborts not already enabled."""
     state = system.initial_state()
     trace: List[Action] = []
     stats = RunStats()
@@ -251,7 +388,7 @@ def reference_run_system(
                 if hooks is not None and stats.quiescent:
                     hooks.on_quiescence(stats.steps)
                 break
-        state = system.effect(state, choice)
+        state = reference_effect(system, state, choice)
         for component in system.components:
             if component.is_action(choice):
                 output_cache[component.name] = outputs_of(component)
@@ -359,3 +496,109 @@ def test_driver_matches_reference(algorithm, policy, seed):
         runs.append((result.behavior, result.stats, hooks.events))
     assert runs[0] == runs[1]
     assert runs[0][1].steps > 0
+
+
+# -- routing ------------------------------------------------------------------
+
+ROUTED_SYSTEMS = {
+    "moss": (MossRWLockingObject, RWKind),
+    "undo": (UndoLoggingObject, CounterKind),
+    "read-update": (ReadUpdateLockingObject, CounterKind),
+    "mvto": (MVTORWObject, RWKind),
+}
+
+
+def scanned(system: Composition, action: Action) -> tuple:
+    """The participants by definition: every component whose signature
+    holds ``action``."""
+    return tuple(c for c in system.components if c.is_action(action))
+
+
+def foreign_actions(system_type: SystemType, behavior) -> List[Action]:
+    """Every action kind on names and objects the system has and does not
+    have: ``T0``, a foreign top-level transaction, and for a sample of
+    the run's transactions and accesses the name itself and a foreign
+    child; informs go to every object and to a foreign one."""
+    objects = list(system_type.object_names()) + [ObjectName("zz")]
+    seen = sorted({action.transaction for action in behavior})
+    names = [ROOT, T("zz")]
+    for name in seen[:: max(1, len(seen) // 12)]:
+        names += [name, name.child("zz")]
+    actions: List[Action] = []
+    for name in names:
+        actions += [Create(name), RequestCommit(name, 0)]
+        if name.is_root:
+            continue
+        actions += [
+            RequestCreate(name),
+            Commit(name),
+            Abort(name),
+            ReportCommit(name, 0),
+            ReportAbort(name),
+        ]
+        for obj in objects:
+            actions += [InformCommit(obj, name), InformAbort(obj, name)]
+    return actions
+
+
+@pytest.mark.parametrize("algorithm", sorted(ROUTED_SYSTEMS))
+@pytest.mark.parametrize("seed", [2, 9])
+def test_routing_matches_the_signature_scan(algorithm, seed):
+    """On every action of a seeded run, and on foreign actions, the
+    generic, serial and simple systems' routed participants equal the
+    components whose ``is_action`` holds, in component order."""
+    factory, kind = ROUTED_SYSTEMS[algorithm]
+    system_type, programs = generate_workload(
+        WorkloadConfig(seed=seed, top_level=8, objects=3, max_depth=3, kind=kind())
+    )
+    generic = make_generic_system(system_type, programs, factory)
+    result = run_system(
+        generic,
+        AbortInjector(RandomPolicy(seed), abort_rate=0.05, seed=seed),
+        system_type,
+        resolve_deadlocks=True,
+    )
+    assert result.stats.steps > 50
+    actions = list(result.behavior) + foreign_actions(system_type, result.behavior)
+    systems = [
+        generic,
+        make_serial_system(system_type, programs),
+        make_simple_system(system_type, programs),
+    ]
+    for system in systems:
+        routed = 0
+        for action in actions:
+            participants = system.participants(action)
+            assert participants == scanned(system, action), (system.name, action)
+            routed += bool(participants)
+        assert routed > len(result.behavior) // 2, system.name
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("top_level", [16, 128])
+def test_a_step_consults_a_few_signatures(algorithm, top_level, monkeypatch):
+    """Routing asks a constant number of components per step, however
+    many transactions (and so components) the system has."""
+    factory, kind = ALGORITHMS[algorithm]
+    system_type, programs = generate_workload(
+        WorkloadConfig(seed=5, top_level=top_level, objects=8, max_depth=2, kind=kind())
+    )
+    system = make_generic_system(system_type, programs, factory)
+    assert len(system.components) > top_level
+    calls = 0
+    is_action = IOAutomaton.is_action
+
+    def counted(self, action):
+        nonlocal calls
+        calls += 1
+        return is_action(self, action)
+
+    monkeypatch.setattr(IOAutomaton, "is_action", counted)
+    result = run_system(
+        system, EagerInformPolicy(seed=5), system_type, resolve_deadlocks=True
+    )
+    steps = result.stats.steps
+    assert steps > 10 * top_level
+    # the generic controller, plus the transaction, its parent's program
+    # and an object for the ones that name them
+    assert calls / steps <= 4, f"{calls / steps:.1f} is_action calls per step"
