@@ -33,7 +33,7 @@ trace-demo:
 
 # Execute every fenced python block in the user-facing docs (the CI docs job)
 docs:
-	python tools/run_doc_examples.py README.md docs/TUTORIAL.md docs/ARCHITECTURE.md docs/PERFORMANCE.md docs/DISTRIBUTED.md
+	python tools/run_doc_examples.py README.md docs/TUTORIAL.md docs/ARCHITECTURE.md docs/PERFORMANCE.md docs/DISTRIBUTED.md docs/OBSERVABILITY.md
 
 # Project static analysis: AST rules R001-R004, spec soundness, docs
 # drift. Exit 1 on any finding; see docs/STATIC_ANALYSIS.md.
@@ -71,9 +71,11 @@ hash-seeds:
 	done
 
 # Mirror the GitHub Actions CI jobs locally: lint, typing, robustness,
-# the docs job, the tier-1 tests and their hash-seed re-runs
+# the docs job, the tier-1 tests and their hash-seed re-runs, and the
+# smoke-sized benchmarks
 ci: lint typecheck robustness docs
 	PYTHONPATH=src python -m pytest -x -q
 	$(MAKE) hash-seeds
+	$(MAKE) bench-smoke
 
 all: test bench examples

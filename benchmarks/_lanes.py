@@ -1,12 +1,21 @@
 """The baseline lanes of E13, E14 and E17.
 
 ``certify`` runs the columnar engine.  The experiments that measure it
-against the earlier engines rebuild those engines here from the
-paper-definition phase functions, without the witness (both experiments
-certify with ``construct_witness=False``): serial projection, one shared
-``HistoryIndex`` (or, for the naive lane, the plain ``StatusIndex``
-scans), the ARV check, ``build_serialization_graph`` and its cycle
-search.
+against the earlier engines rebuild those engines here, without the
+witness (both experiments certify with ``construct_witness=False``):
+serial projection, the ARV check, ``SG(beta)`` and its cycle search.
+
+* The **indexed** lane (E14, E17) threads one shared ``HistoryIndex``
+  through every phase.  ``conflict(beta)`` is the writer-boundary scan
+  over the index's per-object buckets: a read is compared only with
+  the writers after it, so read/read pairs never reach the
+  specification, and verdicts are memoized in the index's
+  ``ConflictCache``.  ``precedes(beta)`` is ``precedes_pairs``, which
+  compares each report only with its siblings' requests.
+* The **naive** lane (E14) answers visibility from a plain
+  ``StatusIndex``.  ``conflict(beta)`` is ``conflict_pairs``, the
+  definitional all-pairs scan, and ``precedes(beta)`` compares every
+  report with every ``REQUEST_CREATE`` in the log.
 
 ``OnlineCertifier`` checks acyclicity with Pearce–Kelly order
 maintenance.  E13's naive lane rebuilds the full-DFS check it replaced
@@ -17,16 +26,102 @@ search over the whole accumulated graph.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 
 from repro import (
+    CONFLICT,
+    PRECEDES,
+    ROOT,
     HistoryIndex,
     MetricsRegistry,
     OnlineCertifier,
+    RequestCreate,
+    SerializationGraph,
+    SiblingEdge,
     StatusIndex,
-    build_serialization_graph,
     check_appropriate_return_values,
+    conflict_pairs,
+    lca,
+    precedes_pairs,
     serial_projection,
 )
+from repro.core.actions import is_report
+from repro.core.history import spec_is_read_only
+
+
+def _edge_key(edge):
+    return edge.source, edge.target
+
+
+def writer_boundary_conflict_pairs(index, system_type, registry):
+    """``conflict(beta)`` over ``index``'s visible per-object buckets.
+
+    A read-only operation is compared only with the writers after it; a
+    writer with everything after it.  The pairs compared and skipped,
+    and the cache's hits and size, go to ``registry`` under
+    ``history.index.conflict.*``.
+    """
+    edges = set()
+    cache = index.conflict_cache
+    checked = skipped = 0
+    for obj in index.objects_with_accesses():
+        spec = system_type.spec(obj)
+        events = index.visible_access_commits(obj)
+        k = len(events)
+        if k < 2:
+            continue
+        read_only = [spec_is_read_only(spec, entry[2]) for entry in events]
+        writers = [i for i in range(k) if not read_only[i]]
+        compared = 0
+        for i in range(k):
+            _, name_i, op_i, value_i = events[i]
+            if read_only[i]:
+                partners = writers[bisect_right(writers, i):]
+            else:
+                partners = range(i + 1, k)
+            for j in partners:
+                compared += 1
+                _, name_j, op_j, value_j = events[j]
+                if name_i.is_related_to(name_j):
+                    continue
+                if not cache.conflicts(spec, op_i, value_i, op_j, value_j):
+                    continue
+                depth = lca(name_i, name_j).depth + 1
+                edges.add(
+                    SiblingEdge(name_i.prefix(depth), name_j.prefix(depth), CONFLICT)
+                )
+        checked += compared
+        skipped += k * (k - 1) // 2 - compared
+    registry.inc("history.index.conflict.pairs_checked", checked)
+    registry.inc("history.index.conflict.pairs_skipped_read_runs", skipped)
+    registry.inc("history.index.conflict.cache_hits", cache.hits)
+    registry.set_gauge("history.index.conflict.cache_size", len(cache))
+    return sorted(edges, key=_edge_key)
+
+
+def quadratic_precedes_pairs(behavior, index):
+    """``precedes(beta)`` comparing every first report with every first
+    ``REQUEST_CREATE`` of the log, siblings or not."""
+    first_report = {}
+    request_creates = {}
+    for position, action in enumerate(behavior):
+        if is_report(action):
+            first_report.setdefault(action.transaction, position)
+        elif isinstance(action, RequestCreate):
+            request_creates.setdefault(action.transaction, position)
+    edges = set()
+    for reported, report_position in first_report.items():
+        parent = reported.parent
+        if not index.is_visible(parent, ROOT):
+            continue
+        for requested, request_position in request_creates.items():
+            if requested == reported or requested.is_root:
+                continue
+            if requested.parent != parent:
+                continue
+            if report_position < request_position:
+                edges.add(SiblingEdge(reported, requested, PRECEDES))
+    return sorted(edges, key=_edge_key)
 
 
 def timed_object_lane(behavior, system_type, *, indexed: bool):
@@ -36,15 +131,23 @@ def timed_object_lane(behavior, system_type, *, indexed: bool):
     registry = MetricsRegistry()
     start = time.perf_counter()
     serial = serial_projection(behavior)
-    index = (
-        HistoryIndex(serial, system_type, registry)
-        if indexed
-        else StatusIndex(serial)
-    )
+    if indexed:
+        index = HistoryIndex(serial, system_type, registry)
+    else:
+        index = StatusIndex(serial)
     violations = check_appropriate_return_values(serial, system_type, index)
-    graph = build_serialization_graph(
-        serial, system_type, index, metrics=registry, indexed=indexed
-    )
+    graph = SerializationGraph()
+    for transaction in sorted(index.create_requested):
+        if index.is_visible(transaction.parent, ROOT):
+            graph.add_node(transaction)
+    if indexed:
+        conflicts = writer_boundary_conflict_pairs(index, system_type, registry)
+        precedes = precedes_pairs(serial, index)
+    else:
+        conflicts = conflict_pairs(serial, system_type, index)
+        precedes = quadratic_precedes_pairs(serial, index)
+    for edge in conflicts + precedes:
+        graph.add_edge(edge)
     cycle = graph.find_cycle()
     seconds = time.perf_counter() - start
     verdict = (not violations and cycle is None, cycle)

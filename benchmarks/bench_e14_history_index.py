@@ -2,20 +2,23 @@
 
 Batch certification used to rebuild what it needed phase by phase:
 every projection was a fresh full scan, ``conflict(beta)`` compared all
-O(k²) access pairs per object, and visibility re-walked ancestor chains
-per query.  The :class:`repro.core.history.HistoryIndex` materializes
-all of it in one O(n) pass, and the indexed lane threads that single
-index through every phase; the conflict phase additionally skips
-read/read pairs entirely, so a read-heavy history drops from O(k²) to
-O(k·w) specification consultations with ``w`` writers per object.
+O(k²) access pairs per object, ``precedes(beta)`` compared every report
+with every ``REQUEST_CREATE`` in the log, and visibility re-walked
+ancestor chains per query.  The :class:`repro.core.history.HistoryIndex`
+materializes all of it in one O(n) pass, and the indexed lane threads
+that single index through every phase; its conflict scan skips
+read/read pairs, so a read-heavy history drops from O(k²) to O(k·w)
+specification consultations with ``w`` writers per object, and its
+precedes relation compares a report only with its siblings' requests.
 
 This benchmark certifies identical growing read-heavy histories on the
-indexed lane and on the naive baseline (both built from the phase
-functions in ``_lanes.py``; ``certify`` itself runs the columnar engine
-of E17), asserts the verdicts agree, and writes
-``BENCH_e14_history_index.json`` with the speedups and the
-``history.index.*`` cost counters.  The target: ≥5x at the largest size
-(n ≈ 5k events).
+indexed lane and on the naive baseline (both rebuilt in ``_lanes.py``;
+``certify`` itself runs the columnar engine of E17), asserts the
+verdicts agree, and writes ``BENCH_e14_history_index.json`` with the
+speedups and the indexed lane's ``history.index.*`` cost counters.  The
+target: ≥5x at the largest size (n ≈ 5k events).  Most of the gap is
+the precedes grouping, which ``precedes_pairs`` does on every index
+(see EXPERIMENTS.md, E14).
 """
 
 import sys

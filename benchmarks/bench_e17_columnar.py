@@ -12,8 +12,8 @@ in one linear bitset sweep (``conflicts_iff_writer``) instead of a pair
 loop.
 
 This benchmark certifies identical growing read-heavy histories on the
-indexed object lane (the E14 history index, built from the phase
-functions in ``_lanes.py``) and with ``certify``, which runs the
+indexed object lane (E14's history-index lane, rebuilt in
+``_lanes.py``) and with ``certify``, which runs the
 columnar engine.  ``certify`` is fed by a *lazy generator*, so the 50k+
 event corpus is never materialized as an object list for it.  The
 benchmark asserts the verdicts agree and writes

@@ -111,7 +111,6 @@ from .obs import (
     MetricsRegistry,
     NullTracer,
     ObsHooks,
-    P2Quantile,
     RingBufferSink,
     SnapshotExporter,
     Span,

@@ -10,8 +10,8 @@ only samples.  This package proves them at lint time instead:
 * :mod:`repro.analysis.spec_check` — a spec-soundness checker that
   exhaustively verifies, over bounded op/value domains, that every
   registered commutativity specification is symmetric, that read-only
-  operations never conflict (the exact assumption the indexed
-  ``conflict_pairs`` fast path relies on), and that ``conflicts``
+  operations never conflict (the exact assumption the engines'
+  read/read skip relies on), and that ``conflicts``
   agrees with the definitional tables of :mod:`repro.spec.commutativity`;
 * :mod:`repro.analysis.drift` — drift detectors keeping
   ``docs/OBSERVABILITY.md`` in sync with the metric names the source

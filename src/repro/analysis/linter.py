@@ -118,7 +118,7 @@ class LintContext:
         """Boolean values each keyword ``flag`` is called with in tests.
 
         Scans every Python file under ``tests_root`` once and caches the
-        result: ``{"indexed": {True, False}, ...}``.  Two call shapes
+        result: ``{"compaction": {True, False}, ...}``.  Two call shapes
         count: a literal ``flag=True``/``flag=False`` keyword, and
         ``flag=<name>`` where ``<name>`` is bound by a pytest fixture
         (``@pytest.fixture(params=[True, False])``) or by

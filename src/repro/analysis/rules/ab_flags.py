@@ -1,10 +1,10 @@
 """R001 — A/B engine flags must keep both code paths alive.
 
-The ``indexed=`` (naive vs history-index graph construction) and
-``compaction=`` (uncompacted vs compacted online engine) keyword flags
-exist so every optimised engine retains its executable baseline.  The
-rule enforces two properties for every function that *declares* such a
-flag with a boolean default:
+The ``compaction=`` (uncompacted vs compacted online engine) and
+``validate=`` (static-only vs dynamically validated robustness analysis)
+keyword flags exist so every optimised engine retains its executable
+baseline.  The rule enforces two properties for every function that
+*declares* such a flag with a boolean default:
 
 1. **Both branches reachable** — the flag is actually consulted: the
    defining module contains a conditional whose test reads the flag (a
@@ -27,12 +27,7 @@ from ..linter import Finding, LintContext, ModuleUnit, Rule
 __all__ = ["ABFlagRule", "AB_FLAGS"]
 
 #: The keyword flags that select between A/B engine implementations.
-AB_FLAGS: Tuple[str, ...] = (
-    "indexed",
-    "compaction",
-    "columnar",
-    "validate",
-)
+AB_FLAGS: Tuple[str, ...] = ("compaction", "validate")
 
 _FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
 

@@ -9,9 +9,10 @@ properties of those specs that no single call site checks:
   enumeration order);
 * ``is_read_only(op1) and is_read_only(op2)`` must imply
   ``not conflicts(op1, v1, op2, v2)`` — the exact assumption behind the
-  indexed ``conflict_pairs`` writer-boundary fast path
-  (:func:`repro.core.serialization_graph._conflict_pairs_indexed`),
-  which never consults the spec for read/read pairs;
+  batch engine's writer-boundary pair scan for generic specs
+  (:meth:`repro.core.columnar.ColumnarHistory.conflict_edge_ids`) and
+  the online certifier, neither of which consults the spec for
+  read/read pairs;
 * an ``is_read_only`` claim must be true: the operation preserves every
   reachable state;
 * the claimed table must **agree with the definition** of backward
@@ -323,8 +324,7 @@ def check_spec(domain: SpecDomain) -> SpecReport:
                         domain.name,
                         "read_only_conflict",
                         f"read-only pair {first} / {second} claimed to "
-                        "conflict — breaks the indexed conflict_pairs "
-                        "read/read skip",
+                        "conflict — breaks the engines' read/read skip",
                     )
                 )
 

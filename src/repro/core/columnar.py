@@ -43,12 +43,11 @@ nodes/edges or mutates the graph.
 
 This is the batch engine: :func:`repro.core.correctness.certify` streams
 its input into a :class:`ColumnarHistory` and runs every phase on it,
-the witness phase's order and build included.
-``HistoryIndex(..., columnar=True)`` and the ``columnar=`` flags on the
-graph builder and the oracle/view layers route here too.
-Verdicts, ARVs, cycles and witnesses equal those of the paper-definition
-phase functions on the object representation (asserted by the
-equivalence and mutation suites).  Metrics appear under
+the witness phase's order and build included, and
+:func:`repro.core.explain.explain_behavior` takes its graph and cycle
+from it.  Verdicts, ARVs, cycles and witnesses equal those of the
+paper-definition phase functions on the object representation (asserted
+by the equivalence and mutation suites).  Metrics appear under
 ``history.columnar.*`` (see ``docs/OBSERVABILITY.md``).
 """
 
@@ -100,8 +99,6 @@ __all__ = [
     "ColumnarSerializationGraph",
     "build_columnar_graph",
     "columnar_arv_violations",
-    "columnar_conflict_edges",
-    "columnar_precedes_edges",
 ]
 
 # Event kind codes for the kind column; one small int per serial action
@@ -152,20 +149,17 @@ class ColumnarHistory:
     behavior arrives in; non-serial actions are dropped, mirroring
     ``serial(beta)``), then query the derived columns.  ``system_type``
     is required for object columns (conflicts, ARVs); without it only
-    the transaction-level machinery is available.  ``conflict_cache``
-    shares one interner/verdict table with a ``HistoryIndex`` or the
-    online certifier.
+    the transaction-level machinery is available.
     """
 
     def __init__(
         self,
         system_type: Optional[SystemType] = None,
         metrics: Optional[MetricsRegistry] = None,
-        conflict_cache: Optional[ConflictCache] = None,
     ) -> None:
         self.system_type = system_type
         self._metrics = metrics
-        self.cache = conflict_cache if conflict_cache is not None else ConflictCache()
+        self.cache = ConflictCache()
         self.events = 0
         # -- transaction interning (parent id < child id, root is 0) -----
         self._txn_ids: Dict[TransactionName, int] = {}
@@ -559,32 +553,8 @@ class ColumnarHistory:
 
 
 # ---------------------------------------------------------------------------
-# Object-boundary views: sibling edges, ARV diagnostics
+# Object-boundary views: ARV diagnostics
 # ---------------------------------------------------------------------------
-
-
-def columnar_conflict_edges(store: ColumnarHistory) -> List[SiblingEdge]:
-    """``conflict(beta)`` as sorted :class:`SiblingEdge` objects.
-
-    Same result as the indexed enumeration — names materialise only
-    here, at the boundary.
-    """
-    names = store.txn_names
-    edges = [
-        SiblingEdge(names[source], names[target], CONFLICT)
-        for source, target in store.conflict_edge_ids()
-    ]
-    return sorted(edges, key=lambda e: (e.source, e.target))
-
-
-def columnar_precedes_edges(store: ColumnarHistory) -> List[SiblingEdge]:
-    """``precedes(beta)`` as sorted :class:`SiblingEdge` objects."""
-    names = store.txn_names
-    edges = [
-        SiblingEdge(names[source], names[target], PRECEDES)
-        for source, target in store.precedes_edge_ids()
-    ]
-    return sorted(edges, key=lambda e: (e.source, e.target))
 
 
 def columnar_arv_violations(

@@ -9,9 +9,10 @@ carry that: an edge collapses every conflicting descendant pair to one
 drops intra-subtree evidence under compaction.
 
 This module re-derives the evidence from a :class:`HistoryIndex` over
-the full behavior, the same structures :func:`conflict_pairs` and
-:func:`precedes_pairs` enumerate from — so the witnesses are consistent
-with the batch relations *by construction*:
+the full behavior — its visible per-object access sequences and its
+first-report / request-create positions, the data
+:func:`conflict_pairs` and :func:`precedes_pairs` are defined over — so
+the witnesses are consistent with the batch relations *by construction*:
 
 * a **conflict witness** for edge ``(S, T)`` under ``parent`` is an
   ordered pair of visible access ``REQUEST_COMMIT`` events on one
@@ -24,8 +25,9 @@ with the batch relations *by construction*:
   parent — the external-consistency obligation of Section 4.
 
 :func:`explain_cycle` assembles one witness list per cycle edge;
-:func:`explain_behavior` is the one-call form (build the index, find a
-cycle, explain it) behind the ``repro explain`` CLI, whose DOT rendering
+:func:`explain_behavior` is the one-call form (build the graph on the
+batch engine, find the cycle :func:`repro.core.correctness.certify`
+reports, explain it) behind the ``repro explain`` CLI, whose DOT rendering
 (:func:`repro.report.serialization_graph_to_dot` with an
 ``explanation=``) annotates the guilty edges.  Everything here is
 cold-path diagnostics: nothing is invoked unless a violation is being
@@ -38,15 +40,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .actions import Action
+from .columnar import ColumnarHistory, build_columnar_graph
 from .history import HistoryIndex
 from .names import ROOT, ObjectName, SystemType, TransactionName
-from .serialization_graph import (
-    CONFLICT,
-    PRECEDES,
-    SerializationGraph,
-    SiblingEdge,
-    build_serialization_graph,
-)
+from .serialization_graph import CONFLICT, PRECEDES, SerializationGraph
 
 __all__ = [
     "ConflictWitness",
@@ -295,19 +292,19 @@ def explain_behavior(
 ) -> Optional[Tuple[CycleExplanation, SerializationGraph]]:
     """Find one SG cycle in ``behavior`` and explain it, or ``None``.
 
-    The one-call form behind ``repro explain``: builds the shared
-    history index, constructs ``SG(beta)`` from it, extracts some cycle
-    and maps every edge back to operation pairs.  Returns the
-    explanation together with the graph (for DOT rendering).
+    The one-call form behind ``repro explain``: streams the behavior into
+    a :class:`repro.core.columnar.ColumnarHistory`, builds ``SG(beta)``
+    on its dense ids and takes the cycle ``certify`` reports, then maps
+    every edge of it back to operation pairs.  Returns the explanation
+    together with the graph (for DOT rendering).
     """
-    index = HistoryIndex(behavior, system_type)
-    graph = build_serialization_graph(behavior, system_type, index=index)
+    store = ColumnarHistory(system_type)
+    store.extend(behavior)
+    graph = build_columnar_graph(store)
     cycle = graph.find_cycle()
     if cycle is None:
         return None
     return (
-        explain_cycle(
-            behavior, system_type, cycle, index=index, max_witnesses=max_witnesses
-        ),
+        explain_cycle(behavior, system_type, cycle, max_witnesses=max_witnesses),
         graph,
     )

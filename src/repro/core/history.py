@@ -1,12 +1,13 @@
 """A shared one-pass index over a behavior: the history side of certification.
 
-Every consumer of a behavior — :func:`build_serialization_graph`, the
-correctness checker, return-value checks, the oracle, ``view``,
-suitability — needs the same handful of derived structures: projections
-(``beta | T``, ``beta | X``), the visibility and orphan relations, the
-first-report / request-create position maps, and the per-object access
-sequences the conflict relation is enumerated from.  Before this module
-each consumer re-scanned the full event sequence to recompute them.
+The paper-definition functions (the serialization-graph relations, the
+return-value check, the witness builder) and the diagnostics built on
+them — the oracle, ``view``, suitability, ``explain`` — need the same
+handful of derived structures: projections (``beta | T``, ``beta | X``),
+the visibility and orphan relations, the first-report / request-create
+position maps, and the per-object access sequences the conflict
+relation is defined over.  Without an index each one re-scans the full
+event sequence to recompute them.
 
 :class:`HistoryIndex` materialises all of it in **one O(n) pass**:
 
@@ -18,22 +19,20 @@ each consumer re-scanned the full event sequence to recompute them.
   transaction and per ``(source, to)`` pair instead of re-walking
   ancestor chains;
 * cached ``visible(beta, T)`` / ``clean(beta)`` projections;
-* per-object visible access REQUEST_COMMIT buckets with read-only
-  operation classification, so conflict enumeration can skip read-runs
-  and only compare across writer boundaries (sub-quadratic for
-  read-heavy histories);
-* the first-REPORT / first-REQUEST_CREATE position maps (grouped by
-  parent) that ``precedes(beta)`` needs.
+* per-object visible access REQUEST_COMMIT buckets, from which
+  :mod:`repro.core.explain` recovers the operation pairs behind a
+  conflict edge;
+* the first-REPORT / first-REQUEST_CREATE position maps.
 
 The index is a snapshot: it describes exactly the behavior it was built
 over.  Helpers that accept an optional index therefore verify coverage
 through :meth:`HistoryIndex.covers` before trusting the caches, and fall
 back to the naive scan otherwise.
 
-A shared :class:`ConflictCache` memoizes commutativity verdicts.  Specs
-and ``(op, value)`` operation classes are interned to dense ints at
-first sight and verdicts are keyed on the id triple — the same operation
-pair never consults the specification twice *and* never re-hashes the
+A :class:`ConflictCache` memoizes commutativity verdicts.  Specs and
+``(op, value)`` operation classes are interned to dense ints at first
+sight and verdicts are keyed on the id triple — the same operation pair
+never consults the specification twice *and* never re-hashes the
 structured key, which matters both for data types whose
 ``commutes_backward`` replays bounded domains and for the columnar
 engine (:mod:`repro.core.columnar`), whose event columns store the same
@@ -46,7 +45,6 @@ Pass a :class:`repro.obs.MetricsRegistry` as ``metrics=`` to surface the
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     List,
@@ -71,9 +69,6 @@ from .actions import (
 )
 from .events import StatusIndex
 from .names import ROOT, ObjectName, SystemType, TransactionName
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .columnar import ColumnarHistory
 
 __all__ = ["HistoryIndex", "ConflictCache", "spec_is_read_only"]
 
@@ -100,10 +95,11 @@ class ConflictCache:
     ``(spec_id, class_i, class_j)`` triple.  Specifications are required
     to be hashable (read/write specs are frozen dataclasses; data types
     hash by identity) and conflict predicates are pure, so one verdict
-    per distinct triple is enough for a whole process.  Shared by the
-    batch conflict enumeration, the columnar engine (whose event columns
-    hold the same class ids, so lookups skip the structured-key hashing
-    entirely) and the online certifier.
+    per distinct triple is enough for a whole process.  Used by the
+    columnar engine (whose event columns hold the same class ids, so
+    lookups skip the structured-key hashing entirely), the online
+    certifier (which may share one across instances) and the evidence
+    search of :mod:`repro.core.explain`.
 
     ``max_entries`` (optional) bounds the *verdict* table for long-lived
     streaming deployments whose operation/value domains are unbounded:
@@ -197,16 +193,7 @@ class HistoryIndex(StatusIndex):
     ``system_type`` is optional: without it the object-level structures
     (per-object projections, access buckets) are simply absent, and the
     transaction-level machinery still works.  ``metrics`` (optional)
-    records the build and the cache behavior under ``history.index.*``.
-
-    ``columnar=True`` additionally builds a
-    :class:`repro.core.columnar.ColumnarHistory` over the same behavior,
-    sharing this index's :class:`ConflictCache`: orphan/visibility
-    queries answer from the store's bitsets, and graph construction
-    (:func:`repro.core.serialization_graph.conflict_pairs` and friends)
-    runs off the dense int columns instead of the object buckets.  The
-    flag is the third A/B lane next to ``indexed=`` — verdicts are
-    identical, a property the test suite asserts three ways.
+    records the build and the visibility memo under ``history.index.*``.
     """
 
     def __init__(
@@ -214,7 +201,6 @@ class HistoryIndex(StatusIndex):
         behavior: Sequence[Action],
         system_type: Optional[SystemType] = None,
         metrics: Optional[Any] = None,
-        columnar: bool = False,
     ) -> None:
         self.behavior: Behavior = (
             behavior if isinstance(behavior, tuple) else tuple(behavior)
@@ -241,8 +227,6 @@ class HistoryIndex(StatusIndex):
         self.first_report: Dict[TransactionName, int] = {}
         #: first REQUEST_CREATE position per requested child
         self.request_create_positions: Dict[TransactionName, int] = {}
-        #: requested children grouped under their parent, in request order
-        self.requests_by_parent: Dict[TransactionName, List[TransactionName]] = {}
         # -- memo caches ---------------------------------------------------
         self._orphan_memo: Dict[TransactionName, bool] = {}
         self._visible_memo: Dict[Tuple[TransactionName, TransactionName], bool] = {}
@@ -278,12 +262,7 @@ class HistoryIndex(StatusIndex):
             elif isinstance(action, RequestCreate):
                 requested = action.transaction
                 self.create_requested.add(requested)
-                if requested not in self.request_create_positions:
-                    self.request_create_positions[requested] = position
-                    if not requested.is_root:
-                        self.requests_by_parent.setdefault(
-                            requested.parent, []
-                        ).append(requested)
+                self.request_create_positions.setdefault(requested, position)
             elif isinstance(action, RequestCommit):
                 self.commit_requested.setdefault(action.transaction, action.value)
                 if is_access is not None and is_access(action.transaction):
@@ -297,18 +276,6 @@ class HistoryIndex(StatusIndex):
                 self.reported.add(action.transaction)
                 self.first_report.setdefault(action.transaction, position)
         self._all_serial = all_serial
-        self.columnar: Optional["ColumnarHistory"] = None
-        if columnar:
-            # imported lazily: columnar builds on this module's cache
-            from .columnar import ColumnarHistory
-
-            store = ColumnarHistory(
-                system_type, metrics=metrics, conflict_cache=self.conflict_cache
-            )
-            for action in self.behavior:
-                store.append(action)
-            store.record_build_metrics()
-            self.columnar = store
         if metrics is not None:
             metrics.inc("history.index.builds")
             metrics.inc("history.index.events", len(self.behavior))
@@ -327,11 +294,6 @@ class HistoryIndex(StatusIndex):
 
     def is_orphan(self, transaction: TransactionName) -> bool:
         """Memoized: some ancestor of ``transaction`` aborted."""
-        store = self.columnar
-        if store is not None:
-            dense = store.txn_id_of(transaction)
-            if dense is not None:
-                return bool(store.orphan_flags()[dense])
         memo = self._orphan_memo
         verdict = memo.get(transaction)
         if verdict is None:
@@ -348,11 +310,6 @@ class HistoryIndex(StatusIndex):
     def is_visible(self, source: TransactionName, to: TransactionName) -> bool:
         """Memoized per ``(source, to)``: every ancestor of ``source`` up to
         (but excluding) an ancestor of ``to`` has committed."""
-        store = self.columnar
-        if store is not None and to.is_root:
-            dense = store.txn_id_of(source)
-            if dense is not None:
-                return bool(store.visible_flags()[dense])
         memo = self._visible_memo
         key = (source, to)
         verdict = memo.get(key)
@@ -468,7 +425,7 @@ class HistoryIndex(StatusIndex):
             return None
         return self.project_object(obj)
 
-    # -- conflict enumeration inputs -------------------------------------------
+    # -- per-object access sequences -------------------------------------------
 
     def objects_with_accesses(self) -> Tuple[ObjectName, ...]:
         """Objects with at least one access REQUEST_COMMIT, in name order."""
@@ -481,7 +438,7 @@ class HistoryIndex(StatusIndex):
 
         Entries are ``(position, access, op, value)`` in behavior order —
         exactly the per-object operation sequence the ``conflict(beta)``
-        relation is enumerated from.  Cached per object.
+        relation is defined over.  Cached per object.
         """
         cached = self._visible_access_commits.get(obj)
         if cached is None:
@@ -493,20 +450,6 @@ class HistoryIndex(StatusIndex):
             ]
             self._visible_access_commits[obj] = cached
         return cached
-
-    def record_conflict_metrics(self, checked: int, skipped: int) -> None:
-        """Fold one conflict-enumeration run into the registry (if any)."""
-        if self._metrics is None:
-            return
-        self._metrics.inc("history.index.conflict.pairs_checked", checked)
-        self._metrics.inc("history.index.conflict.pairs_skipped_read_runs", skipped)
-        self._metrics.set_gauge(
-            "history.index.conflict.cache_size", len(self.conflict_cache)
-        )
-        self._metrics.inc(
-            "history.index.conflict.cache_hits", self.conflict_cache.hits
-        )
-        self.conflict_cache.hits = 0
 
     def __repr__(self) -> str:
         return (

@@ -99,7 +99,6 @@ def oracle_serially_correct(
     behavior: Sequence[Action],
     system_type: SystemType,
     max_orders: int = 50_000,
-    columnar: bool = False,
 ) -> OracleResult:
     """Search all sibling orders for a valid serial witness.
 
@@ -107,12 +106,10 @@ def oracle_serially_correct(
     the serial scheduler rules and every object's serial specification.
     One :class:`repro.core.history.HistoryIndex` serves the whole search:
     its memoized visibility and cached ``beta | T`` slices are shared by
-    the order enumeration and every witness attempt.  ``columnar=True``
-    attaches the dense-int store to that index, so orphan/visibility
-    queries during the search resolve from bitset flags.
+    the order enumeration and every witness attempt.
     """
     serial = serial_projection(behavior)
-    index = HistoryIndex(serial, system_type, columnar=columnar)
+    index = HistoryIndex(serial, system_type)
     tried = 0
     truncated = False
     orders = enumerate_sibling_orders(serial, limit=max_orders + 1, index=index)

@@ -22,7 +22,6 @@ implemented in :mod:`repro.core.correctness`.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -36,7 +35,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from .events import StatusIndex, visible_projection
 from .graph import CycleError, Digraph
-from .history import HistoryIndex, spec_is_read_only
 from .names import ROOT, ObjectName, SystemType, TransactionName, lca
 from .sibling_order import SiblingOrder
 
@@ -74,7 +72,6 @@ def conflict_pairs(
     behavior: Sequence[Action],
     system_type: SystemType,
     index: Optional[StatusIndex] = None,
-    indexed: bool = True,
 ) -> List[SiblingEdge]:
     """The ``conflict(beta)`` sibling relation (Sections 4 / 6.1).
 
@@ -82,31 +79,9 @@ def conflict_pairs(
     order; every conflicting ordered pair of operations on the same
     object contributes an edge between the children of the accesses'
     least common ancestor (unless one access descends from the other, in
-    which case no sibling pair exists).
-
-    When ``index`` is a :class:`repro.core.history.HistoryIndex` covering
-    ``behavior`` (and ``indexed`` is left on), enumeration runs off the
-    index's per-object buckets: read-only runs are never compared against
-    each other — only pairs with at least one state-changing operation
-    reach the specification — and verdicts come from the index's shared
-    :class:`repro.core.history.ConflictCache`.  ``indexed=False`` forces
-    the all-pairs scan, kept as the A/B baseline.  An index carrying a
-    columnar store (``HistoryIndex(..., columnar=True)``) resolves the
-    relation from the dense int columns instead — same edges, one linear
-    bitset sweep per read/write object.
+    which case no sibling pair exists).  ``index`` answers visibility;
+    one is built when none is passed.
     """
-    if (
-        indexed
-        and isinstance(index, HistoryIndex)
-        and index.system_type is system_type
-        and index.covers(behavior)
-    ):
-        store = index.columnar
-        if store is not None:
-            from .columnar import columnar_conflict_edges
-
-            return columnar_conflict_edges(store)
-        return _conflict_pairs_indexed(index, system_type)
     index = index if index is not None else StatusIndex(behavior)
     visible = visible_projection(behavior, ROOT, index)
     per_object: Dict[ObjectName, List[Tuple[TransactionName, object, object]]] = {}
@@ -135,55 +110,6 @@ def conflict_pairs(
     return sorted(edges, key=lambda e: (e.source, e.target))
 
 
-def _conflict_pairs_indexed(
-    index: HistoryIndex, system_type: SystemType
-) -> List[SiblingEdge]:
-    """Sub-quadratic ``conflict(beta)`` over a covering :class:`HistoryIndex`.
-
-    For each object, classify the visible operations by read-only-ness
-    once; a read-only operation is compared only against the *writers*
-    after it (a read/read pair never conflicts — both operations preserve
-    the state, so they commute backward), while a writer is compared
-    against everything after it.  Each surviving pair's verdict is
-    memoized in the index's conflict cache.  Read-heavy histories drop
-    from O(k²) spec consultations to O(k·w) with ``w`` writers.
-    """
-    edges: Set[SiblingEdge] = set()
-    cache = index.conflict_cache
-    checked = 0
-    skipped = 0
-    for obj in index.objects_with_accesses():
-        spec = system_type.spec(obj)
-        events = index.visible_access_commits(obj)
-        k = len(events)
-        if k < 2:
-            continue
-        read_only = [spec_is_read_only(spec, entry[2]) for entry in events]
-        writer_positions = [i for i in range(k) if not read_only[i]]
-        compared = 0
-        for i in range(k):
-            _, name_i, op_i, value_i = events[i]
-            if read_only[i]:
-                partners = writer_positions[bisect_right(writer_positions, i) :]
-            else:
-                partners = range(i + 1, k)
-            for j in partners:
-                compared += 1
-                _, name_j, op_j, value_j = events[j]
-                if name_i.is_related_to(name_j):
-                    continue
-                if not cache.conflicts(spec, op_i, value_i, op_j, value_j):
-                    continue
-                depth = lca(name_i, name_j).depth + 1
-                edges.add(
-                    SiblingEdge(name_i.prefix(depth), name_j.prefix(depth), CONFLICT)
-                )
-        checked += compared
-        skipped += k * (k - 1) // 2 - compared
-    index.record_conflict_metrics(checked, skipped)
-    return sorted(edges, key=lambda e: (e.source, e.target))
-
-
 def precedes_pairs(
     behavior: Sequence[Action],
     index: Optional[StatusIndex] = None,
@@ -192,51 +118,28 @@ def precedes_pairs(
 
     ``(T, T')`` when the common parent is visible to ``T0`` and a report
     event for ``T`` occurs before a ``REQUEST_CREATE(T')`` in ``beta``.
-
-    A covering :class:`repro.core.history.HistoryIndex` supplies the
-    first-report and request-create position maps (grouped by parent), so
-    only same-parent candidates are examined; otherwise both maps are
-    rebuilt by a scan.
+    One scan records each child's first report and groups first
+    ``REQUEST_CREATE`` positions by parent, so a report is compared only
+    with its siblings' requests.  ``index`` answers visibility; one is
+    built when none is passed.
     """
-    if isinstance(index, HistoryIndex) and index.covers(behavior):
-        store = index.columnar
-        if store is not None:
-            from .columnar import columnar_precedes_edges
-
-            return columnar_precedes_edges(store)
-        first_report = index.first_report
-        request_positions = index.request_create_positions
-        edges: Set[SiblingEdge] = set()
-        for reported, report_position in first_report.items():
-            parent = reported.parent
-            if not index.is_visible(parent, ROOT):
-                continue
-            for requested in index.requests_by_parent.get(parent, ()):
-                if requested == reported:
-                    continue
-                if report_position < request_positions[requested]:
-                    edges.add(SiblingEdge(reported, requested, PRECEDES))
-        return sorted(edges, key=lambda e: (e.source, e.target))
     index = index if index is not None else StatusIndex(behavior)
-    first_report = {}
-    request_creates: Dict[TransactionName, int] = {}
+    first_report: Dict[TransactionName, int] = {}
+    requests: Dict[TransactionName, Dict[TransactionName, int]] = {}
     for position, action in enumerate(behavior):
         if is_report(action):
             first_report.setdefault(action.transaction, position)
-        elif isinstance(action, RequestCreate):
-            request_creates.setdefault(action.transaction, position)
-    edges = set()
+        elif isinstance(action, RequestCreate) and not action.transaction.is_root:
+            requested = action.transaction
+            requests.setdefault(requested.parent, {}).setdefault(requested, position)
+    edges: List[SiblingEdge] = []
     for reported, report_position in first_report.items():
         parent = reported.parent
         if not index.is_visible(parent, ROOT):
             continue
-        for requested, request_position in request_creates.items():
-            if requested == reported or requested.is_root:
-                continue
-            if requested.parent != parent:
-                continue
-            if report_position < request_position:
-                edges.add(SiblingEdge(reported, requested, PRECEDES))
+        for requested, request_position in requests.get(parent, {}).items():
+            if requested != reported and report_position < request_position:
+                edges.append(SiblingEdge(reported, requested, PRECEDES))
     return sorted(edges, key=lambda e: (e.source, e.target))
 
 
@@ -342,8 +245,6 @@ def build_serialization_graph(
     index: Optional[StatusIndex] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    indexed: bool = True,
-    columnar: bool = False,
 ) -> SerializationGraph:
     """Construct ``SG(beta)`` from a sequence of serial actions.
 
@@ -352,51 +253,25 @@ def build_serialization_graph(
     order, with every child whose creation was requested under a parent
     visible to ``T0``, so that topological sorting yields an order
     covering all relevant siblings, and cycles and orders do not depend
-    on hash seeds.
+    on hash seeds; the edges are :func:`conflict_pairs` then
+    :func:`precedes_pairs`.
 
-    With no ``index``, one :class:`repro.core.history.HistoryIndex` is
-    built here and drives every phase; ``indexed=False`` keeps the naive
-    :class:`StatusIndex` scans as the A/B baseline.  ``tracer`` adds
+    ``index`` answers visibility for all three steps; one
+    :class:`StatusIndex` is built when none is passed.  ``tracer`` adds
     sub-phase spans (node seeding, conflict and precedes enumeration);
     ``metrics`` records node/edge gauges.  Both default to no-ops.
-
-    ``columnar=True`` builds the graph from the dense-int engine: the
-    behavior streams into a :class:`repro.core.columnar.ColumnarHistory`
-    (reusing the store on a covering ``HistoryIndex(..., columnar=True)``
-    when one is passed) and the returned graph is the lazily-materialised
-    :class:`repro.core.columnar.ColumnarSerializationGraph` — identical
-    structure, cycles and sibling orders to the object graph.
+    :func:`repro.core.columnar.build_columnar_graph` builds the same
+    graph on the batch engine's dense ids.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    if columnar:
-        from .columnar import build_columnar_graph
-
-        store = None
-        if (
-            isinstance(index, HistoryIndex)
-            and index.system_type is system_type
-            and index.covers(behavior)
-        ):
-            store = index.columnar
-        if store is None:
-            store = HistoryIndex(
-                behavior, system_type, metrics, columnar=True
-            ).columnar
-        assert store is not None
-        return build_columnar_graph(store, tracer=tracer, metrics=metrics)
-    if index is None:
-        index = (
-            HistoryIndex(behavior, system_type, metrics)
-            if indexed
-            else StatusIndex(behavior)
-        )
+    index = index if index is not None else StatusIndex(behavior)
     sg = SerializationGraph()
     with tracer.span("sg.seed_nodes"):
         for transaction in sorted(index.create_requested):
             if index.is_visible(transaction.parent, ROOT):
                 sg.add_node(transaction)
     with tracer.span("sg.conflict_pairs", events=len(behavior)):
-        conflicts = conflict_pairs(behavior, system_type, index, indexed=indexed)
+        conflicts = conflict_pairs(behavior, system_type, index)
         for edge in conflicts:
             sg.add_edge(edge)
     with tracer.span("sg.precedes_pairs"):

@@ -79,7 +79,6 @@ def serializability_theorem_applies(
     order: SiblingOrder,
     system_type: SystemType,
     index: Optional[StatusIndex] = None,
-    columnar: bool = False,
 ) -> List[str]:
     """Check the hypotheses of Theorem 2 for ``behavior``, ``to``, ``order``.
 
@@ -87,13 +86,11 @@ def serializability_theorem_applies(
     applies and ``behavior`` is serially correct for ``to``.  One shared
     :class:`repro.core.history.HistoryIndex` (built here unless passed
     in) serves the orphan test, the suitability check, and every
-    per-object view.  ``columnar=True`` attaches the dense-int store to
-    the index it builds, routing orphan/visibility queries through
-    bitset flags.
+    per-object view.
     """
     problems: List[str] = []
     if index is None:
-        index = HistoryIndex(behavior, system_type, columnar=columnar)
+        index = HistoryIndex(behavior, system_type)
     if index.is_orphan(to):
         problems.append(f"{to} is an orphan in the behavior")
     if not is_suitable(order, behavior, to, index):

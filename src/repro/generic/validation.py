@@ -27,7 +27,6 @@ from ..core.completion_order import edges_respect_completion_order
 from ..core.correctness import certify
 from ..core.oracle import oracle_serially_correct
 from ..core.events import serial_projection
-from ..core.serialization_graph import build_serialization_graph
 from ..sim.driver import run_system
 from ..sim.faults import AbortInjector
 from ..sim.policies import EagerInformPolicy, RandomPolicy
@@ -146,7 +145,6 @@ def validate_object_algorithm(
             )
             serial = serial_projection(result.behavior)
             certificate = certify(result.behavior, system_type)
-            graph = build_serialization_graph(serial, system_type)
             oracle_ok: Optional[bool] = None
             if top_level <= 4 and certificate.certified:
                 oracle_ok = bool(
@@ -164,7 +162,7 @@ def validate_object_algorithm(
                     witness_ok=not certificate.witness_problems,
                     simple_ok=not check_simple_behavior(serial, system_type),
                     completion_order_ok=not edges_respect_completion_order(
-                        serial, graph
+                        serial, certificate.graph
                     ),
                     oracle_ok=oracle_ok,
                     detail=detail,

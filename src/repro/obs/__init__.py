@@ -12,7 +12,7 @@ The observability layer the rest of the library is instrumented with:
   generic controller call out through, with :class:`MetricsHooks` as the
   stock metrics-recording observer (:mod:`repro.obs.hooks`);
 * streaming quantiles — log-bucket layouts with bounded relative error
-  and the P² estimator (:mod:`repro.obs.quantiles`);
+  (:mod:`repro.obs.quantiles`);
 * exposition — Prometheus text rendering of any registry snapshot and
   the periodic :class:`SnapshotExporter` task (:mod:`repro.obs.export`);
 * :class:`FlightRecorder` — bounded ring of recent actions dumped as a
@@ -41,7 +41,6 @@ from .metrics import (
 )
 from .quantiles import (
     LATENCY_BUCKETS,
-    P2Quantile,
     bucket_quantile,
     latency_histogram,
     log_buckets,
@@ -80,7 +79,6 @@ __all__ = [
     "log_buckets",
     "LATENCY_BUCKETS",
     "bucket_quantile",
-    "P2Quantile",
     "latency_histogram",
     "prometheus_name",
     "to_prometheus",

@@ -1,26 +1,18 @@
-"""Streaming quantile estimation: log-spaced buckets and the P² algorithm.
+"""Streaming quantile estimation over log-spaced bucket histograms.
 
 Latency telemetry needs percentiles, not means: a p99 feed→verdict
 latency is the number an operator alerts on, and it has to come out of
-a *streaming* estimator — the service never holds the sample set.  Two
-complementary estimators live here:
-
-* **Log-spaced bucket histograms** — :func:`log_buckets` builds bucket
-  bounds in a geometric progression with ratio ``growth``; any quantile
-  read off such a histogram by :func:`bucket_quantile` (the engine
-  behind :meth:`repro.obs.metrics.Histogram.quantile`) carries a
-  *guaranteed* relative error of at most ``sqrt(growth) - 1`` (the
-  estimate is the geometric midpoint of the bucket holding the target
-  rank).  The default :data:`LATENCY_BUCKETS` use ``growth = 1.08``,
-  i.e. ≤ 4% error over 1 µs .. 10 s — comfortably inside the 5% budget
-  the reference tests enforce — at a cost of ~200 integer buckets.
-  Histograms merge and snapshot trivially, which is why the registry
-  instruments use them.
-* **P² (Jain & Chlamtac 1985)** — :class:`P2Quantile` tracks a single
-  quantile with five markers and O(1) memory, no buckets at all.  It
-  has no hard error bound but converges tightly on smooth
-  distributions; benchmarks use it where one number is wanted without
-  a bucket layout decision.
+a *streaming* estimator — the service never holds the sample set.
+:func:`log_buckets` builds bucket bounds in a geometric progression with
+ratio ``growth``; any quantile read off such a histogram by
+:func:`bucket_quantile` (the engine behind
+:meth:`repro.obs.metrics.Histogram.quantile`) carries a *guaranteed*
+relative error of at most ``sqrt(growth) - 1`` (the estimate is the
+geometric midpoint of the bucket holding the target rank).  The default
+:data:`LATENCY_BUCKETS` use ``growth = 1.08``, i.e. ≤ 4% error over
+1 µs .. 10 s — comfortably inside the 5% budget the reference tests
+enforce — at a cost of ~200 integer buckets.  Histograms merge and
+snapshot trivially, which is why the registry instruments use them.
 
 :func:`latency_histogram` is the one-line wiring helper the stream
 service uses: get-or-create a registry histogram with the latency
@@ -41,7 +33,6 @@ __all__ = [
     "log_buckets",
     "LATENCY_BUCKETS",
     "bucket_quantile",
-    "P2Quantile",
     "latency_histogram",
 ]
 
@@ -125,98 +116,6 @@ def bucket_quantile(
     if maximum is not None:
         estimate = min(estimate, maximum)
     return estimate
-
-
-class P2Quantile:
-    """The P² single-quantile estimator (Jain & Chlamtac, CACM 1985).
-
-    Five markers track the running minimum, maximum, the target
-    quantile and the two flanking mid-quantiles; marker heights move by
-    piecewise-parabolic interpolation as observations arrive.  O(1)
-    memory, no buckets, no sorting — but also no hard error bound, so
-    use the log-bucket histograms when the 5% guarantee matters.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.count = 0
-        self._heights: List[float] = []
-        self._positions: List[float] = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired: List[float] = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-        self._rates: List[float] = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-
-    def observe(self, value: float) -> None:
-        """Consume one observation."""
-        self.count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(value)
-            if len(heights) == 5:
-                heights.sort()
-            return
-        positions = self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._rates[i]
-        # adjust the three interior markers
-        for i in (1, 2, 3):
-            drift = desired[i] - positions[i]
-            step_up = positions[i + 1] - positions[i]
-            step_down = positions[i - 1] - positions[i]
-            if (drift >= 1.0 and step_up > 1.0) or (drift <= -1.0 and step_down < -1.0):
-                direction = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(i, direction)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, direction)
-                positions[i] += direction
-
-    def _parabolic(self, i: int, direction: float) -> float:
-        heights, positions = self._heights, self._positions
-        span = positions[i + 1] - positions[i - 1]
-        return heights[i] + direction / span * (
-            (positions[i] - positions[i - 1] + direction)
-            * (heights[i + 1] - heights[i])
-            / (positions[i + 1] - positions[i])
-            + (positions[i + 1] - positions[i] - direction)
-            * (heights[i] - heights[i - 1])
-            / (positions[i] - positions[i - 1])
-        )
-
-    def _linear(self, i: int, direction: float) -> float:
-        heights, positions = self._heights, self._positions
-        step = int(direction)
-        return heights[i] + direction * (heights[i + step] - heights[i]) / (
-            positions[i + step] - positions[i]
-        )
-
-    def value(self) -> Optional[float]:
-        """The current estimate (exact until five observations exist)."""
-        if self.count == 0:
-            return None
-        heights = self._heights
-        if len(heights) < 5 or self.count <= 5:
-            ordered = sorted(heights)
-            rank = max(1, math.ceil(self.q * len(ordered)))
-            return ordered[rank - 1]
-        return heights[2]
 
 
 def latency_histogram(registry: "MetricsRegistry", name: str) -> "Histogram":

@@ -19,7 +19,7 @@ top-level programs induces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..automata.base import IOAutomaton
 from ..core.actions import (
@@ -293,20 +293,29 @@ class ProgramTransaction(IOAutomaton):
     def initial_state(self) -> ProgramState:
         return ProgramState(created=self.transaction.is_root)
 
-    @staticmethod
-    def _activation(call: Call, outcomes: Dict[str, Tuple[Any, ...]]) -> str:
-        """An alternative call's status: 'active', 'inactive' or 'unresolved'.
+    def _activations(
+        self, outcomes: Dict[str, Tuple[Any, ...]]
+    ) -> Iterator[Tuple[Call, str]]:
+        """Each call with its status: 'active', 'inactive' or 'unresolved'.
 
         Non-alternative calls are always active.  An alternative is
-        active once its trigger aborted, inactive once the trigger
-        committed, and unresolved while the trigger has no outcome.
+        inactive once its trigger committed or when its trigger is an
+        inactive alternative (which never runs), active once its trigger
+        aborted, and unresolved while the trigger may still run.  One
+        forward pass suffices: a trigger precedes its alternatives.
         """
-        if call.after_abort_of is None:
-            return "active"
-        trigger = outcomes.get(call.after_abort_of)
-        if trigger is None:
-            return "unresolved"
-        return "active" if trigger[0] == "abort" else "inactive"
+        inactive: Set[str] = set()
+        for call in self.program.calls:
+            trigger = call.after_abort_of
+            if trigger is None:
+                yield call, "active"
+                continue
+            outcome = outcomes.get(trigger)
+            if trigger in inactive or (outcome is not None and outcome[0] != "abort"):
+                inactive.add(call.component)
+                yield call, "inactive"
+            else:
+                yield call, "unresolved" if outcome is None else "active"
 
     def _may_request(self, state: ProgramState, component: str) -> bool:
         if not state.created or state.commit_requested:
@@ -314,8 +323,7 @@ class ProgramTransaction(IOAutomaton):
         if component in state.requested:
             return False
         outcomes = state.outcome_map()
-        for call in self.program.calls:
-            status = self._activation(call, outcomes)
+        for call, status in self._activations(outcomes):
             if call.component == component:
                 return status == "active"
             if not self.program.sequential:
@@ -333,8 +341,7 @@ class ProgramTransaction(IOAutomaton):
         if not state.created or state.commit_requested or self.transaction.is_root:
             return False
         outcomes = state.outcome_map()
-        for call in self.program.calls:
-            status = self._activation(call, outcomes)
+        for call, status in self._activations(outcomes):
             if status == "unresolved":
                 return False
             if status == "active" and call.component not in outcomes:
@@ -386,8 +393,7 @@ class ProgramTransaction(IOAutomaton):
         outcomes = state.outcome_map()
         sequential = self.program.sequential
         resolved = True  # every call so far has an outcome or is inactive
-        for call in self.program.calls:
-            status = self._activation(call, outcomes)
+        for call, status in self._activations(outcomes):
             if (
                 status == "active"
                 and (resolved or not sequential)

@@ -1,14 +1,14 @@
 """Known-bad fixture for R001: a declared A/B flag with a dead branch.
 
-``certify_things`` declares ``indexed=`` but never consults it with a
-conditional nor forwards it — the optimised/naive pairing is dead.
+``certify_things`` declares ``compaction=`` but never consults it with a
+conditional nor forwards it — the optimised/baseline pairing is dead.
 ``delegating`` forwards the flag as a keyword, which is fine.
 """
 
 
-def certify_things(events, indexed=True):  # flag never consulted -> R001
+def certify_things(events, compaction=True):  # flag never consulted -> R001
     return list(events)
 
 
-def delegating(events, indexed=True):
-    return certify_things(events, indexed=indexed)  # forwarding: fine
+def delegating(events, compaction=True):
+    return certify_things(events, compaction=compaction)  # forwarding: fine

@@ -14,7 +14,6 @@ from repro import (
     Certificate,
     Commit,
     Create,
-    HistoryIndex,
     ObjectName,
     ReadOp,
     ReportAbort,
@@ -179,20 +178,18 @@ def reference_certify(
     behavior: Sequence[Any],
     system_type: SystemType,
     *,
-    indexed: bool,
     construct_witness: bool = True,
     validate_input: bool = False,
 ) -> Certificate:
     """Theorem 8/19 chained from the paper-definition phase functions.
 
     ``certify`` runs the columnar engine; this is what the suites diff it
-    against.  ``indexed=True`` threads one ``HistoryIndex`` through the
-    phases, ``indexed=False`` the plain ``StatusIndex`` scans.  The
-    witness is checked by definition: one ``project_transaction`` scan
-    per visible transaction, in name order.
+    against.  One plain ``StatusIndex`` answers status and visibility
+    for every phase.  The witness is checked by definition: one
+    ``project_transaction`` scan per visible transaction, in name order.
     """
     serial = serial_projection(behavior)
-    index = HistoryIndex(serial, system_type) if indexed else StatusIndex(serial)
+    index = StatusIndex(serial)
     if validate_input:
         problems = check_simple_behavior(serial, system_type)
         if problems:
@@ -200,7 +197,7 @@ def reference_certify(
                 False, [], None, SerializationGraph(), input_problems=problems
             )
     arv = check_appropriate_return_values(serial, system_type, index)
-    graph = build_serialization_graph(serial, system_type, index, indexed=indexed)
+    graph = build_serialization_graph(serial, system_type, index)
     cycle = graph.find_cycle()
     certificate = Certificate(not arv and cycle is None, arv, cycle, graph)
     if not (certificate.certified and construct_witness):

@@ -2,14 +2,13 @@
 
 ``certify`` runs the dense-int struct-of-arrays engine.  It must be
 observably identical to the reference certifier chained from the
-paper-definition phase functions, both over the naive scans
-(``indexed=False``) and over one shared history index
-(``indexed=True``): same verdicts, same ARV diagnostics, same cycle
-witnesses, same graph edges, same serial witnesses.  This suite sweeps
-300 seeds across the existing generators, plus directed cases for the
-spots where a bitset engine can silently go wrong: word-size boundaries
-(>64 transactions), late-ABORT visibility flips, and contended
-interleavings with cycle witnesses.
+paper-definition phase functions (same verdicts, same ARV diagnostics,
+same cycle witnesses, same graph edges, same serial witnesses), and the
+graph those functions build over one shared history index must have the
+same edges and cycle.  This suite sweeps 300 seeds across the existing
+generators, plus directed cases for the spots where a bitset engine can
+silently go wrong: word-size boundaries (>64 transactions), late-ABORT
+visibility flips, and contended interleavings with cycle witnesses.
 """
 
 import pytest
@@ -18,15 +17,9 @@ from repro.core import certify
 from repro.core.columnar import ColumnarHistory, build_columnar_graph
 from repro.core.correctness import build_witness  # noqa: F401  (re-exported check)
 from repro.core.events import serial_projection
-from repro.core.history import ConflictCache, HistoryIndex
+from repro.core.history import HistoryIndex
 from repro.core.names import ROOT
-from repro.core.oracle import oracle_serially_correct
-from repro.core.serialization_graph import (
-    build_serialization_graph,
-    conflict_pairs,
-    precedes_pairs,
-)
-from repro.core.view import serializability_theorem_applies
+from repro.core.serialization_graph import build_serialization_graph
 from repro.parallel import CaseVerdict, certify_corpus
 
 from conftest import (
@@ -48,25 +41,31 @@ def graph_edges(certificate):
 
 
 def assert_lanes_agree(behavior, system, seed=None):
-    """Both reference lanes and ``certify`` give indistinguishable
-    certificates."""
-    naive = reference_certify(behavior, system, indexed=False)
-    fast = reference_certify(behavior, system, indexed=True)
+    """``certify`` and the reference certifier give indistinguishable
+    certificates, and the object graph over a shared ``HistoryIndex``
+    has the reference graph's edges and cycle."""
+    reference = reference_certify(behavior, system)
     dense = certify(behavior, system)
-    assert naive.certified == fast.certified == dense.certified, seed
-    assert naive.cycle == fast.cycle == dense.cycle, seed
+    serial = serial_projection(behavior)
+    indexed = build_serialization_graph(
+        serial, system, HistoryIndex(serial, system)
+    )
+    assert reference.certified == dense.certified, seed
+    assert reference.cycle == dense.cycle == indexed.find_cycle(), seed
+    assert [str(v) for v in reference.arv_violations] == [
+        str(v) for v in dense.arv_violations
+    ], seed
     assert (
-        [str(v) for v in naive.arv_violations]
-        == [str(v) for v in fast.arv_violations]
-        == [str(v) for v in dense.arv_violations]
+        graph_edges(reference)
+        == graph_edges(dense)
+        == sorted((e.source, e.target, e.kind) for e in indexed.edges())
     ), seed
-    assert graph_edges(naive) == graph_edges(fast) == graph_edges(dense), seed
-    assert naive.witness == fast.witness == dense.witness, seed
+    assert reference.witness == dense.witness, seed
     return dense
 
 
 class TestThreeWayEquivalence:
-    """naive ≡ indexed ≡ certify, 300 seeds across both generators."""
+    """reference ≡ indexed graph ≡ certify, 300 seeds across both generators."""
 
     def test_220_simple_seeds_agree(self):
         rejected_seen = 0
@@ -109,7 +108,7 @@ class TestThreeWayEquivalence:
         build.abort(doomed)
         behavior, _ = build.build(), None
         assert_lanes_agree(behavior, system)
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         store.extend(behavior)
         doomed_id = store.txn_id_of(doomed)
         keeper_id = store.txn_id_of(keeper)
@@ -117,12 +116,11 @@ class TestThreeWayEquivalence:
         assert store.visible_flags()[doomed_id] == 0
         assert store.orphan_flags()[keeper_id] == 0
         assert store.visible_flags()[keeper_id] == 1
-        # memoized HistoryIndex answers and bitset answers coincide
-        index = HistoryIndex(behavior, system, columnar=True)
-        slow = HistoryIndex(behavior, system)
-        for name in store.txn_names:
-            assert index.is_orphan(name) == slow.is_orphan(name), name
-            assert index.is_visible(name, ROOT) == slow.is_visible(name, ROOT)
+        # memoized HistoryIndex answers and flag-byte answers coincide
+        index = HistoryIndex(behavior, system)
+        for dense, name in enumerate(store.txn_names):
+            assert store.orphan_flags()[dense] == index.is_orphan(name), name
+            assert store.visible_flags()[dense] == index.is_visible(name, ROOT)
 
     def test_bitset_boundary_beyond_64_transactions(self):
         """>64 top-level transactions (and >64 events) force the visible
@@ -142,7 +140,7 @@ class TestThreeWayEquivalence:
         behavior = build.build()
         dense = assert_lanes_agree(behavior, system)
         assert len(behavior) > 64 * 7  # comfortably past one word of events
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         store.extend(behavior)
         assert len(store.txn_names) > 64
         flags = store.visible_flags()
@@ -156,7 +154,7 @@ class TestThreeWayEquivalence:
         """A contended workload stretched past the word boundary still
         yields identical cycle witnesses across lanes."""
         behavior, system = random_contended_behavior(11, transactions=25)
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         store.extend(behavior)
         assert len(store.txn_names) > 64  # 25 tops × (1 + 2 accesses) + root
         assert_lanes_agree(behavior, system)
@@ -164,47 +162,6 @@ class TestThreeWayEquivalence:
 
 class TestColumnarPlumbing:
     """The columnar engine is reachable from every certifier entry point."""
-
-    def test_graph_builder_columnar_flag(self):
-        behavior, system = random_simple_behavior(5, steps=30)
-        serial = serial_projection(behavior)
-        plain = build_serialization_graph(serial, system, columnar=False)
-        dense = build_serialization_graph(serial, system, columnar=True)
-        assert sorted(plain.nodes()) == sorted(dense.nodes())
-        assert sorted(
-            (e.source, e.target, e.kind) for e in plain.edges()
-        ) == sorted((e.source, e.target, e.kind) for e in dense.edges())
-        assert plain.find_cycle() == dense.find_cycle()
-
-    def test_pair_enumerations_route_through_the_columnar_store(self):
-        for seed in (3, 17, 42):
-            behavior, system = random_simple_behavior(seed, steps=40)
-            serial = serial_projection(behavior)
-            plain = HistoryIndex(serial, system)
-            dense = HistoryIndex(serial, system, columnar=True)
-            assert dense.columnar is not None
-            assert conflict_pairs(serial, system, dense) == conflict_pairs(
-                serial, system, plain
-            ), seed
-            assert precedes_pairs(serial, dense) == precedes_pairs(
-                serial, plain
-            ), seed
-
-    def test_oracle_and_view_accept_the_flag(self):
-        behavior, system = serial_two_txn_behavior()
-        assert oracle_serially_correct(behavior, system, columnar=True).correct
-        assert oracle_serially_correct(behavior, system, columnar=False).correct
-        certificate = certify(behavior, system)
-        assert certificate.order is not None
-        assert (
-            serializability_theorem_applies(
-                behavior, ROOT, certificate.order, system, columnar=True
-            )
-            == serializability_theorem_applies(
-                behavior, ROOT, certificate.order, system, columnar=False
-            )
-            == []
-        )
 
     def test_corpus_certification_matches_across_lanes(self):
         cases = []
@@ -214,7 +171,7 @@ class TestColumnarPlumbing:
         reference = []
         for label, behavior, system in cases:
             certificate = reference_certify(
-                behavior, system, indexed=True, construct_witness=False
+                behavior, system, construct_witness=False
             )
             reference.append(
                 CaseVerdict(
@@ -230,9 +187,7 @@ class TestColumnarPlumbing:
     def test_certify_streams_a_lazy_behavior(self):
         """No materialised list: a generator feeds the columns directly."""
         behavior, system = random_simple_behavior(9, steps=40)
-        eager = reference_certify(
-            behavior, system, indexed=True, construct_witness=False
-        )
+        eager = reference_certify(behavior, system, construct_witness=False)
         lazy = certify(
             (action for action in behavior),
             system,
@@ -243,8 +198,8 @@ class TestColumnarPlumbing:
 
     def test_shared_cache_memoizes_generic_spec_verdicts(self):
         """Without the RW structural marker the engine falls back to the
-        memoized pair scan; a shared cache answers the second run's
-        verdicts entirely from the dense-id table."""
+        memoized pair scan; the store's cache answers a second
+        enumeration's verdicts entirely from the dense-id table."""
         from repro.core.names import ObjectName, SystemType
         from repro.core.rw_semantics import RWSpec
 
@@ -259,37 +214,32 @@ class TestColumnarPlumbing:
             build.write(top, "w", "x", i)
             build.commit(top)
         behavior = build.build()
-        cache = ConflictCache()
-        first = ColumnarHistory(system, conflict_cache=cache)
-        first.extend(behavior)
-        first_edges = sorted(first.conflict_edge_ids())
+        store = ColumnarHistory(system)
+        store.extend(behavior)
+        cache = store.cache
+        first_edges = sorted(store.conflict_edge_ids())
         assert cache.misses > 0
         misses_after_first = cache.misses
-        second = ColumnarHistory(system, conflict_cache=cache)
-        second.extend(behavior)
-        assert sorted(second.conflict_edge_ids()) == first_edges
+        assert sorted(store.conflict_edge_ids()) == first_edges
         # every verdict the second run needed was already memoized
         assert cache.misses == misses_after_first
         assert cache.hits > 0
 
     def test_rw_bitset_sweep_never_consults_the_spec(self):
         """With the marker present, whole RW objects resolve by bitwise
-        sweeps: the shared verdict table stays empty."""
+        sweeps: the store's verdict table stays empty."""
         behavior, system = random_contended_behavior(3)
-        cache = ConflictCache()
-        store = ColumnarHistory(system, conflict_cache=cache)
+        store = ColumnarHistory(system)
         store.extend(behavior)
         graph = build_columnar_graph(store)
-        reference = reference_certify(
-            behavior, system, indexed=True, construct_witness=False
-        )
+        reference = reference_certify(behavior, system, construct_witness=False)
         assert graph.find_cycle() == reference.cycle
-        assert len(cache) == 0  # no per-pair verdicts were ever needed
+        assert len(store.cache) == 0  # no per-pair verdicts were ever needed
 
     def test_graph_materializes_lazily_and_identically(self):
         behavior, system = random_contended_behavior(7)
         serial = serial_projection(behavior)
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         store.extend(serial)
         graph = build_columnar_graph(store)
         reference = build_serialization_graph(serial, system)
@@ -308,7 +258,7 @@ class TestColumnarStore:
 
     def test_parent_ids_precede_child_ids(self):
         behavior, system = random_simple_behavior(21, steps=40)
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         store.extend(behavior)
         for dense in range(1, len(store.txn_names)):
             assert store.txn_parent[dense] < dense
@@ -318,7 +268,7 @@ class TestColumnarStore:
         from repro.core.actions import InformCommit
 
         system = rw_system("x")
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         build = BehaviorBuilder(system)
         top = build.begin_top("t")
         build.commit(top)

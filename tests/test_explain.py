@@ -123,6 +123,12 @@ class TestExplainAPI:
         assert graph.find_cycle() is not None
         assert explanation.complete
 
+    def test_explain_behavior_explains_the_cycle_certify_reports(self):
+        for behavior, system, certificate in rejected_cases(30):
+            explanation, graph = explain_behavior(behavior, system)
+            cycle = (explanation.parent, list(explanation.nodes))
+            assert cycle == graph.find_cycle() == certificate.cycle
+
     def test_max_witnesses_caps_per_object(self):
         behavior, system, certificate = rejected_cases(1)[0]
         capped = explain_cycle(

@@ -36,9 +36,7 @@ for seed in range(40):
     certificate = certify(behavior, system)
     print(seed, "certify", certificate.cycle)
     print(seed, "witness", certificate.witness)
-    for indexed in (True, False):
-        reference = reference_certify(behavior, system, indexed=indexed)
-        print(seed, "indexed" if indexed else "naive", reference.cycle)
+    print(seed, "reference", reference_certify(behavior, system).cycle)
 
 POLICIES = {
     "eager": lambda seed: EagerInformPolicy(seed=seed),
@@ -84,7 +82,7 @@ def certify_under(hash_seed):
 def test_cycles_and_witnesses_do_not_depend_on_the_hash_seed():
     first, second = certify_under(0), certify_under(23)
     simulations = [line for line in first if " simulate " in line]
-    assert len(first) - len(simulations) == 40 * 4
+    assert len(first) - len(simulations) == 40 * 3
     # the sweep must report cycles, or it proves nothing about them
     cycles = [line for line in first if " certify " in line]
     assert sum(not line.endswith(" None") for line in cycles) >= 20

@@ -1,13 +1,15 @@
-"""The shared history index: indexed-vs-naive equivalence and memoization.
+"""The shared history index: one path per relation, and memoization.
 
-The ``HistoryIndex`` fast path must be invisible in every output: the
-reference certifier over one shared index and over the naive scans
-agree on verdicts, on the edge lists of the serialization graphs, and on
-cycle witnesses, across seeded random workloads (mirroring
-``tests/test_online.py``'s incremental-vs-naive pattern).  The rest of this module pins the index's individual
-guarantees: projections are exact slices, orphan/visibility memoization
-stays correct under late ABORTs, the conflict cache and the read-run
-skip never change an edge.
+``conflict_pairs``, ``precedes_pairs`` and ``build_serialization_graph``
+each have one code path; the index they are given only answers
+visibility (and, for a covering ``HistoryIndex``, serves its cached
+``visible(beta, T0)``).  So they must return the same edges, nodes and
+cycles with no index, a plain ``StatusIndex`` and a ``HistoryIndex``,
+across seeded random workloads.  The rest of this module pins the
+index's individual guarantees: projections are exact slices,
+orphan/visibility memoization stays correct under late ABORTs, the
+conflict cache memoizes verdicts, and the batch engine's read-run skip
+never changes an edge.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from conftest import (
     BehaviorBuilder,
     dirty_read_behavior,
     lost_update_behavior,
-    reference_certify,
     rw_system,
     serial_two_txn_behavior,
 )
@@ -29,6 +30,7 @@ from repro import (
     MetricsRegistry,
     ObjectName,
     StatusIndex,
+    build_serialization_graph,
     certify,
     clean_projection,
     conflict_pairs,
@@ -43,42 +45,50 @@ from test_core_properties import random_simple_behavior
 from test_online import random_contended_behavior
 
 
-def graph_edges(certificate):
-    return sorted(
-        (e.source, e.target, e.kind) for e in certificate.graph.edges()
+def relations(serial, system, index):
+    """What the three definition functions return given ``index``."""
+    graph = build_serialization_graph(serial, system, index)
+    return (
+        conflict_pairs(serial, system, index),
+        precedes_pairs(serial, index),
+        graph.nodes(),
+        sorted((e.source, e.target, e.kind) for e in graph.edges()),
+        graph.find_cycle(),
     )
 
 
+def assert_indexes_agree(behavior, system, seed=None):
+    """No index, a ``StatusIndex`` and a ``HistoryIndex`` give the same
+    relations; returns them."""
+    serial = serial_projection(behavior)
+    naive = relations(serial, system, None)
+    assert relations(serial, system, StatusIndex(serial)) == naive, seed
+    assert relations(serial, system, HistoryIndex(serial, system)) == naive, seed
+    return naive
+
+
 class TestIndexedVsNaiveEngines:
-    """``reference_certify(indexed=...)`` lanes are indistinguishable."""
+    """The definition functions given a ``HistoryIndex`` (indexed) and
+    given a ``StatusIndex`` or none (naive) are indistinguishable."""
 
     def test_200_seeded_workloads_agree(self):
-        rejected_seen = 0
+        seen = dict.fromkeys(("conflict", "precedes"), 0)
         for seed in range(200):
             behavior, system = random_simple_behavior(seed, steps=30)
-            fast = reference_certify(behavior, system, indexed=True)
-            naive = reference_certify(behavior, system, indexed=False)
-            assert fast.certified == naive.certified, seed
-            assert fast.arv_violations == naive.arv_violations, seed
-            assert fast.cycle == naive.cycle, seed
-            assert graph_edges(fast) == graph_edges(naive), seed
-            assert fast.witness == naive.witness, seed
-            rejected_seen += not fast.certified
-        # the sweep must actually exercise both verdicts
-        assert 0 < rejected_seen < 200
+            conflicts, precedes, *_ = assert_indexes_agree(behavior, system, seed)
+            seen["conflict"] += bool(conflicts)
+            seen["precedes"] += bool(precedes)
+        # the sweep must actually produce edges of both kinds
+        assert all(seen.values()), seen
 
     def test_contended_interleavings_agree_on_cycle_witnesses(self):
         cyclic_seen = 0
         for seed in range(60):
             behavior, system = random_contended_behavior(seed)
-            fast = reference_certify(behavior, system, indexed=True)
-            naive = reference_certify(behavior, system, indexed=False)
-            assert fast.certified == naive.certified, seed
+            *_, cycle = assert_indexes_agree(behavior, system, seed)
             # identical witness, not just identical verdict: same parent,
             # same node sequence
-            assert fast.cycle == naive.cycle, seed
-            assert graph_edges(fast) == graph_edges(naive), seed
-            cyclic_seen += fast.cycle is not None
+            cyclic_seen += cycle is not None
         assert cyclic_seen > 0
 
     @pytest.mark.parametrize(
@@ -87,31 +97,23 @@ class TestIndexedVsNaiveEngines:
     )
     def test_canonical_scenarios_agree(self, scenario):
         behavior, system = scenario()
-        fast = reference_certify(behavior, system, indexed=True)
-        naive = reference_certify(behavior, system, indexed=False)
-        assert fast.certified == naive.certified
-        assert fast.cycle == naive.cycle
-        assert [str(v) for v in fast.arv_violations] == [
-            str(v) for v in naive.arv_violations
-        ]
-        assert graph_edges(fast) == graph_edges(naive)
+        assert_indexes_agree(behavior, system)
 
     def test_pair_enumerations_agree_given_a_shared_index(self):
         for seed in (3, 17, 42):
             behavior, system = random_simple_behavior(seed, steps=40)
             serial = serial_projection(behavior)
             hist = HistoryIndex(serial, system)
-            naive_index = StatusIndex(serial)
-            assert conflict_pairs(serial, system, hist) == conflict_pairs(
-                serial, system, naive_index
+            conflicts = conflict_pairs(serial, system, hist)
+            precedes = precedes_pairs(serial, hist)
+            # the graph built over the same index has exactly these edges
+            graph = build_serialization_graph(serial, system, hist)
+            key = lambda e: (e.source, e.target, e.kind)  # noqa: E731
+            assert sorted(graph.edges(), key=key) == sorted(
+                conflicts + precedes, key=key
             ), seed
-            # indexed=False forces the all-pairs loop even on a HistoryIndex
-            assert conflict_pairs(serial, system, hist) == conflict_pairs(
-                serial, system, hist, indexed=False
-            ), seed
-            assert precedes_pairs(serial, hist) == precedes_pairs(
-                serial, naive_index
-            ), seed
+            assert conflicts == conflict_pairs(serial, system), seed
+            assert precedes == precedes_pairs(serial), seed
 
 
 class TestProjectionSlices:
@@ -239,7 +241,18 @@ class TestConflictMachinery:
         assert len(cache) == 2
 
     def test_read_runs_are_skipped_but_edges_are_identical(self):
-        system = rw_system("x")
+        """The batch engine's pair scan for specs without the read/write
+        marker compares a read only with later writers; its edges equal
+        the definitional all-pairs scan's."""
+        from repro.core.columnar import ColumnarHistory, build_columnar_graph
+        from repro.core.names import SystemType
+        from repro.core.rw_semantics import RWSpec
+
+        class OpaqueRWSpec(RWSpec):
+            # hide the structural marker: forces the pair scan
+            conflicts_iff_writer = False
+
+        system = SystemType({ObjectName("x"): OpaqueRWSpec(initial=0)})
         b = BehaviorBuilder(system)
         txns = [b.begin_top(f"t{i}") for i in range(6)]
         for i, txn in enumerate(txns):
@@ -251,14 +264,19 @@ class TestConflictMachinery:
             b.commit(txn)
         behavior = b.build()
         metrics = MetricsRegistry()
-        hist = HistoryIndex(behavior, system, metrics)
-        indexed_edges = conflict_pairs(behavior, system, hist)
+        store = ColumnarHistory(system, metrics=metrics)
+        store.extend(behavior)
+        engine_edges = sorted(
+            (e.source, e.target, e.kind)
+            for e in build_columnar_graph(store).edges()
+            if e.kind == "conflict"
+        )
         naive_edges = conflict_pairs(behavior, system, StatusIndex(behavior))
-        assert indexed_edges == naive_edges
+        assert engine_edges == [(e.source, e.target, e.kind) for e in naive_edges]
         counters = metrics.snapshot()["counters"]
         # 6 ops, 1 writer: 15 all-pairs, only 5 involve the writer
-        assert counters["history.index.conflict.pairs_checked"] == 5
-        assert counters["history.index.conflict.pairs_skipped_read_runs"] == 10
+        assert counters["history.columnar.conflict.pairs_checked"] == 5
+        assert counters["history.columnar.conflict.pairs_skipped_read_runs"] == 10
 
     def test_index_built_with_metrics_emits_history_index_counters(self):
         behavior, system = lost_update_behavior()
@@ -268,7 +286,7 @@ class TestConflictMachinery:
         counters = metrics.snapshot()["counters"]
         assert counters["history.index.builds"] == 1
         assert counters["history.index.events"] == len(behavior)
-        assert counters["history.index.conflict.pairs_checked"] >= 1
+        assert counters["history.index.visibility.memo_misses"] >= 1
         # certify runs the columnar engine: it builds no index with metrics
         engine = MetricsRegistry()
         assert certify(behavior, system, metrics=engine).cycle is not None

@@ -3,12 +3,11 @@
 Well-formed generated behaviors exercise only the paths a correct log
 takes.  This suite mutates them — one event dropped or duplicated, two
 adjacent events swapped, a truncated prefix, a full shuffle — and
-certifies every mutant three ways: ``certify`` (the columnar engine) and
+certifies every mutant two ways: ``certify`` (the columnar engine) and
 the reference certifier chained from the paper-definition phase
-functions, over one shared history index and over the naive scans.  All
-three must return the same verdict, cycle, ARV diagnostics, input
-problems, witness problems and witness, with input validation off and
-on, and none may raise.
+functions.  Both must return the same verdict, cycle, ARV diagnostics,
+input problems, witness problems and witness, with input validation off
+and on, and neither may raise.
 
 The online engine is held to the same corpus: fed every mutant with
 compaction off and at three sweep intervals, it must not raise, and its
@@ -20,7 +19,6 @@ on every mutant that is still a simple behavior.
 
 import random
 from collections import Counter
-from functools import partial
 
 import pytest
 
@@ -33,11 +31,7 @@ from test_online import random_contended_behavior
 from test_witness_phase import simulated_run
 
 KINDS = ("drop", "duplicate", "swap", "truncate", "shuffle")
-LANES = {
-    "certify": certify,
-    "indexed": partial(reference_certify, indexed=True),
-    "naive": partial(reference_certify, indexed=False),
-}
+LANES = {"certify": certify, "reference": reference_certify}
 
 
 def certificate_outcome(certificate):

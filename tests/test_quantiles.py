@@ -1,4 +1,4 @@
-"""Tests for streaming quantile estimation (log buckets and P²).
+"""Tests for streaming quantile estimation over log-spaced buckets.
 
 The load-bearing guarantee is the acceptance criterion from the
 observability issue: quantiles read off :data:`LATENCY_BUCKETS`
@@ -16,7 +16,6 @@ import pytest
 from repro.obs import (
     LATENCY_BUCKETS,
     MetricsRegistry,
-    P2Quantile,
     bucket_quantile,
     latency_histogram,
     log_buckets,
@@ -129,38 +128,3 @@ class TestHistogramQuantileIntegration:
         histogram.observe(1e-3)
         snapshot = registry.snapshot()["histograms"]
         assert snapshot["stream.latency.feed_to_verdict"]["count"] == 1
-
-
-class TestP2Quantile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_empty_is_none(self):
-        assert P2Quantile(0.5).value() is None
-
-    def test_exact_below_five_observations(self):
-        estimator = P2Quantile(0.5)
-        for value in (5.0, 1.0, 3.0):
-            estimator.observe(value)
-        assert estimator.value() == 3.0  # exact median of {1, 3, 5}
-
-    def test_converges_on_uniform(self):
-        rng = random.Random(13)
-        for q in (0.5, 0.95):
-            estimator = P2Quantile(q)
-            for _ in range(20_000):
-                estimator.observe(rng.random())
-            assert estimator.value() == pytest.approx(q, abs=0.02)
-        assert estimator.count == 20_000
-
-    def test_tracks_lognormal_median(self):
-        rng = random.Random(23)
-        estimator = P2Quantile(0.5)
-        samples = [rng.lognormvariate(0.0, 1.0) for _ in range(20_000)]
-        for value in samples:
-            estimator.observe(value)
-        exact = exact_quantile(samples, 0.5)
-        assert abs(estimator.value() - exact) / exact <= 0.05

@@ -303,6 +303,34 @@ def test_program_enumeration_waits_for_alternatives():
     ]
 
 
+@pytest.mark.parametrize("sequential", [True, False], ids=["seq", "par"])
+def test_alternative_of_an_inactive_alternative_is_inactive(sequential):
+    """``c`` runs if ``b`` aborts and ``d`` if ``c`` aborts.  Once ``b``
+    commits, ``c`` never runs, so ``d`` never runs either: the program
+    requests commit instead of waiting for an outcome of ``c``."""
+    program = TransactionProgram(
+        (
+            AccessCall("b", X, ReadOp()),
+            AccessCall("c", X, ReadOp(), after_abort_of="b"),
+            AccessCall("d", X, ReadOp(), after_abort_of="c"),
+        ),
+        sequential=sequential,
+    )
+    p = T("p")
+    transaction = ProgramTransaction(p, program)
+    state = transaction.initial_state()
+    for action in (
+        Create(p),
+        RequestCreate(p.child("b")),
+        ReportCommit(p.child("b"), 0),
+    ):
+        state = transaction.effect(state, action)
+    commit = RequestCommit(p, "ok")
+    assert list(transaction.enabled_outputs(state)) == [commit]
+    assert transaction.enabled(state, commit)
+    assert not transaction.enabled(state, RequestCreate(p.child("d")))
+
+
 # -- the reference composition step and driver --------------------------------
 
 

@@ -115,13 +115,15 @@ class TestR001ABFlags:
             if "not exercised" in f.message
         ]
         assert findings, "expected a coverage finding with no tests"
-        assert any("indexed=False and indexed=True" in f.message for f in findings)
+        assert any(
+            "compaction=False and compaction=True" in f.message for f in findings
+        )
 
     def test_real_suite_covers_both_values_of_both_flags(self, tmp_path):
         context = LintContext(root=SRC_ROOT, tests_root=TESTS_DIR)
-        coverage = context.test_flag_values(("indexed", "compaction"))
-        assert coverage["indexed"] == {True, False}
+        coverage = context.test_flag_values(("compaction", "validate"))
         assert coverage["compaction"] == {True, False}
+        assert coverage["validate"] == {True, False}
         # a flag whose values only flow through a parametrized fixture:
         # the scanner must resolve fixture/parametrize bindings
         (tmp_path / "test_fixture_flag.py").write_text(
@@ -140,7 +142,7 @@ class TestR001ABFlags:
         # under the same both-ways discipline as the engine flags
         from repro.analysis.rules.ab_flags import AB_FLAGS
 
-        assert "validate" in AB_FLAGS
+        assert AB_FLAGS == ("compaction", "validate")
         context = LintContext(root=SRC_ROOT, tests_root=TESTS_DIR)
         coverage = context.test_flag_values(("validate",))
         assert coverage["validate"] == {True, False}
@@ -279,8 +281,8 @@ class TestSpecSoundness:
             assert report.pairs > 0 and report.prefixes > 0
 
     def test_read_read_fast_path_assumption_holds_for_every_spec(self):
-        # _conflict_pairs_indexed never consults the spec for read/read
-        # pairs; a spec violating the assumption surfaces as
+        # the engines' read/read skip never consults the spec for
+        # read/read pairs; a spec violating the assumption surfaces as
         # 'read_only_conflict'/'read_only_claim'.
         for domain in builtin_spec_domains():
             report = check_spec(domain)

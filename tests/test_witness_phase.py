@@ -234,10 +234,9 @@ class TestFailClosed:
         assert counters["certify.rejected"] == 1
         assert counters["certify.rejected.witness"] == 1
         assert "certify.certified" not in counters
-        for indexed in (True, False):
-            reference = reference_certify(behavior, system_type, indexed=indexed)
-            assert not reference.certified, indexed
-            assert reference.witness_problems == certificate.witness_problems
+        reference = reference_certify(behavior, system_type)
+        assert not reference.certified
+        assert reference.witness_problems == certificate.witness_problems
 
     def test_accepted_runs_count_no_witness_rejection(self):
         behavior, system_type, _ = build_scenario("serial")
@@ -246,8 +245,7 @@ class TestFailClosed:
         counters = registry.snapshot()["counters"]
         assert counters["certify.certified"] == 1
         assert "certify.rejected.witness" not in counters
-        for indexed in (True, False):
-            assert reference_certify(behavior, system_type, indexed=indexed).certified
+        assert reference_certify(behavior, system_type).certified
 
 
 # ---------------------------------------------------------------------------
