@@ -19,7 +19,7 @@ bench-smoke:
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \
-		python $$script || exit 1; \
+		PYTHONPATH=src python $$script || exit 1; \
 		echo; \
 	done
 
@@ -35,7 +35,7 @@ trace-demo:
 docs:
 	python tools/run_doc_examples.py README.md docs/TUTORIAL.md docs/ARCHITECTURE.md docs/PERFORMANCE.md docs/DISTRIBUTED.md docs/OBSERVABILITY.md
 
-# Project static analysis: AST rules R001-R004, spec soundness, docs
+# Project static analysis: AST rules R001-R005, spec soundness, docs
 # drift. Exit 1 on any finding; see docs/STATIC_ANALYSIS.md.
 lint:
 	PYTHONPATH=src python -m repro lint
@@ -71,9 +71,9 @@ hash-seeds:
 	done
 
 # Mirror the GitHub Actions CI jobs locally: lint, typing, robustness,
-# the docs job, the tier-1 tests and their hash-seed re-runs, and the
-# smoke-sized benchmarks
-ci: lint typecheck robustness docs
+# the docs job (doc snippets and the shipped examples), the tier-1 tests
+# and their hash-seed re-runs, and the smoke-sized benchmarks
+ci: lint typecheck robustness docs examples
 	PYTHONPATH=src python -m pytest -x -q
 	$(MAKE) hash-seeds
 	$(MAKE) bench-smoke

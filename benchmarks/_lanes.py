@@ -21,13 +21,19 @@ serial projection, the ARV check, ``SG(beta)`` and its cycle search.
 maintenance.  E13's naive lane rebuilds the full-DFS check it replaced
 on top of the same engine: after each feed that adds an edge, a cycle
 search over the whole accumulated graph.
+
+E14 and E17 time each lane ``RUNS`` times per size with
+:func:`interleaved_runs`, so a baseline carries a median and the runs
+it came from rather than one run's noise.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from bisect import bisect_right
 
+from _smoke import pick
 from repro import (
     CONFLICT,
     PRECEDES,
@@ -47,6 +53,9 @@ from repro import (
 )
 from repro.core.actions import is_report
 from repro.core.history import spec_is_read_only
+
+#: timed runs per lane and size (one under ``BENCH_SMOKE``)
+RUNS = pick(5, 1)
 
 
 def _edge_key(edge):
@@ -178,3 +187,21 @@ def timed_online_lane(behavior, system_type, *, naive: bool):
     counters = registry.snapshot()["counters"]
     counters["naive.cycle_checks"] = checks
     return (not verdict.arv_violations and not cyclic, cyclic), seconds, counters
+
+
+def interleaved_runs(*lanes):
+    """Time each lane ``RUNS`` times, one run of every lane per round.
+
+    A lane is a callable returning ``(verdict, seconds, counters)``.
+    Returns, per lane, its first run's verdict, the median seconds,
+    every run's seconds in order, and its first run's counters.
+    """
+    first = [lane() for lane in lanes]
+    seconds = [[run[1]] for run in first]
+    for _ in range(RUNS - 1):
+        for times, lane in zip(seconds, lanes):
+            times.append(lane()[1])
+    return [
+        (run[0], statistics.median(times), times, run[2])
+        for run, times in zip(first, seconds)
+    ]

@@ -15,7 +15,9 @@ This benchmark certifies identical growing read-heavy histories on the
 indexed lane and on the naive baseline (both rebuilt in ``_lanes.py``;
 ``certify`` itself runs the columnar engine of E17), asserts the
 verdicts agree, and writes ``BENCH_e14_history_index.json`` with the
-speedups and the indexed lane's ``history.index.*`` cost counters.  The
+speedups and the indexed lane's ``history.index.*`` cost counters.
+Each lane runs five times per size; the baseline keeps every run's
+seconds beside the medians the speedup is taken from.  The
 target: ≥5x at the largest size (n ≈ 5k events).  Most of the gap is
 the precedes grouping, which ``precedes_pairs`` does on every index
 (see EXPERIMENTS.md, E14).
@@ -27,7 +29,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _lanes import timed_object_lane
+from _lanes import interleaved_runs, timed_object_lane
 from _obs import write_bench_json
 from _smoke import SMOKE, pick
 from _tables import print_table
@@ -103,11 +105,12 @@ def run_comparison():
     report = {}
     for top_level in CASES:
         behavior, system_type = read_heavy_history(top_level)
-        indexed, idx_seconds, idx_counters = timed_object_lane(
-            behavior, system_type, indexed=True
-        )
-        naive, naive_seconds, _ = timed_object_lane(
-            behavior, system_type, indexed=False
+        (
+            (indexed, idx_seconds, idx_runs, idx_counters),
+            (naive, naive_seconds, naive_runs, _),
+        ) = interleaved_runs(
+            lambda: timed_object_lane(behavior, system_type, indexed=True),
+            lambda: timed_object_lane(behavior, system_type, indexed=False),
         )
         # serial + ARV-correct by construction: certified, no cycle
         assert indexed == naive == (True, None)
@@ -116,7 +119,9 @@ def run_comparison():
         report[label] = {
             "events": len(behavior),
             "indexed_seconds": idx_seconds,
+            "indexed_runs": idx_runs,
             "naive_seconds": naive_seconds,
+            "naive_runs": naive_runs,
             "speedup": speedup,
             "index_counters": {
                 name: value

@@ -17,7 +17,9 @@ indexed object lane (E14's history-index lane, rebuilt in
 columnar engine.  ``certify`` is fed by a *lazy generator*, so the 50k+
 event corpus is never materialized as an object list for it.  The
 benchmark asserts the verdicts agree and writes
-``BENCH_e17_columnar.json``.  The acceptance bar, checked here
+``BENCH_e17_columnar.json``; each lane runs five times per size, and
+the baseline keeps every run's seconds beside the medians the speedup
+is taken from.  The acceptance bar, checked here
 in full mode and re-checked against the committed baseline in CI:
 ≥10x over the indexed path at ≥50,000 events.
 """
@@ -29,7 +31,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _lanes import timed_object_lane
+from _lanes import interleaved_runs, timed_object_lane
 from _obs import write_bench_json
 from _smoke import SMOKE, pick
 from _tables import print_table
@@ -133,11 +135,12 @@ def run_comparison():
         system_type = read_heavy_system()
         # materialize once for the indexed lane only — outside its timer
         behavior = tuple(stream_read_heavy_history(system_type, top_level))
-        indexed, idx_seconds, _ = timed_object_lane(
-            behavior, system_type, indexed=True
-        )
-        columnar, col_seconds, col_counters = timed_columnar(
-            system_type, top_level
+        (
+            (indexed, idx_seconds, idx_runs, _),
+            (columnar, col_seconds, col_runs, col_counters),
+        ) = interleaved_runs(
+            lambda: timed_object_lane(behavior, system_type, indexed=True),
+            lambda: timed_columnar(system_type, top_level),
         )
         # serial + ARV-correct by construction: certified, no cycle
         assert indexed == (columnar.certified, columnar.cycle) == (True, None)
@@ -147,7 +150,9 @@ def run_comparison():
         report[label] = {
             "events": len(behavior),
             "indexed_seconds": idx_seconds,
+            "indexed_runs": idx_runs,
             "columnar_seconds": col_seconds,
+            "columnar_runs": col_runs,
             "speedup": speedup,
             "columnar_counters": {
                 name: value

@@ -107,10 +107,8 @@ from .obs import (
     FlightRecorder,
     JSONLFileSink,
     LoggingSink,
-    MetricsHooks,
     MetricsRegistry,
     NullTracer,
-    ObsHooks,
     RingBufferSink,
     SnapshotExporter,
     Span,

@@ -22,7 +22,9 @@ serialization-graph certifier, optionally cross-examining with the
 brute-force oracle and exporting the graph as Graphviz DOT; given
 several files it batch-certifies them as a corpus, sharded over
 ``--jobs`` workers (see :mod:`repro.parallel`).  The audit exit status
-is 0 when every case is certified, 2 when any is not.
+is 0 when every case is certified, 2 when any is not, and 1 when a case
+cannot be read or ``--dot``/``--oracle``/``--witness`` is given with
+several cases or the online engine (they need one batch certificate).
 
 ``trace`` runs a fully instrumented workload + certification, writing a
 JSONL span trace plus a metrics snapshot (see ``docs/OBSERVABILITY.md``
@@ -76,15 +78,9 @@ from typing import Optional, Sequence
 from .core.correctness import certify
 from .core.oracle import oracle_serially_correct
 from .core.serde import dump_case, load_case
-from .generic.system import make_generic_system
-from .locking.moss import MossRWLockingObject
-from .obs import MetricsHooks, MetricsRegistry
+from .obs import MetricsRegistry
+from .parallel import certify_corpus, record_corpus, seeded_run
 from .report import certificate_report, serialization_graph_to_dot
-from .sim.driver import run_system
-from .sim.faults import AbortInjector
-from .sim.policies import EagerInformPolicy, RandomPolicy
-from .sim.workload import CounterKind, RWKind, WorkloadConfig, generate_workload
-from .undo.logging import UndoLoggingObject
 
 __all__ = ["main"]
 
@@ -104,37 +100,19 @@ def _write_metrics(registry: Optional[MetricsRegistry],
         print(f"metrics snapshot written to {path}")
 
 
-def _build_run(args: argparse.Namespace, hooks=None):
-    if args.algorithm == "moss":
-        kind, factory = RWKind(), MossRWLockingObject
-    elif args.algorithm == "read-update":
-        from .locking.read_update import ReadUpdateLockingObject
-
-        kind, factory = CounterKind(), ReadUpdateLockingObject
-    else:
-        kind, factory = CounterKind(), UndoLoggingObject
-    config = WorkloadConfig(
-        seed=args.seed,
-        top_level=args.transactions,
-        objects=args.objects,
-        max_depth=args.depth,
-        kind=kind,
+def _run(args: argparse.Namespace, registry: Optional[MetricsRegistry]):
+    """The seeded run the options name; its counters go to ``registry``."""
+    result, system_type = seeded_run(
+        args.seed,
+        args.algorithm,
+        args.transactions,
+        args.objects,
+        args.depth,
+        args.abort_rate,
+        args.max_steps,
     )
-    system_type, programs = generate_workload(config)
-    system = make_generic_system(system_type, programs, factory, hooks=hooks)
-    policy = EagerInformPolicy(seed=args.seed)
-    if args.abort_rate > 0:
-        policy = AbortInjector(
-            RandomPolicy(args.seed), abort_rate=args.abort_rate, seed=args.seed
-        )
-    result = run_system(
-        system,
-        policy,
-        system_type,
-        max_steps=args.max_steps,
-        resolve_deadlocks=True,
-        hooks=hooks,
-    )
+    if registry is not None:
+        result.stats.record(registry)
     return result, system_type
 
 
@@ -157,8 +135,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     registry = _make_registry(args)
-    hooks = MetricsHooks(registry) if registry is not None else None
-    result, system_type = _build_run(args, hooks=hooks)
+    result, system_type = _run(args, registry)
     print(f"run: {result.stats.summary()}\n")
     if args.stats_json:
         Path(args.stats_json).write_text(
@@ -193,8 +170,6 @@ def _corpus_paths(output: str, seeds: Sequence[int]) -> list:
 def _cmd_record(args: argparse.Namespace) -> int:
     registry = _make_registry(args)
     if args.runs > 1:
-        from .parallel import record_corpus
-
         seeds = range(args.seed, args.seed + args.runs)
         paths = _corpus_paths(args.output, seeds)
         recorded = record_corpus(
@@ -215,8 +190,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
             registry.inc("parallel.cases", len(paths))
         _write_metrics(registry, args)
         return 0
-    hooks = MetricsHooks(registry) if registry is not None else None
-    result, system_type = _build_run(args, hooks=hooks)
+    result, system_type = _run(args, registry)
     text = dump_case(result.behavior, system_type)
     Path(args.output).write_text(text)
     print(f"recorded {len(result.behavior)} events to {args.output}")
@@ -244,6 +218,18 @@ def _load_cases(paths: Sequence[str]):
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    # the DOT graph, oracle and witness preview come from one batch
+    # certificate; refuse them elsewhere rather than drop them
+    if args.engine == "online" or len(args.cases) > 1:
+        mode = "--engine online" if args.engine == "online" else "several cases"
+        for option, requested in (
+            ("--dot", args.dot), ("--oracle", args.oracle),
+            ("--witness", args.witness),
+        ):
+            if requested:
+                print(f"{option} needs one case on the batch engine, not {mode}",
+                      file=sys.stderr)
+                return 1
     cases = _load_cases(args.cases)
     if cases is None:
         return 1
@@ -272,8 +258,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         _write_metrics(registry, args)
         return 0 if all_certified else 2
     if len(cases) > 1:
-        from .parallel import certify_corpus
-
         verdicts = certify_corpus(
             cases, jobs=args.jobs, validate_input=True, metrics=registry
         )
@@ -313,10 +297,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     ring = RingBufferSink()
     tracer = Tracer(ring, JSONLFileSink(args.out), metrics=registry)
-    hooks = MetricsHooks(registry, tracer)
     with tracer.span("trace", seed=args.seed, algorithm=args.algorithm):
         with tracer.span("simulate"):
-            result, system_type = _build_run(args, hooks=hooks)
+            result, system_type = _run(args, registry)
         certificate = certify(
             result.behavior, system_type, tracer=tracer, metrics=registry
         )
@@ -943,12 +926,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for multi-case audits "
                             "(default: 1)")
     audit.add_argument("--dot", help="write the serialization graph as DOT "
-                                     "(single case only)")
+                                     "(one case, batch engine)")
     audit.add_argument("--oracle", action="store_true",
-                       help="on rejection, search for a serial witness anyway")
+                       help="on rejection, search for a serial witness anyway "
+                            "(one case, batch engine)")
     audit.add_argument("--oracle-budget", type=int, default=5000)
     audit.add_argument("--witness", type=int, default=0,
-                       help="preview this many witness events")
+                       help="preview this many witness events "
+                            "(one case, batch engine)")
     audit.add_argument("--engine", choices=("batch", "online"), default="batch",
                        help="batch (full certificate + witness) or online "
                             "(incremental verdict)")

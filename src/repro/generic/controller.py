@@ -31,10 +31,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from ..automata.base import IOAutomaton
-from ..obs.hooks import ObsHooks
 from ..core.actions import (
     Abort,
     Action,
@@ -146,13 +145,8 @@ class GenericController(IOAutomaton):
 
     name = "generic-controller"
 
-    def __init__(
-        self, system_type: SystemType, hooks: Optional[ObsHooks] = None
-    ) -> None:
+    def __init__(self, system_type: SystemType) -> None:
         self.system_type = system_type
-        # Optional observer of dispatch decisions (commit/abort/report/
-        # inform); ``None`` keeps ``effect`` observer-free.
-        self.hooks = hooks
         # Which objects care about a transaction's fate: those with an
         # access in its subtree, in name order.  The model permits
         # informing any object about any transaction (see ``enabled``),
@@ -270,18 +264,10 @@ class GenericController(IOAutomaton):
                 creatable=_remove_by_name(state.creatable, action.transaction),
             )
         if isinstance(action, Commit):
-            if self.hooks is not None:
-                self.hooks.on_commit(action.transaction)
             return self._complete(state, action.transaction, committed=True)
         if isinstance(action, Abort):
-            if self.hooks is not None:
-                self.hooks.on_abort(action.transaction)
             return self._complete(state, action.transaction, committed=False)
         if isinstance(action, (ReportCommit, ReportAbort)):
-            if self.hooks is not None:
-                self.hooks.on_report(
-                    action.transaction, isinstance(action, ReportCommit)
-                )
             path = action.transaction.path
             return replace(
                 state,
@@ -291,10 +277,6 @@ class GenericController(IOAutomaton):
                 ),
             )
         if isinstance(action, (InformCommit, InformAbort)):
-            if self.hooks is not None:
-                self.hooks.on_inform(
-                    action.obj, action.transaction, isinstance(action, InformCommit)
-                )
             path, obj = action.transaction.path, action.obj.name
             return replace(
                 state,

@@ -12,14 +12,13 @@ per-object mixes, which the modular proof technique explicitly allows).
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional
+from typing import Callable, List, Mapping
 
 from ..automata.base import IOAutomaton
 from ..automata.composition import Composition
 from ..core.names import ObjectName, SystemType, TransactionName
 from ..generic.controller import GenericController
 from ..generic.objects import GenericObject
-from ..obs.hooks import ObsHooks
 from ..sim.programs import ProgramTransaction, TransactionProgram, collect_programs
 
 __all__ = ["ObjectFactory", "make_generic_system"]
@@ -32,16 +31,13 @@ def make_generic_system(
     programs: Mapping[TransactionName, TransactionProgram],
     object_factory: ObjectFactory,
     name: str = "generic-system",
-    hooks: "Optional[ObsHooks]" = None,
 ) -> Composition:
     """Compose transactions, generic objects and the generic controller.
 
     ``object_factory`` may also be a mapping from object name to factory
-    when different objects use different algorithms.  ``hooks`` is
-    forwarded to the generic controller so observers see commit/abort/
-    report/inform dispatch.
+    when different objects use different algorithms.
     """
-    components: List[IOAutomaton] = [GenericController(system_type, hooks=hooks)]
+    components: List[IOAutomaton] = [GenericController(system_type)]
     for obj in system_type.object_names():
         if isinstance(object_factory, Mapping):
             factory = object_factory[obj]

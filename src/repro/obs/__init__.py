@@ -1,4 +1,4 @@
-"""repro.obs — tracing, metrics and event hooks for the repro stack.
+"""repro.obs — tracing and metrics for the repro stack.
 
 The observability layer the rest of the library is instrumented with:
 
@@ -8,9 +8,6 @@ The observability layer the rest of the library is instrumented with:
   tags and pluggable sinks (ring buffer, JSONL file, ``logging``),
   behind the zero-overhead :data:`NULL_TRACER` default
   (:mod:`repro.obs.tracer`);
-* :class:`ObsHooks` — the event protocol the simulation driver and
-  generic controller call out through, with :class:`MetricsHooks` as the
-  stock metrics-recording observer (:mod:`repro.obs.hooks`);
 * streaming quantiles — log-bucket layouts with bounded relative error
   (:mod:`repro.obs.quantiles`);
 * exposition — Prometheus text rendering of any registry snapshot and
@@ -31,7 +28,6 @@ from .export import (
     to_prometheus,
 )
 from .flight import FlightRecorder, load_postmortems
-from .hooks import MetricsHooks, ObsHooks
 from .metrics import (
     DEFAULT_DURATION_BUCKETS,
     Counter,
@@ -74,8 +70,6 @@ __all__ = [
     "NULL_TRACER",
     "span_coverage",
     "load_jsonl_trace",
-    "ObsHooks",
-    "MetricsHooks",
     "log_buckets",
     "LATENCY_BUCKETS",
     "bucket_quantile",

@@ -12,7 +12,9 @@ embarrassingly parallel.  This module partitions a corpus across a
 * :func:`simulate_corpus` / :func:`record_corpus` — produce the corpus
   in the first place: run the sim driver over many seeded workload
   configurations, in parallel, optionally writing each run to disk in
-  the ``repro record`` JSON format.
+  the ``repro record`` JSON format.  Each run is :func:`seeded_run`,
+  the one ``repro demo``/``record``/``trace`` make for that seed, so a
+  corpus file is byte-identical to a single ``repro record``.
 
 Shard fan-out is observable: pass a :class:`repro.obs.MetricsRegistry`
 and the engine records ``parallel.jobs`` / ``parallel.shards`` gauges
@@ -36,11 +38,20 @@ from .core.actions import Action, Behavior
 from .core.correctness import certify
 from .core.names import SystemType
 from .core.serde import dump_case
+from .generic.system import make_generic_system
+from .locking.moss import MossRWLockingObject
+from .locking.read_update import ReadUpdateLockingObject
 from .obs.metrics import MetricsRegistry
+from .sim.driver import RunResult, run_system
+from .sim.faults import AbortInjector
+from .sim.policies import EagerInformPolicy, RandomPolicy, SchedulingPolicy
+from .sim.workload import CounterKind, RWKind, WorkloadConfig, generate_workload
+from .undo.logging import UndoLoggingObject
 
 __all__ = [
     "CaseVerdict",
     "certify_corpus",
+    "seeded_run",
     "simulate_corpus",
     "record_corpus",
 ]
@@ -175,47 +186,55 @@ class _SimSpec:
     output: Optional[str] = None
 
 
-def _run_spec(spec: _SimSpec):
-    # imported here so workers (and jobs=1 callers) build their own
-    # automata; keeps this module import-light at the top level
-    from .generic.system import make_generic_system
-    from .locking.moss import MossRWLockingObject
-    from .sim.driver import run_system
-    from .sim.faults import AbortInjector
-    from .sim.policies import EagerInformPolicy, RandomPolicy
-    from .sim.workload import CounterKind, RWKind, WorkloadConfig, generate_workload
-    from .undo.logging import UndoLoggingObject
-
-    if spec.algorithm == "moss":
+def seeded_run(
+    seed: int,
+    algorithm: str = "moss",
+    top_level: int = 4,
+    objects: int = 3,
+    max_depth: int = 2,
+    abort_rate: float = 0.0,
+    max_steps: int = 10_000,
+) -> Tuple[RunResult, SystemType]:
+    """The seeded run ``repro demo``/``record``/``trace`` and the corpus
+    workers simulate: a generated workload over ``algorithm``'s objects
+    (``moss``, ``read-update`` or ``undo``), scheduled by
+    ``EagerInformPolicy`` or, with a positive ``abort_rate``, by an
+    ``AbortInjector`` over ``RandomPolicy``, with deadlocks resolved."""
+    if algorithm == "moss":
         kind, factory = RWKind(), MossRWLockingObject
-    elif spec.algorithm == "read-update":
-        from .locking.read_update import ReadUpdateLockingObject
-
+    elif algorithm == "read-update":
         kind, factory = CounterKind(), ReadUpdateLockingObject
-    elif spec.algorithm == "undo":
+    elif algorithm == "undo":
         kind, factory = CounterKind(), UndoLoggingObject
     else:
-        raise ValueError(f"unknown algorithm {spec.algorithm!r}")
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     config = WorkloadConfig(
-        seed=spec.seed,
-        top_level=spec.top_level,
-        objects=spec.objects,
-        max_depth=spec.max_depth,
+        seed=seed,
+        top_level=top_level,
+        objects=objects,
+        max_depth=max_depth,
         kind=kind,
     )
     system_type, programs = generate_workload(config)
     system = make_generic_system(system_type, programs, factory)
-    policy = EagerInformPolicy(seed=spec.seed)
-    if spec.abort_rate > 0:
-        policy = AbortInjector(
-            RandomPolicy(spec.seed), abort_rate=spec.abort_rate, seed=spec.seed
-        )
+    policy: SchedulingPolicy = EagerInformPolicy(seed=seed)
+    if abort_rate > 0:
+        policy = AbortInjector(RandomPolicy(seed), abort_rate=abort_rate, seed=seed)
     result = run_system(
-        system,
-        policy,
-        system_type,
-        max_steps=spec.max_steps,
-        resolve_deadlocks=True,
+        system, policy, system_type, max_steps=max_steps, resolve_deadlocks=True
+    )
+    return result, system_type
+
+
+def _run_spec(spec: _SimSpec):
+    result, system_type = seeded_run(
+        spec.seed,
+        spec.algorithm,
+        spec.top_level,
+        spec.objects,
+        spec.max_depth,
+        spec.abort_rate,
+        spec.max_steps,
     )
     if spec.output is not None:
         Path(spec.output).write_text(dump_case(result.behavior, system_type))
@@ -271,9 +290,8 @@ def simulate_corpus(
     """Run one seeded sim-driver workload per seed, ``jobs`` at a time.
 
     Returns ``(behavior, system_type)`` pairs in seed order — a corpus
-    ready for :func:`certify_corpus`.  Each run is the same deterministic
-    workload the CLI's ``demo``/``record`` commands produce for that
-    seed.
+    ready for :func:`certify_corpus`.  Each run is :func:`seeded_run`
+    for that seed.
     """
     specs = _make_specs(
         seeds, algorithm, top_level, objects, max_depth, abort_rate, max_steps

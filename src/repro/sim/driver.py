@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import List, Optional
 
 from ..automata.composition import Composition
@@ -30,7 +31,6 @@ from ..core.actions import (
 from ..core.names import SystemType, TransactionName
 from ..generic.controller import GenericController
 from ..generic.objects import GenericObject
-from ..obs.hooks import ObsHooks
 from .policies import SchedulingPolicy
 from .stats import RunStats
 
@@ -53,7 +53,6 @@ def run_system(
     max_steps: int = 10_000,
     collect_blocking: bool = False,
     resolve_deadlocks: bool = False,
-    hooks: Optional[ObsHooks] = None,
 ) -> RunResult:
     """Run ``system`` under ``policy`` until quiescence or ``max_steps``.
 
@@ -66,11 +65,6 @@ def run_system(
     the way deployed systems do: the top-level ancestor of the least
     blocked access is aborted, releasing its subtree's locks.  Victim
     aborts are counted in ``stats.deadlock_aborts``.
-
-    ``hooks`` (an :class:`repro.obs.hooks.ObsHooks`) observes the run:
-    one ``on_policy_choice``/``on_step`` per step, plus quiescence and
-    deadlock-resolution events.  ``None`` (the default) skips all
-    observer work.
     """
     state = system.initial_state()
     trace: List[Action] = []
@@ -87,12 +81,17 @@ def run_system(
     ]
 
     def pick_deadlock_victim() -> Optional[Abort]:
+        # the names' own order, compared as path tuples in C rather than
+        # through the dataclass's Python-level ``__lt__``
         blocked = sorted(
-            access
-            for generic_object in objects
-            for access in generic_object.blocked_accesses(
-                state[generic_object.name]
-            )
+            (
+                access
+                for generic_object in objects
+                for access in generic_object.blocked_accesses(
+                    state[generic_object.name]
+                )
+            ),
+            key=attrgetter("path"),
         )
         for access in blocked:
             top = TransactionName(access.path[:1])
@@ -122,20 +121,14 @@ def run_system(
         if offer_aborts is not None:
             offer_aborts(controller.enabled_aborts(state[controller.name]))
         choice = policy.choose(enabled)
-        if hooks is not None:
-            hooks.on_policy_choice(enabled, choice)
         if choice is None:
             if resolve_deadlocks and not enabled:
                 victim = pick_deadlock_victim()
                 if victim is not None:
                     choice = victim
                     stats.deadlock_aborts += 1
-                    if hooks is not None:
-                        hooks.on_deadlock_abort(victim.transaction)
             if choice is None:
                 stats.quiescent = not enabled
-                if hooks is not None and stats.quiescent:
-                    hooks.on_quiescence(stats.steps)
                 break
         previous, state = state, system.effect(state, choice)
         for component in system.participants(choice):
@@ -146,8 +139,6 @@ def run_system(
                 )
         trace.append(choice)
         policy.observe(choice)
-        if hooks is not None:
-            hooks.on_step(stats.steps, choice)
         stats.steps += 1
         stats.count(type(choice).__name__)
         if isinstance(choice, Commit):

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from ..obs.metrics import MetricsRegistry
+
 __all__ = ["RunStats"]
 
 
@@ -38,6 +40,30 @@ class RunStats:
             "deadlock_aborts": self.deadlock_aborts,
             "quiescent": self.quiescent,
         }
+
+    def record(self, metrics: MetricsRegistry) -> None:
+        """Publish the run's counters into ``metrics``, once, after the run.
+
+        ``driver.*`` counts the executed steps, per action class and the
+        deadlock victims; ``controller.*`` the commits (top-level ones
+        split out) and aborts.  A counter is created only when its
+        count is non-zero, and the ``driver.quiescent`` gauge only when
+        the run drained.
+        """
+        if self.steps:
+            metrics.inc("driver.steps", self.steps)
+        for kind, count in self.action_counts.items():
+            metrics.inc(f"driver.action.{kind}", count)
+        if self.quiescent:
+            metrics.set_gauge("driver.quiescent", 1)
+        if self.deadlock_aborts:
+            metrics.inc("driver.deadlock_aborts", self.deadlock_aborts)
+        if self.committed:
+            metrics.inc("controller.commits", self.committed)
+        if self.top_level_committed:
+            metrics.inc("controller.top_level_commits", self.top_level_committed)
+        if self.aborted:
+            metrics.inc("controller.aborts", self.aborted)
 
     def summary(self) -> str:
         return (

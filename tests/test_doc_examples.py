@@ -22,6 +22,7 @@ DOC_FILES = [
     "docs/ARCHITECTURE.md",
     "docs/PERFORMANCE.md",
     "docs/DISTRIBUTED.md",
+    "docs/OBSERVABILITY.md",
 ]
 
 

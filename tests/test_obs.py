@@ -1,4 +1,4 @@
-"""Tests for the observability layer: metrics, tracer, sinks, hooks."""
+"""Tests for the observability layer: metrics, tracer, sinks, run counters."""
 
 import json
 import logging
@@ -7,9 +7,9 @@ import pytest
 
 from repro import (
     EagerInformPolicy,
-    MetricsHooks,
     MossRWLockingObject,
     OnlineCertifier,
+    RunStats,
     WorkloadConfig,
     certify,
     generate_workload,
@@ -29,21 +29,19 @@ from repro.obs import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.obs.tracer import _NULL_SPAN
+from repro.parallel import seeded_run
 
 
-def run_workload(seed=7, top_level=4, hooks=None):
+def run_workload(seed=7, top_level=4):
     system_type, programs = generate_workload(
         WorkloadConfig(seed=seed, top_level=top_level, objects=3, max_depth=2)
     )
-    system = make_generic_system(
-        system_type, programs, MossRWLockingObject, hooks=hooks
-    )
+    system = make_generic_system(system_type, programs, MossRWLockingObject)
     result = run_system(
         system,
         EagerInformPolicy(seed=seed),
         system_type,
         resolve_deadlocks=True,
-        hooks=hooks,
     )
     return result, system_type
 
@@ -241,30 +239,29 @@ class TestTracer:
 
 
 class TestHooksIntegration:
-    def test_driver_and_controller_hooks_match_stats(self):
+    def test_run_stats_record_writes_each_kept_name(self):
+        # injected aborts, deadlock victims and top-level commits in one run
+        stats = seeded_run(3, top_level=8, abort_rate=0.1)[0].stats
+        assert stats.aborted and stats.deadlock_aborts
+        assert stats.top_level_committed and stats.quiescent
         registry = MetricsRegistry()
-        hooks = MetricsHooks(registry)
-        result, _ = run_workload(hooks=hooks)
-        counters = registry.snapshot()["counters"]
-        assert counters["driver.steps"] == result.stats.steps
-        assert counters["controller.commits"] == result.stats.committed
-        assert counters.get("controller.aborts", 0) == result.stats.aborted
-        assert (
-            counters.get("controller.top_level_commits", 0)
-            == result.stats.top_level_committed
-        )
-        assert counters.get("driver.deadlock_aborts", 0) == (
-            result.stats.deadlock_aborts
-        )
-        gauges = registry.snapshot()["gauges"]
-        assert bool(gauges.get("driver.quiescent", 0)) == result.stats.quiescent
-        # per-action counters sum to the step count
-        action_total = sum(
-            count
-            for name, count in counters.items()
-            if name.startswith("driver.action.")
-        )
-        assert action_total == result.stats.steps
+        stats.record(registry)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {
+            "driver.steps": stats.steps,
+            "driver.deadlock_aborts": stats.deadlock_aborts,
+            "controller.commits": stats.committed,
+            "controller.top_level_commits": stats.top_level_committed,
+            "controller.aborts": stats.aborted,
+            **{f"driver.action.{kind}": count
+               for kind, count in stats.action_counts.items()},
+        }
+        assert snapshot["gauges"] == {"driver.quiescent": 1}
+        assert snapshot["histograms"] == {}
+        # a name is created only for a count the run made
+        empty = MetricsRegistry()
+        RunStats().record(empty)
+        assert empty.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
     def test_certify_spans_cover_phases(self):
         result, system_type = run_workload(top_level=6)

@@ -142,6 +142,17 @@ class TestCLI:
         snapshot = json.loads(metrics.read_text())
         assert snapshot["gauges"]["parallel.shards"] == 3
 
+    def test_corpus_files_equal_single_records(self, tmp_path, capsys):
+        assert main([
+            "record", "--runs", "2", "--seed", "20",
+            "-o", str(tmp_path / "corpus.json"),
+        ]) == 0
+        for seed in (20, 21):
+            single = tmp_path / f"single-{seed}.json"
+            assert main(["record", "--seed", str(seed), "-o", str(single)]) == 0
+            corpus = tmp_path / f"corpus-s{seed}.json"
+            assert corpus.read_bytes() == single.read_bytes()
+
     def test_audit_online_engine(self, tmp_path, capsys):
         output = tmp_path / "run.json"
         assert main([

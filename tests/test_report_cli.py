@@ -82,6 +82,26 @@ class TestCLI:
         assert code == 0
         assert dot.read_text().startswith("digraph SG {")
 
+    @pytest.mark.parametrize(
+        "option", [["--dot", "g.dot"], ["--oracle"], ["--witness", "5"]],
+        ids=["dot", "oracle", "witness"],
+    )
+    @pytest.mark.parametrize(
+        "mode", [["run.json", "--engine", "online"], ["run.json", "run.json"]],
+        ids=["online", "corpus"],
+    )
+    def test_audit_refuses_options_it_cannot_honour(
+        self, tmp_path, monkeypatch, capsys, mode, option
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["record", "--seed", "1", "-o", "run.json"]) == 0
+        capsys.readouterr()
+        assert main(["audit", *mode, *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert option[0] in captured.err
+        assert not (tmp_path / "g.dot").exists()
+
     def test_audit_rejects_tampered_case(self, tmp_path, capsys):
         """Corrupt a recorded read value: the audit must fail with exit 2."""
         case = tmp_path / "run.json"

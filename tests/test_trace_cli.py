@@ -67,11 +67,31 @@ class TestMetricsFlags:
 
     def test_demo_metrics_json(self, tmp_path, capsys):
         metrics_path = tmp_path / "m.json"
-        code = main(["demo", "--seed", "1", "--metrics-json", str(metrics_path)])
+        stats_path = tmp_path / "stats.json"
+        code = main(["demo", "--seed", "3", "--abort-rate", "0.1",
+                     "--transactions", "8", "--metrics-json", str(metrics_path),
+                     "--stats-json", str(stats_path)])
         assert code == 0
         metrics = json.loads(metrics_path.read_text())
-        assert metrics["counters"]["driver.steps"] > 0
-        assert metrics["counters"]["certify.runs"] == 1
+        stats = json.loads(stats_path.read_text())
+        counters = metrics["counters"]
+        assert counters["certify.runs"] == 1
+        # the run's counters are its stats, one name per non-zero count
+        assert stats["aborted"] and stats["deadlock_aborts"]
+        run_counters = {
+            name: value for name, value in counters.items()
+            if name.startswith(("driver.", "controller."))
+        }
+        assert run_counters == {
+            "driver.steps": stats["steps"],
+            "driver.deadlock_aborts": stats["deadlock_aborts"],
+            "controller.commits": stats["committed"],
+            "controller.top_level_commits": stats["top_level_committed"],
+            "controller.aborts": stats["aborted"],
+            **{f"driver.action.{kind}": count
+               for kind, count in stats["action_counts"].items()},
+        }
+        assert stats["quiescent"] and metrics["gauges"]["driver.quiescent"] == 1
 
     def test_record_and_audit_metrics_json(self, tmp_path, capsys):
         case = tmp_path / "run.json"
