@@ -18,11 +18,45 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from ..core.actions import Action
 
-__all__ = ["IOAutomaton", "Execution", "replay_schedule", "behavior_of"]
+__all__ = ["IOAutomaton", "Execution", "replay_schedule", "behavior_of", "evolve"]
+
+State = TypeVar("State")
+
+
+def evolve(state: State, **changes: Any) -> State:
+    """``state`` with the fields named in ``changes`` replaced.
+
+    The result equals ``dataclasses.replace(state, **changes)`` for the
+    frozen dataclass states the automata here keep, which have no
+    ``__post_init__`` and only immutable fields.  It is made by one
+    ``__dict__`` copy that shares the unchanged fields, where
+    ``replace`` calls ``__init__`` with every field; effects run once
+    per simulated step, and the copy is several times cheaper.  Like
+    ``replace``, it raises ``TypeError`` for a name that is not a
+    field, which the copy would otherwise store beside the fields,
+    outside equality and hashing.
+    """
+    fields = state.__dataclass_fields__  # type: ignore[attr-defined]
+    if not changes.keys() <= fields.keys():
+        unknown = ", ".join(sorted(changes.keys() - fields.keys()))
+        raise TypeError(f"{type(state).__name__} has no field {unknown}")
+    new = object.__new__(type(state))
+    new.__dict__.update(state.__dict__, **changes)
+    return new
 
 
 class IOAutomaton(ABC):

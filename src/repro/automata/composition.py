@@ -29,12 +29,14 @@ class Composition(IOAutomaton):
     one object, so it has only a few, and :meth:`participants` finds them
     through an index built here from each component's
     :meth:`IOAutomaton.routing_keys`: it looks the action up by its
-    transaction, that transaction's parent and its object, adds the
-    components that declared no keys, and keeps those whose
-    ``is_action`` holds, in component order.  Keys are fixed at
-    composition: a component's signature must not change afterwards.
-    Component methods are looked up on each component at call time, so
-    wrappers installed on a component instance see every call.
+    transaction, that transaction's parent and its object (remembering
+    the candidates per transaction and object), adds the components
+    that declared no keys, and keeps those whose ``is_action`` holds,
+    in component order.  The same pass finds the one participant that
+    has the action as an output.  Keys are fixed at composition: a
+    component's signature must not change afterwards.  Component
+    methods are looked up on each component at call time, so wrappers
+    installed on a component instance see every call.
     """
 
     def __init__(self, components: Sequence[IOAutomaton], name: str = "system") -> None:
@@ -54,52 +56,68 @@ class Composition(IOAutomaton):
                 routes[key] = routes.get(key, ()) + (position,)
         self._everywhere: Tuple[int, ...] = tuple(everywhere)
         self._routes = routes
+        # the components keyed by an action's transaction, that
+        # transaction's parent or its object, by (transaction, object)
+        self._candidates: Dict[
+            Tuple[Any, Optional[Hashable]], Tuple[IOAutomaton, ...]
+        ] = {}
         # one-slot memo: the driver asks for the participants of the
         # action it has just applied through ``effect``
-        self._routed: Tuple[Optional[Action], Tuple[IOAutomaton, ...]] = (None, ())
+        self._routed: Tuple[
+            Optional[Action], Tuple[IOAutomaton, ...], Optional[IOAutomaton]
+        ] = (None, (), None)
+
+    def _route(
+        self, action: Action
+    ) -> Tuple[Tuple[IOAutomaton, ...], Optional[IOAutomaton]]:
+        """``action``'s participants, in component order, and the one
+        among them that has it as an output, if any, found in one pass
+        over the routed candidates.  Raises when two components output
+        ``action`` (strong compatibility)."""
+        routed, participants, owner = self._routed
+        if action is routed:
+            return participants, owner
+        transaction = action.transaction
+        obj = getattr(action, "obj", None)
+        candidates = self._candidates.get((transaction, obj))
+        if candidates is None:
+            routes = self._routes
+            found = self._everywhere + routes.get(transaction, ())
+            if transaction.path:
+                found += routes.get(transaction.parent, ())
+            if obj is not None:
+                found += routes.get(obj, ())
+            candidates = tuple(map(self.components.__getitem__, sorted(set(found))))
+            self._candidates[transaction, obj] = candidates
+        members: List[IOAutomaton] = []
+        owner = None
+        for component in candidates:
+            if not component.is_action(action):
+                continue
+            members.append(component)
+            if component.is_output(action):
+                if owner is not None:
+                    owners = [c.name for c in members if c.is_output(action)]
+                    raise ValueError(
+                        f"{action} is an output of multiple components: {owners}"
+                    )
+                owner = component
+        participants = tuple(members)
+        self._routed = (action, participants, owner)
+        return participants, owner
 
     def participants(self, action: Action) -> Tuple[IOAutomaton, ...]:
         """The components whose signature holds ``action``, in component order."""
-        routed, participants = self._routed
-        if action is routed:
-            return participants
-        routes = self._routes
-        transaction = action.transaction
-        found = self._everywhere + routes.get(transaction, ())
-        if transaction.path:
-            found += routes.get(transaction.parent, ())
-        obj = getattr(action, "obj", None)
-        if obj is not None:
-            found += routes.get(obj, ())
-        components = self.components
-        participants = tuple(
-            component
-            for component in map(components.__getitem__, sorted(set(found)))
-            if component.is_action(action)
-        )
-        self._routed = (action, participants)
-        return participants
-
-    def _owner(self, action: Action) -> Optional[IOAutomaton]:
-        """The one participant with ``action`` as an output, if any."""
-        owners = [c for c in self.participants(action) if c.is_output(action)]
-        if len(owners) > 1:
-            raise ValueError(
-                f"{action} is an output of multiple components: "
-                f"{[c.name for c in owners]}"
-            )
-        return owners[0] if owners else None
+        return self._route(action)[0]
 
     # -- signature -------------------------------------------------------
 
     def is_input(self, action: Action) -> bool:
-        participants = self.participants(action)
-        return bool(participants) and not any(
-            c.is_output(action) for c in participants
-        )
+        participants, owner = self._route(action)
+        return bool(participants) and owner is None
 
     def is_output(self, action: Action) -> bool:
-        return any(c.is_output(action) for c in self.participants(action))
+        return self._route(action)[1] is not None
 
     # -- transitions ------------------------------------------------------
 
@@ -107,18 +125,16 @@ class Composition(IOAutomaton):
         return {c.name: c.initial_state() for c in self.components}
 
     def enabled(self, state: Dict[str, Any], action: Action) -> bool:
-        owner = self._owner(action)
+        participants, owner = self._route(action)
         if owner is not None:
             return owner.enabled(state[owner.name], action)
-        return bool(self.participants(action))
+        return bool(participants)
 
     def effect(self, state: Dict[str, Any], action: Action) -> Dict[str, Any]:
-        self._owner(action)  # strong compatibility: at most one outputs it
         new_state = dict(state)
-        for component in self.participants(action):
-            new_state[component.name] = component.effect(
-                state[component.name], action
-            )
+        for component in self._route(action)[0]:
+            name = component.name
+            new_state[name] = component.effect(state[name], action)
         return new_state
 
     def enabled_outputs(self, state: Dict[str, Any]) -> Iterator[Action]:

@@ -84,6 +84,10 @@ from .report import certificate_report, serialization_graph_to_dot
 
 __all__ = ["main"]
 
+#: sibling orders ``repro audit --oracle`` tries unless ``--oracle-budget``
+#: says otherwise
+ORACLE_BUDGET = 5000
+
 
 def _make_registry(args: argparse.Namespace) -> Optional[MetricsRegistry]:
     """A metrics registry when any metrics output was requested."""
@@ -182,12 +186,10 @@ def _cmd_record(args: argparse.Namespace) -> int:
             abort_rate=args.abort_rate,
             max_steps=args.max_steps,
             jobs=args.jobs,
+            metrics=registry,
         )
         for path, events in recorded:
             print(f"recorded {events} events to {path}")
-        if registry is not None:
-            registry.set_gauge("parallel.jobs", min(args.jobs, len(paths)))
-            registry.inc("parallel.cases", len(paths))
         _write_metrics(registry, args)
         return 0
     result, system_type = _run(args, registry)
@@ -224,12 +226,16 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         mode = "--engine online" if args.engine == "online" else "several cases"
         for option, requested in (
             ("--dot", args.dot), ("--oracle", args.oracle),
+            ("--oracle-budget", args.oracle_budget is not None),
             ("--witness", args.witness),
         ):
             if requested:
                 print(f"{option} needs one case on the batch engine, not {mode}",
                       file=sys.stderr)
                 return 1
+    if args.oracle_budget is not None and not args.oracle:
+        print("--oracle-budget needs --oracle", file=sys.stderr)
+        return 1
     cases = _load_cases(args.cases)
     if cases is None:
         return 1
@@ -279,8 +285,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         )
         print(f"\nserialization graph written to {args.dot}")
     if args.oracle and not certificate.certified:
+        budget = ORACLE_BUDGET if args.oracle_budget is None else args.oracle_budget
         verdict = oracle_serially_correct(behavior, system_type,
-                                          max_orders=args.oracle_budget)
+                                          max_orders=budget)
         print(
             f"\nbrute-force oracle ({verdict.orders_tried} orders"
             f"{', truncated' if verdict.truncated else ''}): "
@@ -930,7 +937,9 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--oracle", action="store_true",
                        help="on rejection, search for a serial witness anyway "
                             "(one case, batch engine)")
-    audit.add_argument("--oracle-budget", type=int, default=5000)
+    audit.add_argument("--oracle-budget", type=int,
+                       help="sibling orders the oracle may try (with "
+                            f"--oracle; default: {ORACLE_BUDGET})")
     audit.add_argument("--witness", type=int, default=0,
                        help="preview this many witness events "
                             "(one case, batch engine)")

@@ -40,7 +40,7 @@ _INTERNED: Dict[Tuple[str, ...], "TransactionName"] = {}
 _CHAINS: Dict[Tuple[str, ...], Tuple["TransactionName", ...]] = {}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TransactionName:
     """A transaction name: a path of components from the root ``T0``.
 
@@ -48,9 +48,16 @@ class TransactionName:
     child ``b`` of the child ``a`` of the root.  Names are immutable,
     hashable and totally ordered (lexicographically), which makes them
     usable as graph nodes and dict keys.
+
+    The hash is the dataclass's, ``hash((path,))``, computed once at
+    construction and kept in a slot beside the path: the simulator
+    hashes names in every set and dict it touches.  It depends on
+    ``PYTHONHASHSEED``, so a pickled name carries only its path and
+    re-hashes where it is loaded.
     """
 
     path: Tuple[str, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.path, tuple):
@@ -58,6 +65,13 @@ class TransactionName:
         for part in self.path:
             if not isinstance(part, str) or not part:
                 raise ValueError(f"path components must be non-empty strings: {self.path!r}")
+        object.__setattr__(self, "_hash", hash((self.path,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Tuple[str, ...]]]:
+        return (TransactionName, (self.path,))
 
     # -- interning -------------------------------------------------------
 
@@ -191,15 +205,27 @@ def lca(a: TransactionName, b: TransactionName) -> TransactionName:
     return a.prefix(i)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ObjectName:
-    """The name of a shared data object."""
+    """The name of a shared data object.
+
+    Like :class:`TransactionName`, it computes its hash once and pickles
+    as its name alone.
+    """
 
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("object names must be non-empty strings")
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[Any, Tuple[str]]:
+        return (ObjectName, (self.name,))
 
     def __str__(self) -> str:
         return self.name

@@ -34,13 +34,14 @@ how often, with the brute-force oracle as ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, FrozenSet, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, FrozenSet, Optional, Tuple
 
+from ..automata.base import evolve
 from ..core.actions import Action, Create, InformAbort, InformCommit, RequestCommit
 from ..core.names import ROOT, ObjectName, SystemType, TransactionName
 from ..core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
-from ..generic.objects import GenericObject
+from ..generic.objects import BLOCKED, GenericObject, ObjectState
 from ..locking.visibility import inform_chain
 
 __all__ = ["Version", "MVTOState", "MVTORWObject"]
@@ -57,11 +58,9 @@ class Version:
 
 
 @dataclass(frozen=True)
-class MVTOState:
+class MVTOState(ObjectState):
     """Versions, recorded reads, and the usual bookkeeping sets."""
 
-    created: FrozenSet[TransactionName] = frozenset()
-    commit_requested: FrozenSet[TransactionName] = frozenset()
     versions: Tuple[Version, ...] = ()
     # recorded reads: (reader timestamp, reader access, version read)
     reads: Tuple[Tuple[TransactionName, TransactionName, Version], ...] = ()
@@ -147,9 +146,9 @@ class MVTORWObject(GenericObject):
 
     def effect(self, state: MVTOState, action: Action) -> MVTOState:
         if isinstance(action, Create):
-            return replace(state, created=state.created | {action.transaction})
+            return self.create_access(state, action.transaction)
         if isinstance(action, InformCommit):
-            return replace(state, committed=state.committed | {action.transaction})
+            return evolve(state, committed=state.committed | {action.transaction})
         if isinstance(action, InformAbort):
             doomed = action.transaction
             versions = tuple(
@@ -162,19 +161,17 @@ class MVTORWObject(GenericObject):
                 for entry in state.reads
                 if not doomed.is_ancestor_of(entry[1])
             )
-            return replace(state, versions=versions, reads=reads)
+            return evolve(state, versions=versions, reads=reads)
         if isinstance(action, RequestCommit):
             transaction = action.transaction
             op = self.system_type.access(transaction).op
-            new = replace(
-                state, commit_requested=state.commit_requested | {transaction}
-            )
             if isinstance(op, ReadOp):
                 version = self._read_enabled(state, transaction)
                 assert version is not None
-                return replace(
-                    new,
-                    reads=new.reads
+                return self.answer_access(
+                    state,
+                    transaction,
+                    reads=state.reads
                     + ((_timestamp(transaction), transaction, version),),
                 )
             timestamp = _timestamp(transaction)
@@ -183,26 +180,24 @@ class MVTORWObject(GenericObject):
                 default=0,
             )
             version = Version(timestamp, sequence, op.data, transaction)
-            return replace(new, versions=new.versions + (version,))
+            return self.answer_access(
+                state, transaction, versions=state.versions + (version,)
+            )
         raise ValueError(f"{self.name}: {action} not in signature")
 
-    def enabled_outputs(self, state: MVTOState) -> Iterator[Action]:
-        for transaction in sorted(state.created - state.commit_requested):
-            op = self.system_type.access(transaction).op
+    def response(self, state: MVTOState) -> Callable[[TransactionName], Any]:
+        """A read responds with the data of the version it would read
+        once that version's writer is stable; a write with ``OK`` unless
+        a later reader already read past its slot."""
+        access = self.system_type.access
+
+        def respond(transaction: TransactionName) -> Any:
+            op = access(transaction).op
             if isinstance(op, ReadOp):
                 version = self._read_enabled(state, transaction)
-                if version is not None:
-                    yield RequestCommit(transaction, version.data)
-            elif isinstance(op, WriteOp) and self._write_enabled(state, transaction):
-                yield RequestCommit(transaction, OK)
+                return BLOCKED if version is None else version.data
+            if isinstance(op, WriteOp) and self._write_enabled(state, transaction):
+                return OK
+            return BLOCKED
 
-    def blocked_accesses(self, state: MVTOState) -> Iterator[TransactionName]:
-        for transaction in sorted(state.created - state.commit_requested):
-            op = self.system_type.access(transaction).op
-            if isinstance(op, ReadOp):
-                if self._read_enabled(state, transaction) is None:
-                    yield transaction
-            elif isinstance(op, WriteOp) and not self._write_enabled(
-                state, transaction
-            ):
-                yield transaction
+        return respond

@@ -29,11 +29,11 @@ order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, FrozenSet, Iterator, List, Set, Tuple
 
-from ..automata.base import IOAutomaton
+from ..automata.base import IOAutomaton, evolve
 from ..core.actions import (
     Abort,
     Action,
@@ -241,7 +241,7 @@ class GenericController(IOAutomaton):
                 changes["abortable"] = _insert_by_name(
                     state.abortable, Abort(transaction)
                 )
-            return replace(state, **changes)
+            return evolve(state, **changes)
         if isinstance(action, RequestCommit):
             transaction = action.transaction
             if state.commit_requested(transaction):
@@ -256,9 +256,9 @@ class GenericController(IOAutomaton):
                 changes["owed"] = _insert_owed(
                     state.owed, [ReportCommit(transaction, action.value)]
                 )
-            return replace(state, **changes)
+            return evolve(state, **changes)
         if isinstance(action, Create):
-            return replace(
+            return evolve(
                 state,
                 created=state.created | {action.transaction},
                 creatable=_remove_by_name(state.creatable, action.transaction),
@@ -269,7 +269,7 @@ class GenericController(IOAutomaton):
             return self._complete(state, action.transaction, committed=False)
         if isinstance(action, (ReportCommit, ReportAbort)):
             path = action.transaction.path
-            return replace(
+            return evolve(
                 state,
                 reported=state.reported | {action.transaction},
                 owed=_remove_owed(
@@ -278,7 +278,7 @@ class GenericController(IOAutomaton):
             )
         if isinstance(action, (InformCommit, InformAbort)):
             path, obj = action.transaction.path, action.obj.name
-            return replace(
+            return evolve(
                 state,
                 informed=state.informed | {(action.obj, action.transaction)},
                 owed=_remove_owed(
@@ -323,7 +323,7 @@ class GenericController(IOAutomaton):
                 if commit.transaction != transaction
             )
             changes["abortable"] = _remove_by_name(state.abortable, transaction)
-        return replace(state, **changes)
+        return evolve(state, **changes)
 
     def enabled_outputs(self, state: GenericControllerState) -> Iterator[Action]:
         """CREATEs by name, COMMITs by request, then the owed reports and

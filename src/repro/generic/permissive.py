@@ -12,20 +12,21 @@ That is deliberately *unsafe*.  The robustness validation bridge
 interleavings a NOT-ROBUST verdict predicts: run the implicated
 program templates over permissive objects, hand the behavior to the
 certifier, and check that the serialization graph really does close a
-cycle.  It doubles as the weakest member of the controller family
-ROADMAP item 4 calls for — the baseline every isolation level is
-measured against.
+cycle.  It is also the weakest generic object here: the baseline
+against which the others' admitted concurrency is measured.
 
-The log stays a legal serial behavior of ``S_X`` by construction (each
-value is computed by replaying the log through ``spec.apply``), so the
-object never blocks and runs always complete; only the *order* the
-accesses committed in — and therefore the serialization graph — can go
-wrong.
+Each value is computed by running the log's operations through
+``spec.apply``, whatever values they returned, so the object never
+blocks and runs always complete; only the *order* the accesses
+committed in — and therefore the serialization graph — can go wrong.
+The enumeration reads that value off the replayed state undo logging
+keeps; :meth:`PermissiveObject._forced_value` replays the log and is
+the definition.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..core.names import ObjectName, SystemType, TransactionName
 from ..generic.objects import GenericObject
@@ -41,11 +42,12 @@ class PermissiveObject(UndoLoggingObject):
     def __init__(self, obj: ObjectName, system_type: SystemType) -> None:
         GenericObject.__init__(self, obj, system_type)
         self.spec = system_type.spec(obj)
-        if not hasattr(self.spec, "apply"):
-            raise TypeError(
-                f"spec for {obj} lacks 'apply'; the permissive object "
-                "replays its log through it"
-            )
+        for required in ("initial", "apply"):
+            if not hasattr(self.spec, required):
+                raise TypeError(
+                    f"spec for {obj} lacks {required!r}; the permissive object "
+                    "replays its log through it"
+                )
         self.name = f"P_{obj}"
 
     def _commutes_with_uncommitted(
@@ -54,13 +56,8 @@ class PermissiveObject(UndoLoggingObject):
         """No concurrency control: everything commutes."""
         return True
 
-    def _forced_value(
-        self, state: UndoLogState, transaction: TransactionName
-    ) -> Optional[Any]:
+    def _forced_value(self, state: UndoLogState, transaction: TransactionName) -> Any:
         """The value the raw log determines — replay, don't validate."""
         op = self.system_type.access(transaction).op
-        current = getattr(self.spec, "initial", None)
-        for prior_op, _ in self._pairs(state.operations):
-            current, _ = self.spec.apply(current, prior_op)
-        _, value = self.spec.apply(current, op)
+        _, value = self.spec.apply(self._replay(state.operations), op)
         return value

@@ -24,9 +24,10 @@ obligations directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, FrozenSet, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, FrozenSet, Tuple
 
+from ..automata.base import evolve
 from ..core.actions import (
     Action,
     Create,
@@ -36,7 +37,7 @@ from ..core.actions import (
 )
 from ..core.names import ROOT, ObjectName, SystemType, TransactionName
 from ..core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
-from ..generic.objects import GenericObject
+from ..generic.objects import BLOCKED, GenericObject, ObjectState
 
 __all__ = [
     "MossState",
@@ -47,15 +48,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MossState:
+class MossState(ObjectState):
     """The state of ``M1_X``.
 
     ``write_locks`` maps each write lockholder to its stored value; it is
     kept as a sorted tuple of pairs so states stay hashable.
     """
 
-    created: FrozenSet[TransactionName] = frozenset()
-    commit_requested: FrozenSet[TransactionName] = frozenset()
     write_locks: Tuple[Tuple[TransactionName, Any], ...] = ()
     read_lockholders: FrozenSet[TransactionName] = frozenset()
 
@@ -73,13 +72,13 @@ class MossState:
         locks = tuple(
             (name, existing) for name, existing in self.write_locks if name != holder
         )
-        return replace(self, write_locks=tuple(sorted(locks + ((holder, value),))))
+        return evolve(self, write_locks=tuple(sorted(locks + ((holder, value),))))
 
     def without_write_locks(self, holders: FrozenSet[TransactionName]) -> "MossState":
         locks = tuple(
             (name, value) for name, value in self.write_locks if name not in holders
         )
-        return replace(self, write_locks=locks)
+        return evolve(self, write_locks=locks)
 
 
 def least_write_lockholder(state: MossState) -> TransactionName:
@@ -145,7 +144,7 @@ class MossRWLockingObject(GenericObject):
 
     def effect(self, state: MossState, action: Action) -> MossState:
         if isinstance(action, Create):
-            return replace(state, created=state.created | {action.transaction})
+            return self.create_access(state, action.transaction)
         if isinstance(action, InformCommit):
             transaction = action.transaction
             new = state
@@ -155,7 +154,7 @@ class MossRWLockingObject(GenericObject):
                 new = new.with_write_lock(transaction.parent, inherited)
             if transaction in new.read_lockholders:
                 holders = (new.read_lockholders - {transaction}) | {transaction.parent}
-                new = replace(new, read_lockholders=frozenset(holders))
+                new = evolve(new, read_lockholders=frozenset(holders))
             return new
         if isinstance(action, InformAbort):
             transaction = action.transaction
@@ -170,36 +169,37 @@ class MossRWLockingObject(GenericObject):
                 if transaction.is_ancestor_of(holder)
             )
             new = state.without_write_locks(doomed_writes)
-            return replace(new, read_lockholders=new.read_lockholders - doomed_reads)
+            return evolve(new, read_lockholders=new.read_lockholders - doomed_reads)
         if isinstance(action, RequestCommit):
             transaction = action.transaction
             op = self.system_type.access(transaction).op
-            new = replace(
-                state, commit_requested=state.commit_requested | {transaction}
-            )
             if isinstance(op, ReadOp):
-                return replace(
-                    new, read_lockholders=new.read_lockholders | {transaction}
+                return self.answer_access(
+                    state,
+                    transaction,
+                    read_lockholders=state.read_lockholders | {transaction},
                 )
-            return new.with_write_lock(transaction, op.data)
+            return self.answer_access(state, transaction).with_write_lock(
+                transaction, op.data
+            )
         raise ValueError(f"{self.name}: {action} not in signature")
 
-    def enabled_outputs(self, state: MossState) -> Iterator[Action]:
-        for transaction in sorted(state.created - state.commit_requested):
-            op = self.system_type.access(transaction).op
-            if isinstance(op, ReadOp) and self._read_enabled(state, transaction):
-                yield RequestCommit(
-                    transaction, state.value(least_write_lockholder(state))
-                )
-            elif isinstance(op, WriteOp) and self._write_enabled(state, transaction):
-                yield RequestCommit(transaction, OK)
+    def response(self, state: MossState) -> Callable[[TransactionName], Any]:
+        """A read responds with the least write lockholder's value when
+        every write lockholder is its ancestor, a write with ``OK`` when
+        every lockholder is; the holder sets are built once per state."""
+        writers = state.write_lockholders
+        holders = writers | state.read_lockholders
+        value = state.value(least_write_lockholder(state))
+        access = self.system_type.access
 
-    def blocked_accesses(self, state: MossState) -> Iterator[TransactionName]:
-        for transaction in sorted(state.created - state.commit_requested):
-            op = self.system_type.access(transaction).op
-            if isinstance(op, ReadOp) and not self._read_enabled(state, transaction):
-                yield transaction
-            elif isinstance(op, WriteOp) and not self._write_enabled(
-                state, transaction
-            ):
-                yield transaction
+        def respond(transaction: TransactionName) -> Any:
+            ancestors = transaction.ancestor_chain()
+            op = access(transaction).op
+            if isinstance(op, ReadOp):
+                return value if writers.issubset(ancestors) else BLOCKED
+            if isinstance(op, WriteOp) and holders.issubset(ancestors):
+                return OK
+            return BLOCKED
+
+        return respond

@@ -17,23 +17,22 @@ concurrency, all three certified by the same serialization-graph test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, FrozenSet, Iterator, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, FrozenSet, Tuple
 
+from ..automata.base import evolve
 from ..core.actions import Action, Create, InformAbort, InformCommit, RequestCommit
 from ..core.names import ROOT, ObjectName, SystemType, TransactionName
-from ..generic.objects import GenericObject
+from ..generic.objects import BLOCKED, GenericObject, ObjectState
 from ..spec.datatype import DataType
 
 __all__ = ["ReadUpdateState", "ReadUpdateLockingObject"]
 
 
 @dataclass(frozen=True)
-class ReadUpdateState:
+class ReadUpdateState(ObjectState):
     """State of ``M_X``: lockholder sets plus per-update-holder type states."""
 
-    created: FrozenSet[TransactionName] = frozenset()
-    commit_requested: FrozenSet[TransactionName] = frozenset()
     update_locks: Tuple[Tuple[TransactionName, Any], ...] = ()
     read_lockholders: FrozenSet[TransactionName] = frozenset()
 
@@ -51,7 +50,7 @@ class ReadUpdateState:
         locks = tuple(
             (name, existing) for name, existing in self.update_locks if name != holder
         )
-        return replace(self, update_locks=tuple(sorted(locks + ((holder, value),))))
+        return evolve(self, update_locks=tuple(sorted(locks + ((holder, value),))))
 
     def without_update_locks(
         self, holders: FrozenSet[TransactionName]
@@ -59,7 +58,7 @@ class ReadUpdateState:
         locks = tuple(
             (name, value) for name, value in self.update_locks if name not in holders
         )
-        return replace(self, update_locks=locks)
+        return evolve(self, update_locks=locks)
 
 
 def _least(holders: FrozenSet[TransactionName]) -> TransactionName:
@@ -125,7 +124,7 @@ class ReadUpdateLockingObject(GenericObject):
 
     def effect(self, state: ReadUpdateState, action: Action) -> ReadUpdateState:
         if isinstance(action, Create):
-            return replace(state, created=state.created | {action.transaction})
+            return self.create_access(state, action.transaction)
         if isinstance(action, InformCommit):
             transaction = action.transaction
             new = state
@@ -135,7 +134,7 @@ class ReadUpdateLockingObject(GenericObject):
                 new = new.with_update_lock(transaction.parent, inherited)
             if transaction in new.read_lockholders:
                 holders = (new.read_lockholders - {transaction}) | {transaction.parent}
-                new = replace(new, read_lockholders=frozenset(holders))
+                new = evolve(new, read_lockholders=frozenset(holders))
             return new
         if isinstance(action, InformAbort):
             transaction = action.transaction
@@ -150,39 +149,39 @@ class ReadUpdateLockingObject(GenericObject):
                 if transaction.is_ancestor_of(holder)
             )
             new = state.without_update_locks(doomed_updates)
-            return replace(new, read_lockholders=new.read_lockholders - doomed_reads)
+            return evolve(new, read_lockholders=new.read_lockholders - doomed_reads)
         if isinstance(action, RequestCommit):
             transaction = action.transaction
             op = self.system_type.access(transaction).op
-            new = replace(
-                state, commit_requested=state.commit_requested | {transaction}
-            )
             if self.datatype.is_read_only(op):
-                return replace(
-                    new, read_lockholders=new.read_lockholders | {transaction}
+                return self.answer_access(
+                    state,
+                    transaction,
+                    read_lockholders=state.read_lockholders | {transaction},
                 )
             next_state, _ = self.datatype.apply(self._current_state(state), op)
-            return new.with_update_lock(transaction, next_state)
+            return self.answer_access(state, transaction).with_update_lock(
+                transaction, next_state
+            )
         raise ValueError(f"{self.name}: {action} not in signature")
 
-    def enabled_outputs(self, state: ReadUpdateState) -> Iterator[Action]:
-        for transaction in sorted(state.created - state.commit_requested):
-            op = self.system_type.access(transaction).op
-            if self.datatype.is_read_only(op):
-                allowed = self._read_enabled(state, transaction)
-            else:
-                allowed = self._update_enabled(state, transaction)
-            if allowed:
-                yield RequestCommit(
-                    transaction, self._expected_value(state, transaction)
-                )
+    def response(self, state: ReadUpdateState) -> Callable[[TransactionName], Any]:
+        """An access responds with the value its operation returns on the
+        least update lockholder's state, once every update lockholder
+        (for a read-only operation) or every lockholder (for an update)
+        is its ancestor; the holder sets are built once per state."""
+        updaters = state.update_lockholders
+        holders = updaters | state.read_lockholders
+        current = self._current_state(state)
+        access = self.system_type.access
+        datatype = self.datatype
 
-    def blocked_accesses(self, state: ReadUpdateState) -> Iterator[TransactionName]:
-        for transaction in sorted(state.created - state.commit_requested):
-            op = self.system_type.access(transaction).op
-            if self.datatype.is_read_only(op):
-                allowed = self._read_enabled(state, transaction)
-            else:
-                allowed = self._update_enabled(state, transaction)
-            if not allowed:
-                yield transaction
+        def respond(transaction: TransactionName) -> Any:
+            op = access(transaction).op
+            needed = updaters if datatype.is_read_only(op) else holders
+            if not needed.issubset(transaction.ancestor_chain()):
+                return BLOCKED
+            _, value = datatype.apply(current, op)
+            return value
+
+        return respond

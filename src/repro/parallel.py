@@ -45,6 +45,7 @@ from .obs.metrics import MetricsRegistry
 from .sim.driver import RunResult, run_system
 from .sim.faults import AbortInjector
 from .sim.policies import EagerInformPolicy, RandomPolicy, SchedulingPolicy
+from .sim.stats import RunStats
 from .sim.workload import CounterKind, RWKind, WorkloadConfig, generate_workload
 from .undo.logging import UndoLoggingObject
 
@@ -238,7 +239,7 @@ def _run_spec(spec: _SimSpec):
     )
     if spec.output is not None:
         Path(spec.output).write_text(dump_case(result.behavior, system_type))
-        return spec.output, len(result.behavior)
+        return spec.output, len(result.behavior), result.stats
     return result.behavior, system_type
 
 
@@ -309,13 +310,17 @@ def record_corpus(
     abort_rate: float = 0.0,
     max_steps: int = 10_000,
     jobs: int = 1,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> List[Tuple[str, int]]:
     """Simulate and write one ``repro record`` JSON file per seed.
 
     ``outputs`` names the destination file for each seed.  Returns
     ``(path, events)`` pairs in seed order.  Workers write their own
     files, so the fan-out parallelises both the simulation and the
-    serialization.
+    serialization.  ``metrics`` records the fan-out (``parallel.jobs``,
+    ``parallel.cases``) and the runs' counters, summed over the runs
+    (:meth:`RunStats.merged`): the ``driver.*``/``controller.*`` names a
+    single ``repro record`` publishes.
     """
     specs = _make_specs(
         seeds,
@@ -327,4 +332,9 @@ def record_corpus(
         max_steps,
         outputs,
     )
-    return _map_specs(specs, jobs)
+    runs = _map_specs(specs, jobs)
+    if metrics is not None:
+        metrics.set_gauge("parallel.jobs", min(jobs, len(specs)))
+        metrics.inc("parallel.cases", len(specs))
+        RunStats.merged([stats for _, _, stats in runs]).record(metrics)
+    return [(path, events) for path, events, _ in runs]

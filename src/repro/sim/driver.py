@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import List, Optional
 
 from ..automata.composition import Composition
@@ -80,26 +79,6 @@ def run_system(
         if isinstance(component, GenericObject)
     ]
 
-    def pick_deadlock_victim() -> Optional[Abort]:
-        # the names' own order, compared as path tuples in C rather than
-        # through the dataclass's Python-level ``__lt__``
-        blocked = sorted(
-            (
-                access
-                for generic_object in objects
-                for access in generic_object.blocked_accesses(
-                    state[generic_object.name]
-                )
-            ),
-            key=attrgetter("path"),
-        )
-        for access in blocked:
-            top = TransactionName(access.path[:1])
-            abort = Abort(top)
-            if controller.enabled(state[controller.name], abort):
-                return abort
-        return None
-
     # Per-component caches of enabled outputs: a component's enabledness
     # depends only on its own state, and effects are pure, so its
     # outputs change only when ``Composition.effect`` hands it a new
@@ -114,6 +93,26 @@ def run_system(
         component.name: list(component.enabled_outputs(state[component.name]))
         for component in system.components
     }
+
+    def pick_deadlock_victim() -> Optional[Abort]:
+        # Called only when nothing is enabled, so every waiting access
+        # is blocked: the least one, in the names' own order (paths,
+        # compared in C), whose top-level ancestor may still abort.
+        abortable = {
+            abort.transaction.path
+            for abort in controller.enabled_aborts(state[controller.name])
+        }
+        least = min(
+            (
+                access.path
+                for generic_object in objects
+                for access in state[generic_object.name].waiting
+                if access.path[:1] in abortable
+            ),
+            default=None,
+        )
+        return None if least is None else Abort(TransactionName.interned(least[:1]))
+
     offer_aborts = getattr(policy, "offer_aborts", None)
 
     while stats.steps < max_steps:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..automata.base import IOAutomaton
+from ..automata.base import IOAutomaton, evolve
 from ..core.actions import (
     Action,
     Create,
@@ -362,12 +362,12 @@ class ProgramTransaction(IOAutomaton):
 
     def effect(self, state: ProgramState, action: Action) -> ProgramState:
         if isinstance(action, Create):
-            return replace(state, created=True)
+            return evolve(state, created=True)
         if isinstance(action, ReportCommit):
             component = action.transaction.path[-1]
             if component in state.outcome_map():
                 return state
-            return replace(
+            return evolve(
                 state,
                 outcomes=state.outcomes + ((component, ("commit", action.value)),),
             )
@@ -375,14 +375,14 @@ class ProgramTransaction(IOAutomaton):
             component = action.transaction.path[-1]
             if component in state.outcome_map():
                 return state
-            return replace(
+            return evolve(
                 state, outcomes=state.outcomes + ((component, ("abort",)),)
             )
         if isinstance(action, RequestCreate):
             component = action.transaction.path[-1]
-            return replace(state, requested=state.requested | {component})
+            return evolve(state, requested=state.requested | {component})
         if isinstance(action, RequestCommit):
-            return replace(state, commit_requested=True)
+            return evolve(state, commit_requested=True)
         raise ValueError(f"{self.name}: {action} not in signature")
 
     def enabled_outputs(self, state: ProgramState) -> Iterator[Action]:

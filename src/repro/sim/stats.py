@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass, field, fields
+from typing import Dict, Sequence
 
 from ..obs.metrics import MetricsRegistry
 
@@ -26,6 +26,22 @@ class RunStats:
 
     def count(self, kind: str) -> None:
         self.action_counts[kind] = self.action_counts.get(kind, 0) + 1
+
+    @classmethod
+    def merged(cls, runs: Sequence["RunStats"]) -> "RunStats":
+        """The counters of several runs, summed field by field; quiescent
+        only when every run drained."""
+        total = cls(quiescent=bool(runs) and all(run.quiescent for run in runs))
+        for run in runs:
+            for counter in fields(cls):
+                name = counter.name
+                mine, theirs = getattr(total, name), getattr(run, name)
+                if isinstance(theirs, dict):
+                    for kind, count in theirs.items():
+                        mine[kind] = mine.get(kind, 0) + count
+                elif not isinstance(theirs, bool):
+                    setattr(total, name, mine + theirs)
+        return total
 
     def to_dict(self) -> Dict[str, object]:
         """All counters as a JSON-serializable dict (``--stats-json``)."""

@@ -14,18 +14,26 @@ commit-requested / committed bookkeeping:
 * ``INFORM_ABORT`` removes all of the aborted transaction's descendants'
   operations from the log — recovery by undo.
 
-Works with any serial specification exposing ``conflicts``/``is_legal``/
-``result_of``: both :class:`repro.spec.datatype.DataType` instances and
-the plain :class:`repro.core.rw_semantics.RWSpec` (the latter yields a
+The state also keeps ``replayed``, the spec state the log's operations
+lead to from the initial one.  The value an access would return is then
+one ``spec.apply`` on it, where the definition (:meth:`enabled`)
+replays the whole log; it is replayed afresh only when an
+``INFORM_ABORT`` removes entries.
+
+Works with any serial specification exposing ``initial``/``apply`` and
+``conflicts``/``is_legal``/``result_of``: both
+:class:`repro.spec.datatype.DataType` instances and the plain
+:class:`repro.core.rw_semantics.RWSpec` (the latter yields a
 read/write object with classical conflicts — the E7 ablation contrasts
 it with the exact-commutativity :class:`repro.spec.builtin.RegisterType`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, FrozenSet, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, FrozenSet, Tuple
 
+from ..automata.base import evolve
 from ..core.actions import (
     Action,
     Create,
@@ -35,19 +43,19 @@ from ..core.actions import (
 )
 from ..core.names import ObjectName, SystemType, TransactionName
 from ..core.operations import Operation
-from ..generic.objects import GenericObject
+from ..generic.objects import BLOCKED, GenericObject, ObjectState
 
 __all__ = ["UndoLogState", "UndoLoggingObject"]
 
 
 @dataclass(frozen=True)
-class UndoLogState:
-    """The state of ``U_X``: bookkeeping sets plus the operation log."""
+class UndoLogState(ObjectState):
+    """The state of ``U_X``: bookkeeping sets plus the operation log,
+    and the spec state the log replays to."""
 
-    created: FrozenSet[TransactionName] = frozenset()
-    commit_requested: FrozenSet[TransactionName] = frozenset()
     committed: FrozenSet[TransactionName] = frozenset()
     operations: Tuple[Operation, ...] = ()
+    replayed: Any = None
 
 
 class UndoLoggingObject(GenericObject):
@@ -56,7 +64,7 @@ class UndoLoggingObject(GenericObject):
     def __init__(self, obj: ObjectName, system_type: SystemType) -> None:
         super().__init__(obj, system_type)
         self.spec = system_type.spec(obj)
-        for required in ("conflicts", "is_legal", "result_of"):
+        for required in ("initial", "apply", "conflicts", "is_legal", "result_of"):
             if not hasattr(self.spec, required):
                 raise TypeError(
                     f"spec for {obj} lacks {required!r}; undo logging needs it"
@@ -95,24 +103,31 @@ class UndoLoggingObject(GenericObject):
                 return False
         return True
 
-    def _forced_value(
-        self, state: UndoLogState, transaction: TransactionName
-    ) -> Optional[Any]:
-        """The value making ``perform(log + (T, v))`` a behavior of ``S_X``.
+    def _forced_value(self, state: UndoLogState, transaction: TransactionName) -> Any:
+        """The value making ``perform(log + (T, v))`` a behavior of ``S_X``,
+        or :data:`BLOCKED` when the log itself is not one.
 
-        The log is legal by construction, and our specifications are
-        deterministic, so there is exactly one such value.
+        Our specifications are deterministic, so there is exactly one
+        such value for a legal log.  This replays the log: it is the
+        definition, which :meth:`response` reads off ``replayed``.
         """
         op = self.system_type.access(transaction).op
         pairs = self._pairs(state.operations)
         if not self.spec.is_legal(pairs):
-            return None
+            return BLOCKED
         return self.spec.result_of(pairs, op)
+
+    def _replay(self, log: Tuple[Operation, ...]) -> Any:
+        """The spec state ``log``'s operations lead to from the initial one."""
+        current = self.spec.initial
+        for op, _ in self._pairs(log):
+            current, _ = self.spec.apply(current, op)
+        return current
 
     # -- transitions ----------------------------------------------------------
 
     def initial_state(self) -> UndoLogState:
-        return UndoLogState()
+        return UndoLogState(replayed=self.spec.initial)
 
     def enabled(self, state: UndoLogState, action: Action) -> bool:
         if self.is_input(action):
@@ -131,37 +146,44 @@ class UndoLoggingObject(GenericObject):
 
     def effect(self, state: UndoLogState, action: Action) -> UndoLogState:
         if isinstance(action, Create):
-            return replace(state, created=state.created | {action.transaction})
+            return self.create_access(state, action.transaction)
         if isinstance(action, InformCommit):
-            return replace(state, committed=state.committed | {action.transaction})
+            return evolve(state, committed=state.committed | {action.transaction})
         if isinstance(action, InformAbort):
             survivors = tuple(
                 entry
                 for entry in state.operations
                 if not action.transaction.is_ancestor_of(entry.transaction)
             )
-            return replace(state, operations=survivors)
+            if len(survivors) == len(state.operations):
+                return state
+            return evolve(
+                state, operations=survivors, replayed=self._replay(survivors)
+            )
         if isinstance(action, RequestCommit):
-            return replace(
+            transaction = action.transaction
+            op = self.system_type.access(transaction).op
+            replayed, _ = self.spec.apply(state.replayed, op)
+            return self.answer_access(
                 state,
-                commit_requested=state.commit_requested | {action.transaction},
-                operations=state.operations
-                + (Operation(action.transaction, action.value),),
+                transaction,
+                operations=state.operations + (Operation(transaction, action.value),),
+                replayed=replayed,
             )
         raise ValueError(f"{self.name}: {action} not in signature")
 
-    def enabled_outputs(self, state: UndoLogState) -> Iterator[Action]:
-        for transaction in sorted(state.created - state.commit_requested):
-            value = self._forced_value(state, transaction)
-            if value is None:
-                continue
-            if self._commutes_with_uncommitted(state, transaction, value):
-                yield RequestCommit(transaction, value)
+    def response(self, state: UndoLogState) -> Callable[[TransactionName], Any]:
+        """An access responds with the value ``apply`` gives it on the
+        replayed state, once that value commutes backward with every
+        uncommitted logged operation."""
+        access = self.system_type.access
+        apply = self.spec.apply
+        replayed = state.replayed
 
-    def blocked_accesses(self, state: UndoLogState) -> Iterator[TransactionName]:
-        for transaction in sorted(state.created - state.commit_requested):
-            value = self._forced_value(state, transaction)
-            if value is None or not self._commutes_with_uncommitted(
-                state, transaction, value
-            ):
-                yield transaction
+        def respond(transaction: TransactionName) -> Any:
+            _, value = apply(replayed, access(transaction).op)
+            if self._commutes_with_uncommitted(state, transaction, value):
+                return value
+            return BLOCKED
+
+        return respond

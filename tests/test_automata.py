@@ -4,7 +4,7 @@ import pytest
 
 from repro import Commit, Create, IOAutomaton, RequestCreate
 from repro.core.names import ROOT
-from repro.automata.base import behavior_of, replay_schedule
+from repro.automata.base import behavior_of, evolve, replay_schedule
 from repro.automata.composition import Composition
 
 from conftest import T
@@ -96,6 +96,22 @@ class TestBase:
             Create(T("t")),
             Commit(T("t")),
         )
+
+    def test_evolve_replaces_fields_like_replace(self):
+        from dataclasses import replace
+
+        from repro.generic.controller import GenericControllerState
+        from repro.undo.logging import UndoLogState
+
+        for state in (GenericControllerState(), UndoLogState()):
+            field = next(iter(state.__dataclass_fields__))
+            changed = evolve(state, **{field: frozenset({T("t")})})
+            assert changed == replace(state, **{field: frozenset({T("t")})})
+            assert evolve(state) == state
+            # a misspelled field is refused, as ``replace`` refuses it,
+            # rather than stored outside equality and hashing
+            with pytest.raises(TypeError, match="no field"):
+                evolve(state, **{field + "_": frozenset()})
 
 
 class TestComposition:

@@ -21,6 +21,7 @@ from repro import (
 )
 from repro.cli import main
 from repro.parallel import _shard
+from repro.sim.stats import RunStats
 
 from test_core_properties import random_simple_behavior
 
@@ -152,6 +153,59 @@ class TestCLI:
             assert main(["record", "--seed", str(seed), "-o", str(single)]) == 0
             corpus = tmp_path / f"corpus-s{seed}.json"
             assert corpus.read_bytes() == single.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_corpus_metrics_sum_the_runs(self, tmp_path, capsys, jobs):
+        """``record --runs N --metrics-json`` publishes the runs' counters,
+        summed: each equals the sum over single records of the seeds."""
+        corpus = tmp_path / "corpus-metrics.json"
+        assert main([
+            "record", "--runs", "2", "--jobs", jobs, "--seed", "20",
+            "-o", str(tmp_path / "corpus.json"), "--metrics-json", str(corpus),
+        ]) == 0
+        singles = []
+        for seed in (20, 21):
+            path = tmp_path / f"single-{seed}-metrics.json"
+            assert main([
+                "record", "--seed", str(seed), "-o", str(tmp_path / "single.json"),
+                "--metrics-json", str(path),
+            ]) == 0
+            singles.append(json.loads(path.read_text()))
+        merged = json.loads(corpus.read_text())
+        run_counters = {
+            name: value
+            for name, value in merged["counters"].items()
+            if name.startswith(("driver.", "controller."))
+        }
+        expected = {}
+        for single in singles:
+            for name, value in single["counters"].items():
+                expected[name] = expected.get(name, 0) + value
+        assert run_counters == expected
+        assert run_counters["driver.steps"] > 0
+        assert merged["counters"]["parallel.cases"] == 2
+        assert all(s["gauges"].get("driver.quiescent") == 1 for s in singles)
+        assert merged["gauges"]["driver.quiescent"] == 1
+
+    def test_merged_stats_drain_only_when_every_run_did(self):
+        drained = RunStats(steps=5, action_counts={"Commit": 2}, quiescent=True)
+        cut = RunStats(steps=7, action_counts={"Commit": 1, "Abort": 1})
+        total = RunStats.merged([drained, cut])
+        assert total.steps == 12
+        assert total.action_counts == {"Commit": 3, "Abort": 1}
+        assert not total.quiescent
+        assert RunStats.merged([drained, drained]).quiescent
+        # every counter is summed, not only the ones named here
+        counters = [
+            name for name, value in RunStats().to_dict().items()
+            if type(value) is int
+        ]
+        once = RunStats(**{name: 1 for name in counters})
+        twice = RunStats.merged([once, once]).to_dict()
+        assert {name: twice[name] for name in counters} == dict.fromkeys(counters, 2)
+        registry = MetricsRegistry()
+        total.record(registry)
+        assert "driver.quiescent" not in registry.snapshot()["gauges"]
 
     def test_audit_online_engine(self, tmp_path, capsys):
         output = tmp_path / "run.json"

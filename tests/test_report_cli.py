@@ -83,8 +83,15 @@ class TestCLI:
         assert dot.read_text().startswith("digraph SG {")
 
     @pytest.mark.parametrize(
-        "option", [["--dot", "g.dot"], ["--oracle"], ["--witness", "5"]],
-        ids=["dot", "oracle", "witness"],
+        "option",
+        [
+            ["--dot", "g.dot"],
+            ["--oracle"],
+            ["--witness", "5"],
+            ["--oracle-budget", "3"],
+            ["--oracle", "--oracle-budget", "3"],
+        ],
+        ids=["dot", "oracle", "witness", "oracle-budget", "oracle-and-budget"],
     )
     @pytest.mark.parametrize(
         "mode", [["run.json", "--engine", "online"], ["run.json", "run.json"]],
@@ -101,6 +108,17 @@ class TestCLI:
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert option[0] in captured.err
         assert not (tmp_path / "g.dot").exists()
+
+    def test_audit_refuses_an_oracle_budget_without_the_oracle(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["record", "--seed", "1", "-o", "run.json"]) == 0
+        capsys.readouterr()
+        assert main(["audit", "run.json", "--oracle-budget", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "--oracle-budget" in captured.err
 
     def test_audit_rejects_tampered_case(self, tmp_path, capsys):
         """Corrupt a recorded read value: the audit must fail with exit 2."""

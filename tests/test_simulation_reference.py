@@ -1,23 +1,33 @@
 """The simulator's fast paths against their definitional references.
 
 The generic controller keeps its open work (creatable, committable and
-abortable transactions, owed reports and informs) in its state; the
-composition routes each action to its participants through an index of
-routing keys; a program transaction enumerates its outputs in one walk
-of its calls; and the driver re-queries a component only when the
-composition gave it a new state object.  The definitional versions live
-here as the reference: the controller enumeration that re-tests every
-transaction ever requested, committed or aborted against ``enabled``;
-the composition step that scans every component's signature; the
-program enumeration that tests every call against ``enabled``; and the
-driver loop that applies steps through that scan, re-queries every
-component whose signature holds the applied action, drops duplicate
-offers and filters the offered aborts through the enabled set.  Random
-controller and program schedules (enabled or not) and seeded Moss and
-undo runs under every scheduling policy must come out identical, and
-the routed participants must equal the scanned ones on every action.
+abortable transactions, owed reports and informs) in its state; each
+generic object keeps its waiting accesses in its state and answers them
+through one response rule; the composition routes each action to its
+participants through an index of routing keys; a program transaction
+enumerates its outputs in one walk of its calls; and the driver
+re-queries a component only when the composition gave it a new state
+object, and reads blocked accesses (its deadlock victims) off its
+caches.  The definitional versions live here as the reference: the
+controller enumeration that re-tests every transaction ever requested,
+committed or aborted against ``enabled``; the object enumeration that
+tests every created, unanswered access against ``enabled``; the
+composition step that scans every component's signature; the program
+enumeration that tests every call against ``enabled``; and the driver
+loop that applies steps through that scan, re-queries every component
+whose signature holds the applied action, drops duplicate offers,
+filters the offered aborts through the enabled set and picks deadlock
+victims from every object's blocked accesses.  Random controller,
+object and program schedules and seeded Moss and undo runs under every
+scheduling policy must come out identical, and the routed participants
+must equal the scanned ones on every action.
 """
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set
 
 import pytest
@@ -25,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    OK,
     ROOT,
     Abort,
     Access,
@@ -61,8 +72,20 @@ from repro import (
     run_system,
 )
 from repro.automata.composition import Composition
+from repro.core.rw_semantics import RWSpec
 from repro.generic.controller import GenericControllerState
 from repro.generic.objects import GenericObject
+from repro.generic.permissive import PermissiveObject
+from repro.locking.moss import least_write_lockholder
+from repro.spec.builtin import (
+    BalanceRead,
+    BankAccountType,
+    CounterInc,
+    CounterRead,
+    CounterType,
+    Deposit,
+    Withdraw,
+)
 from repro.serial.simple_db import make_simple_system
 from repro.sim.driver import RunResult
 from repro.sim.faults import AbortInjector, ScriptedAbortInjector
@@ -330,6 +353,138 @@ def test_alternative_of_an_inactive_alternative_is_inactive(sequential):
     assert not transaction.enabled(state, RequestCreate(p.child("d")))
 
 
+# -- the reference object enumeration -----------------------------------------
+
+
+def definitional_value(obj: GenericObject, state: Any, access: TransactionName) -> Any:
+    """The value the algorithm's definition gives ``access`` now, read
+    off the whole state: the log replayed (undo and permissive), the
+    least lockholder's state (read/update) or value (Moss), the latest
+    version at or below the access's timestamp (MVTO), ``OK`` for a
+    write."""
+    op = obj.system_type.access(access).op
+    if isinstance(obj, UndoLoggingObject):
+        return obj._forced_value(state, access)
+    if isinstance(obj, ReadUpdateLockingObject):
+        return obj._expected_value(state, access)
+    if isinstance(op, WriteOp):
+        return OK
+    if isinstance(obj, MossRWLockingObject):
+        return state.value(least_write_lockholder(state))
+    version = obj._candidate(state, access)
+    return None if version is None else version.data
+
+
+def reference_object_outputs(obj: GenericObject, state: Any) -> List[Action]:
+    """Each created, unanswered access, by name, with its definitional
+    value, kept where ``enabled`` allows it."""
+    outputs: List[Action] = []
+    for access in sorted(state.created - state.commit_requested):
+        answer = RequestCommit(access, definitional_value(obj, state, access))
+        if obj.enabled(state, answer):
+            outputs.append(answer)
+    return outputs
+
+
+def reference_blocked_accesses(obj: GenericObject, state: Any) -> List[TransactionName]:
+    """The created, unanswered accesses the reference enumeration does
+    not answer, by name."""
+    answered = {answer.transaction for answer in reference_object_outputs(obj, state)}
+    return [
+        access
+        for access in sorted(state.created - state.commit_requested)
+        if access not in answered
+    ]
+
+
+#: one object ``x`` and its accesses at depths 2 and 3, under three
+#: top-level transactions
+OBJECT_ACCESS_NAMES = (
+    T("a", "p"), T("a", "q"), T("a", "b", "p"), T("a", "b", "q"),
+    T("c", "p"), T("c", "q"), T("c", "d", "p"), T("e", "p"),
+)
+
+
+def object_case(factory, spec, ops) -> GenericObject:
+    """``factory``'s object ``x`` over ``spec``, each access of
+    :data:`OBJECT_ACCESS_NAMES` performing the next of ``ops``, in turn."""
+    system = SystemType({X: spec})
+    for position, name in enumerate(OBJECT_ACCESS_NAMES):
+        system.register_access(name, Access(X, ops[position % len(ops)]))
+    return factory(X, system)
+
+
+RW_OPS = (ReadOp(), WriteOp(1), WriteOp(2), ReadOp(), WriteOp(None))
+BANK_OPS = (Deposit(3), Withdraw(2), BalanceRead(), Withdraw(4), Deposit(1))
+COUNTER_OPS = (CounterInc(1), CounterRead(), CounterInc(2))
+#: ``RWSpec()`` starts at ``None``, which a read may legally return
+OBJECT_CASES = {
+    "moss": lambda: object_case(MossRWLockingObject, RWSpec(), RW_OPS),
+    "undo-bank": lambda: object_case(UndoLoggingObject, BankAccountType(), BANK_OPS),
+    "undo-rw": lambda: object_case(UndoLoggingObject, RWSpec(), RW_OPS),
+    "permissive": lambda: object_case(PermissiveObject, BankAccountType(), BANK_OPS),
+    "read-update": lambda: object_case(
+        ReadUpdateLockingObject, CounterType(), COUNTER_OPS
+    ),
+    "mvto": lambda: object_case(MVTORWObject, RWSpec(initial=0), RW_OPS),
+}
+#: the transactions an object may hear of: every non-root ancestor of an
+#: access
+INFORMED_NAMES = sorted(
+    {
+        ancestor
+        for name in OBJECT_ACCESS_NAMES
+        for ancestor in name.ancestors()
+        if not ancestor.is_root
+    }
+)
+OBJECT_STEPS = st.one_of(
+    st.tuples(st.just("create"), st.sampled_from(OBJECT_ACCESS_NAMES)),
+    st.tuples(st.just("answer"), st.integers(0, 7)),
+    st.tuples(
+        st.sampled_from(["commit", "abort"]), st.sampled_from(INFORMED_NAMES)
+    ),
+)
+
+
+def assert_object_enumeration(obj: GenericObject, state: Any) -> None:
+    """The waiting list, the enumeration and the blocked accesses equal
+    the reference, and the state hashes."""
+    assert state.waiting == tuple(sorted(state.created - state.commit_requested))
+    assert list(obj.enabled_outputs(state)) == reference_object_outputs(obj, state)
+    assert list(obj.blocked_accesses(state)) == reference_blocked_accesses(obj, state)
+    hash(state)
+
+
+@pytest.mark.parametrize("case", sorted(OBJECT_CASES))
+@settings(max_examples=150, deadline=None)
+@given(schedule=st.lists(OBJECT_STEPS, max_size=40))
+def test_object_enumeration_matches_enabled(case, schedule):
+    """CREATEs (repeated ones too), answers chosen among the enabled
+    REQUEST_COMMITs, and INFORM_COMMITs and INFORM_ABORTs of any
+    transaction in any order, each transaction keeping one fate; aborts
+    remove undo log entries and locks.  After every step the waiting
+    list, the response-rule enumeration and the blocked accesses equal
+    the definitional ones."""
+    obj = OBJECT_CASES[case]()
+    state = obj.initial_state()
+    fates: Dict[TransactionName, str] = {}
+    assert_object_enumeration(obj, state)
+    for kind, argument in schedule:
+        if kind == "create":
+            action: Action = Create(argument)
+        elif kind == "answer":
+            answers = reference_object_outputs(obj, state)
+            if not answers:
+                continue
+            action = answers[argument % len(answers)]
+        else:
+            fate = fates.setdefault(argument, kind)
+            action = (InformCommit if fate == "commit" else InformAbort)(X, argument)
+        state = obj.effect(state, action)
+        assert_object_enumeration(obj, state)
+
+
 # -- the reference composition step and driver --------------------------------
 
 
@@ -353,8 +508,10 @@ def reference_run_system(
     resolve_deadlocks: bool = False,
 ) -> RunResult:
     """Apply each step through :func:`reference_effect`, re-query every
-    component whose signature holds the applied action, drop duplicate
-    offers, and offer the aborts not already enabled."""
+    component whose signature holds the applied action through the
+    reference controller and object enumerations, drop duplicate offers,
+    offer the aborts not already enabled, and pick a deadlock victim
+    from every object's blocked accesses."""
     state = system.initial_state()
     trace: List[Action] = []
     stats = RunStats()
@@ -364,13 +521,17 @@ def reference_run_system(
     def outputs_of(component: Any) -> List[Action]:
         if component is controller:
             return list(reference_enabled_outputs(controller, state[controller.name]))
+        if isinstance(component, GenericObject):
+            return reference_object_outputs(component, state[component.name])
         return list(component.enabled_outputs(state[component.name]))
 
     def pick_deadlock_victim() -> Optional[Abort]:
         blocked = sorted(
             access
             for generic_object in objects
-            for access in generic_object.blocked_accesses(state[generic_object.name])
+            for access in reference_blocked_accesses(
+                generic_object, state[generic_object.name]
+            )
         )
         for access in blocked:
             abort = Abort(TransactionName(access.path[:1]))
@@ -428,8 +589,10 @@ def reference_run_system(
             stats.accesses_answered += 1
         if collect_blocking:
             for generic_object in objects:
-                blocked = generic_object.blocked_accesses(state[generic_object.name])
-                stats.blocked_access_steps += sum(1 for _ in blocked)
+                blocked = reference_blocked_accesses(
+                    generic_object, state[generic_object.name]
+                )
+                stats.blocked_access_steps += len(blocked)
     return RunResult(tuple(trace), stats, state)
 
 
@@ -612,3 +775,75 @@ def test_a_step_consults_a_few_signatures(algorithm, top_level, monkeypatch):
     # the generic controller, plus the transaction, its parent's program
     # and an object for the ones that name them
     assert calls / steps <= 4, f"{calls / steps:.1f} is_action calls per step"
+
+
+# -- names and states ---------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+PICKLE_NAMES = """
+import pickle, sys
+from repro import ObjectName, TransactionName
+names = [TransactionName(("a", "b")), TransactionName(()), ObjectName("x")]
+indexed = {name: i for i, name in enumerate(names)}
+sys.stdout.write(pickle.dumps((names, set(names), indexed)).hex())
+"""
+
+
+def test_a_pickled_name_rehashes_where_it_is_loaded():
+    """Names compute their hash once, and a hash depends on
+    ``PYTHONHASHSEED``: a name pickled in one interpreter must hash as a
+    fresh name in another, or set and dict lookups miss."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="1")
+    pickled = subprocess.run(
+        [sys.executable, "-c", PICKLE_NAMES],
+        check=True, capture_output=True, text=True, env=env,
+    ).stdout
+    load = f"""
+import pickle
+from repro import ObjectName, TransactionName
+names, as_set, as_dict = pickle.loads(bytes.fromhex({pickled!r}))
+fresh = [TransactionName(("a", "b")), TransactionName(()), ObjectName("x")]
+assert names == fresh and [hash(n) for n in names] == [hash(n) for n in fresh]
+assert all(name in as_set and name in set(names) for name in fresh)
+assert [as_dict[name] for name in fresh] == [0, 1, 2]
+assert {{name: i for i, name in enumerate(names)}}[fresh[0]] == 0
+print("ok")
+"""
+    env["PYTHONHASHSEED"] = "2"
+    loaded = subprocess.run(
+        [sys.executable, "-c", load], capture_output=True, text=True, env=env
+    )
+    assert loaded.stdout.strip() == "ok", loaded.stderr
+    name = TransactionName(("a", "b"))
+    assert pickle.loads(pickle.dumps(name)) == name
+    assert hash(pickle.loads(pickle.dumps(name))) == hash(name)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("seed", [4, 7])
+def test_object_states_of_seeded_runs_hash(algorithm, seed):
+    """Every state a Moss or undo object passes through in a seeded run
+    hashes, and equal states hash alike."""
+    factory, kind = ALGORITHMS[algorithm]
+    system_type, programs = generate_workload(
+        WorkloadConfig(seed=seed, top_level=8, objects=3, kind=kind())
+    )
+    system = make_generic_system(system_type, programs, factory)
+    result = run_system(
+        system,
+        AbortInjector(RandomPolicy(seed), abort_rate=0.05, seed=seed),
+        system_type,
+        resolve_deadlocks=True,
+    )
+    objects = [c for c in system.components if isinstance(c, GenericObject)]
+    hashed = 0
+    for obj in objects:
+        state = obj.initial_state()
+        for action in result.behavior:
+            if obj.is_action(action):
+                state = obj.effect(state, action)
+                assert hash(state) == hash(pickle.loads(pickle.dumps(state)))
+                hashed += 1
+        assert state == result.final_state[obj.name]
+        assert hash(state) == hash(result.final_state[obj.name])
+    assert hashed > 20

@@ -29,6 +29,7 @@ from repro import (
     run_system,
 )
 from repro.core.rw_semantics import OK
+from repro.generic.permissive import PermissiveObject
 
 from conftest import T
 
@@ -66,6 +67,20 @@ class TestTransitions:
         state = obj.effect(state, RequestCommit(r1, 0))
         state = obj.effect(state, Create(r2))
         assert obj.enabled(state, RequestCommit(r2, 0))
+
+
+@pytest.mark.parametrize("factory", [UndoLoggingObject, PermissiveObject])
+def test_a_read_of_none_is_enumerated(factory):
+    """A register that was never written reads as ``None``, a legal read
+    value: the enumeration must offer it, not count the read blocked."""
+    system = SystemType({X: RWSpec()})
+    reader = T("t1", "r")
+    system.register_access(reader, Access(X, ReadOp()))
+    obj = factory(X, system)
+    state = obj.effect(obj.initial_state(), Create(reader))
+    assert obj.enabled(state, RequestCommit(reader, None))
+    assert list(obj.enabled_outputs(state)) == [RequestCommit(reader, None)]
+    assert list(obj.blocked_accesses(state)) == []
 
 
 class TestEndToEnd:

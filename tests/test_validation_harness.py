@@ -64,18 +64,16 @@ class TestBrokenAlgorithmIsCaught:
     def test_dirty_read_object_fails(self):
         """An object that ignores locking entirely (serves the latest value
         immediately, never undoes) must fail the battery."""
-        from dataclasses import replace as dc_replace
-        from typing import Iterator
+        from dataclasses import dataclass
+        from typing import Any
 
-        from repro.core.actions import (
-            Action,
-            Create,
-            InformAbort,
-            InformCommit,
-            RequestCommit,
-        )
-        from repro.core.rw_semantics import OK, ReadOp, WriteOp
-        from repro.generic.objects import GenericObject
+        from repro.core.actions import RequestCommit
+        from repro.core.rw_semantics import OK, WriteOp
+        from repro.generic.objects import GenericObject, ObjectState
+
+        @dataclass(frozen=True)
+        class YoloState(ObjectState):
+            data: Any = None
 
         class YoloObject(GenericObject):
             """No concurrency control, no recovery: reads see raw writes."""
@@ -86,41 +84,34 @@ class TestBrokenAlgorithmIsCaught:
                 self.initial = system_type.spec(obj).initial
 
             def initial_state(self):
-                return (frozenset(), self.initial)  # (answered, data)
+                # no created-tracking: every access to the object waits
+                # from the start, and is answered even before its CREATE
+                waiting = self.system_type.accesses_to(self.obj)
+                return YoloState(waiting=waiting, data=self.initial)
 
             def enabled(self, state, action):
                 if self.is_input(action):
                     return True
                 if isinstance(action, RequestCommit):
-                    answered, data = state
-                    op = self.system_type.access(action.transaction).op
-                    if action.transaction in answered:
-                        return False
-                    expected = OK if isinstance(op, WriteOp) else data
-                    return action.value == expected
+                    access = action.transaction
+                    return access in state.waiting and (
+                        action.value == self.response(state)(access)
+                    )
                 return False
 
             def effect(self, state, action):
-                answered, data = state
                 if isinstance(action, RequestCommit):
                     op = self.system_type.access(action.transaction).op
-                    if isinstance(op, WriteOp):
-                        data = op.data
-                    return (answered | {action.transaction}, data)
+                    data = op.data if isinstance(op, WriteOp) else state.data
+                    return self.answer_access(state, action.transaction, data=data)
                 return state  # ignores informs entirely: no undo!
 
-            def enabled_outputs(self, state) -> Iterator[Action]:
-                answered, data = state
-                # answer any invoked access; we have no created-tracking,
-                # so rely on accesses registry + answered set
-                for access in sorted(self.system_type.all_accesses()):
-                    if self.system_type.object_of(access) != self.obj:
-                        continue
-                    if access in answered:
-                        continue
+            def response(self, state):
+                def respond(access):
                     op = self.system_type.access(access).op
-                    value = OK if isinstance(op, WriteOp) else data
-                    yield RequestCommit(access, value)
+                    return OK if isinstance(op, WriteOp) else state.data
+
+                return respond
 
         report = validate_object_algorithm(
             YoloObject, RWKind(), seeds=range(4), abort_rates=(0.2,)
