@@ -12,6 +12,9 @@ Because the action universe of a transaction system is infinite (one
 action per transaction name and value), signatures are predicates, and
 automata additionally enumerate the *candidate* locally-controlled
 actions enabled in a given state via :meth:`IOAutomaton.enabled_outputs`.
+An automaton whose signature names finitely many transactions and
+objects states it as a finite table instead (:meth:`IOAutomaton.signature`);
+its predicates are then read off the table.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import (
     Any,
+    Collection,
+    Dict,
     Hashable,
     Iterable,
     Iterator,
@@ -27,14 +32,38 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
     TypeVar,
 )
 
-from ..core.actions import Action
+from ..core.actions import Action, InformAbort, InformCommit
 
-__all__ = ["IOAutomaton", "Execution", "replay_schedule", "behavior_of", "evolve"]
+__all__ = [
+    "IOAutomaton",
+    "Execution",
+    "SignatureRow",
+    "replay_schedule",
+    "behavior_of",
+    "evolve",
+    "signature_key",
+]
 
 State = TypeVar("State")
+
+#: One row of a signature table (see :meth:`IOAutomaton.signature`): an
+#: action class, the :func:`signature_key` values its actions carry, or
+#: ``None`` for every action of the class, and whether they are outputs.
+SignatureRow = Tuple[Type[Any], Optional[Collection[Hashable]], bool]
+
+_KEYED_BY_OBJECT = (InformCommit, InformAbort)
+
+
+def signature_key(action: Action) -> Hashable:
+    """The key a signature table files ``action`` under: an inform's
+    object, any other action's transaction."""
+    if type(action) in _KEYED_BY_OBJECT:
+        return action.obj  # type: ignore[union-attr]
+    return action.transaction
 
 
 def evolve(state: State, **changes: Any) -> State:
@@ -68,13 +97,54 @@ class IOAutomaton(ABC):
     def initial_state(self) -> Any:
         """The (single) start state.  Multiple start states are not needed here."""
 
-    @abstractmethod
+    def signature(self) -> Optional[Iterable[SignatureRow]]:
+        """The external signature as a finite table, or ``None``.
+
+        A row ``(cls, keys, is_output)`` puts into the signature the
+        actions of class ``cls`` whose :func:`signature_key` is in
+        ``keys`` (every action of ``cls`` when ``keys`` is ``None``): as
+        outputs when ``is_output`` holds, as inputs otherwise.  A table
+        is a set of ``(class, key, is_output)`` entries, one row per
+        class and direction, so a composition merges tables a row at a
+        time.  An automaton with a table gets :meth:`is_input` and
+        :meth:`is_output` from it, and a :class:`Composition` routes
+        actions to it with dict lookups.  One without (the default)
+        overrides both predicates, and a composition consults it on
+        every action.  The table must not change once the automaton is
+        composed.
+        """
+        return None
+
     def is_input(self, action: Action) -> bool:
         """Signature predicate for input actions."""
+        return self._signature_entry(action) is False
 
-    @abstractmethod
     def is_output(self, action: Action) -> bool:
         """Signature predicate for output actions."""
+        return self._signature_entry(action) is True
+
+    def _signature_entry(self, action: Action) -> Optional[bool]:
+        """Whether :meth:`signature`'s table holds ``action`` as an output
+        (True) or an input (False); None when it does not hold it."""
+        table: Optional[Dict[Tuple[Type[Any], Optional[Hashable]], bool]]
+        table = self.__dict__.get("_signature_table")
+        if table is None:
+            rows = self.signature()
+            if rows is None:
+                raise NotImplementedError(
+                    f"{type(self).__name__} has no signature table and does "
+                    "not define is_input/is_output"
+                )
+            table = {}
+            for cls, keys, is_output in rows:
+                for key in (None,) if keys is None else keys:
+                    table[cls, key] = is_output
+            self.__dict__["_signature_table"] = table
+        cls = type(action)
+        found = table.get((cls, None))
+        if found is None:
+            found = table.get((cls, signature_key(action)))
+        return found
 
     def is_action(self, action: Action) -> bool:
         """True iff ``action`` belongs to this automaton's external signature."""
@@ -99,18 +169,6 @@ class IOAutomaton(ABC):
         Used by the simulation driver to discover what can happen next.
         """
         return iter(())
-
-    def routing_keys(self) -> Optional[Iterable[Hashable]]:
-        """The keys under which a :class:`Composition` indexes this automaton.
-
-        An automaton that returns keys promises that every action in its
-        signature names one of them as its transaction, as that
-        transaction's parent, or as its object (the ``obj`` of an
-        inform).  The composition then offers it only actions that name
-        one of its keys.  ``None`` (the default) makes no promise, and
-        the automaton is consulted for every action.
-        """
-        return None
 
     def step(self, state: Any, action: Action) -> Any:
         """Perform one step, checking enabledness for locally-controlled actions."""

@@ -208,6 +208,7 @@ class ColumnarHistory:
             dense = len(self.txn_names)
             self._txn_ids[name] = dense
             self.txn_names.append(name)
+            self._rank = None
             self.txn_parent.append(parent_id)
             self._committed.append(0)
             self._aborted.append(0)
@@ -343,12 +344,13 @@ class ColumnarHistory:
 
         Lets dense edge lists sort by int keys while reproducing exactly
         the ``(source, target)`` name ordering of the object builder.
+        Names order by their paths, so the sort compares the paths in C
+        rather than calling the names' Python-level ``__lt__``.
         """
         rank = self._rank
         if rank is None:
-            order = sorted(
-                range(len(self.txn_names)), key=self.txn_names.__getitem__
-            )
+            paths = [name.path for name in self.txn_names]
+            order = sorted(range(len(paths)), key=paths.__getitem__)
             rank = [0] * len(order)
             for position, dense in enumerate(order):
                 rank[dense] = position
@@ -729,7 +731,8 @@ class ColumnarSerializationGraph(SerializationGraph):
         if self._materialized:
             return super().find_cycle()
         names = self._store.txn_names
-        for group in sorted(self._dense_groups, key=names.__getitem__):
+        rank = self._store.name_rank()
+        for group in sorted(self._dense_groups, key=rank.__getitem__):
             cycle = self._dense_group_cycle(group)
             if cycle is not None:
                 return names[group], [names[dense] for dense in cycle]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, FrozenSet, Iterator, List, Set, Tuple
 
-from ..automata.base import IOAutomaton, evolve
+from ..automata.base import IOAutomaton, SignatureRow, evolve
 from ..core.actions import (
     Abort,
     Action,
@@ -48,7 +48,7 @@ from ..core.actions import (
 )
 from ..core.names import ObjectName, SystemType, TransactionName
 
-__all__ = ["GenericControllerState", "GenericController"]
+__all__ = ["CommitValues", "GenericControllerState", "GenericController"]
 
 #: A report or inform the controller owes: committed before aborted,
 #: then by transaction name, then the report ("") before the informs in
@@ -101,12 +101,42 @@ def _remove_owed(owed: Tuple[Action, ...], *keys: OwedKey) -> Tuple[Action, ...]
     return owed
 
 
+class CommitValues(Dict[TransactionName, Any]):
+    """A dict of commit values that refuses changes, so it hashes.
+
+    States share it copy-on-write: an effect that adds a value builds a
+    new one (:meth:`with_value`), so lookups stay O(1) dict lookups and
+    equal states hash alike.
+    """
+
+    __slots__ = ()
+
+    def with_value(self, transaction: TransactionName, value: Any) -> "CommitValues":
+        """A copy with ``transaction``'s value added."""
+        copy = CommitValues(self)
+        dict.__setitem__(copy, transaction, value)
+        return copy
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("commit values are read-only; build a new CommitValues")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:  # type: ignore[override]
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Dict[TransactionName, Any]]]:
+        return (CommitValues, (dict(self),))
+
+
 @dataclass(frozen=True)
 class GenericControllerState:
     """Immutable bookkeeping of requests, completions, reports and informs.
 
-    ``commit_values`` is a copy-on-write dict (never mutated in place), so
-    value lookups stay O(1) even in large simulations.
+    ``commit_values`` is a read-only :class:`CommitValues` dict that
+    effects copy on write, so value lookups stay O(1) even in large
+    simulations and the state hashes.
 
     The last four fields are the open work, derived from the history
     sets by :meth:`GenericController.effect` and held in enumeration
@@ -120,7 +150,7 @@ class GenericControllerState:
 
     create_requested: FrozenSet[TransactionName] = frozenset()
     created: FrozenSet[TransactionName] = frozenset()
-    commit_values: "Dict[TransactionName, Any]" = field(default_factory=dict)
+    commit_values: CommitValues = field(default_factory=CommitValues)
     committed: FrozenSet[TransactionName] = frozenset()
     aborted: FrozenSet[TransactionName] = frozenset()
     reported: FrozenSet[TransactionName] = frozenset()
@@ -166,14 +196,15 @@ class GenericController(IOAutomaton):
 
     # -- signature ---------------------------------------------------------
 
-    def is_input(self, action: Action) -> bool:
-        return isinstance(action, (RequestCreate, RequestCommit))
-
-    def is_output(self, action: Action) -> bool:
-        return isinstance(
-            action,
-            (Create, Commit, Abort, ReportCommit, ReportAbort, InformCommit, InformAbort),
-        )
+    def signature(self) -> Iterator[SignatureRow]:
+        """Every request as an input; every CREATE, completion, report
+        and inform as an output."""
+        for cls in (RequestCreate, RequestCommit):
+            yield cls, None, False
+        for cls in (
+            Create, Commit, Abort, ReportCommit, ReportAbort, InformCommit, InformAbort
+        ):
+            yield cls, None, True
 
     # -- transitions ----------------------------------------------------------
 
@@ -246,9 +277,11 @@ class GenericController(IOAutomaton):
             transaction = action.transaction
             if state.commit_requested(transaction):
                 return state
-            updated = dict(state.commit_values)
-            updated[transaction] = action.value
-            changes = {"commit_values": updated}
+            changes = {
+                "commit_values": state.commit_values.with_value(
+                    transaction, action.value
+                )
+            }
             if not state.completed(transaction):
                 changes["committable"] = state.committable + (Commit(transaction),)
             elif transaction in state.committed and transaction not in state.reported:

@@ -27,9 +27,9 @@ from abc import abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, FrozenSet, Hashable, Iterator, Tuple, TypeVar
+from typing import Any, Callable, FrozenSet, Iterator, Tuple, TypeVar
 
-from ..automata.base import IOAutomaton, evolve
+from ..automata.base import IOAutomaton, SignatureRow, evolve
 from ..core.actions import Action, Create, InformAbort, InformCommit, RequestCommit
 from ..core.names import ObjectName, SystemType, TransactionName
 
@@ -75,28 +75,16 @@ class GenericObject(IOAutomaton):
         self.obj = obj
         self.system_type = system_type
 
-    def is_my_access(self, transaction: TransactionName) -> bool:
+    def signature(self) -> Tuple[SignatureRow, ...]:
+        """The informs at this object as inputs; its accesses' CREATEs
+        as inputs and their REQUEST_COMMITs as outputs."""
+        accesses = self.system_type.accesses_by_object().get(self.obj, ())
         return (
-            self.system_type.is_access(transaction)
-            and self.system_type.object_of(transaction) == self.obj
+            (InformCommit, (self.obj,), False),
+            (InformAbort, (self.obj,), False),
+            (Create, accesses, False),
+            (RequestCommit, accesses, True),
         )
-
-    def is_input(self, action: Action) -> bool:
-        if isinstance(action, Create):
-            return self.is_my_access(action.transaction)
-        if isinstance(action, (InformCommit, InformAbort)):
-            return action.obj == self.obj
-        return False
-
-    def is_output(self, action: Action) -> bool:
-        return isinstance(action, RequestCommit) and self.is_my_access(
-            action.transaction
-        )
-
-    def routing_keys(self) -> Tuple[Hashable, ...]:
-        """The object (its informs) and its accesses (their CREATE and
-        REQUEST_COMMIT)."""
-        return (self.obj,) + self.system_type.accesses_by_object().get(self.obj, ())
 
     @abstractmethod
     def initial_state(self) -> Any: ...
@@ -147,6 +135,8 @@ class GenericObject(IOAutomaton):
     def enabled_outputs(self, state: Any) -> Iterator[Action]:
         """The REQUEST_COMMIT of each waiting access that can respond,
         in name order."""
+        if not state.waiting:
+            return
         respond = self.response(state)
         for access in state.waiting:
             value = respond(access)

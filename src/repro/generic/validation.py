@@ -11,7 +11,12 @@ module packages that battery:
 * the completion-order check (the Propositions 16/24 proof argument) —
   reported but not required, since a correct algorithm may serialise in
   an order other than completion order (MVTO legitimately fails it);
-* small-instance cross-examination against the brute-force oracle.
+* small-instance cross-examination against the brute-force oracle;
+* a recovery probe (:func:`recovery_problem`): after a top-level
+  writer's access is answered and the writer aborts, a later access
+  must be answered with the value the spec gives without the write.
+  The runs check safety only, and an object that never undoes an
+  aborted write may stay safe by blocking every later access for good.
 
 Returns a structured :class:`ValidationReport`; `passed` is the overall
 verdict.  See ``docs/TUTORIAL.md`` for the data-type-level checks that
@@ -20,11 +25,14 @@ complement this system-level battery.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
+from ..core.actions import Create, InformAbort, InformCommit, RequestCommit
 from ..core.completion_order import edges_respect_completion_order
 from ..core.correctness import certify
+from ..core.names import Access, ObjectName, SystemType, TransactionName
 from ..core.oracle import oracle_serially_correct
 from ..core.events import serial_projection
 from ..sim.driver import run_system
@@ -33,7 +41,12 @@ from ..sim.policies import EagerInformPolicy, RandomPolicy
 from ..sim.workload import ObjectKind, RWKind, WorkloadConfig, generate_workload
 from .system import ObjectFactory, make_generic_system
 
-__all__ = ["RunOutcome", "ValidationReport", "validate_object_algorithm"]
+__all__ = [
+    "RunOutcome",
+    "ValidationReport",
+    "recovery_problem",
+    "validate_object_algorithm",
+]
 
 
 @dataclass
@@ -56,12 +69,15 @@ class ValidationReport:
     """Aggregate result of :func:`validate_object_algorithm`."""
 
     outcomes: List[RunOutcome] = field(default_factory=list)
+    #: what :func:`recovery_problem` found, or None
+    recovery: Optional[str] = None
 
     @property
     def passed(self) -> bool:
-        """All runs certified, witnesses valid, inputs well-formed, and no
-        oracle disagreement (completion order is informational only)."""
-        return all(
+        """All runs certified, witnesses valid, inputs well-formed, no
+        oracle disagreement, and the object recovered from an abort
+        (completion order is informational only)."""
+        return self.recovery is None and all(
             o.certified and o.witness_ok and o.simple_ok and o.oracle_ok is not False
             for o in self.outcomes
         )
@@ -89,10 +105,78 @@ class ValidationReport:
             if self.completion_order_always_held
             else "some runs serialise outside completion order (not an error)"
         )
+        recovery = "" if self.recovery is None else f"; recovery: {self.recovery}"
         return (
             f"{verdict}: {len(self.outcomes)} runs, "
-            f"{len(self.failures())} failing; {completion}."
+            f"{len(self.failures())} failing{recovery}; {completion}."
         )
+
+
+def _revealing_ops(kind: ObjectKind, spec: Any) -> Optional[Tuple[Any, Any]]:
+    """Two of ``kind``'s operations, ``(write, later)``, such that
+    ``later`` returns another value after ``write`` than from the
+    initial state; None if a sample of them holds no such pair."""
+    rng = random.Random(0)
+    ops: List[Any] = []
+    for _ in range(64):
+        op = kind.sample_op(rng)
+        if op not in ops:
+            ops.append(op)
+    for write in ops:
+        written, _ = spec.apply(spec.initial, write)
+        for later in ops:
+            if spec.apply(written, later)[1] != spec.apply(spec.initial, later)[1]:
+                return write, later
+    return None
+
+
+def recovery_problem(
+    factory: ObjectFactory, kind: Optional[ObjectKind] = None
+) -> Optional[str]:
+    """Drive one object of ``factory`` through an abort; None if it recovers.
+
+    Top-level ``T0/w``'s access ``T0/w/a`` is answered and informed
+    committed; then ``T0/w`` aborts and the object is informed.  Top-
+    level ``T0/r``'s access ``T0/r/a``, created next, must be enabled
+    with the value the spec gives it without the aborted write.  Returns
+    what went wrong instead.  A kind none of whose sampled operations
+    reveals a write cannot show a missing recovery, and passes.
+    """
+    kind = kind if kind is not None else RWKind()
+    spec = kind.make_spec(random.Random(0))
+    ops = _revealing_ops(kind, spec)
+    if ops is None:
+        return None
+    write, later = ops
+    obj = ObjectName("X")
+    writer, reader = TransactionName(("w",)), TransactionName(("r",))
+    written, read = writer.child("a"), reader.child("a")
+    system_type = SystemType({obj: spec})
+    system_type.register_access(written, Access(obj, write))
+    system_type.register_access(read, Access(obj, later))
+    automaton = factory(obj, system_type)
+    state = automaton.effect(automaton.initial_state(), Create(written))
+    answer = next(
+        (a for a in automaton.enabled_outputs(state) if a.transaction == written), None
+    )
+    if answer is None:
+        return f"{written} ({write}) is never answered"
+    for action in (answer, InformCommit(obj, written), InformAbort(obj, writer)):
+        state = automaton.effect(state, action)
+    state = automaton.effect(state, Create(read))
+    expected = RequestCommit(read, spec.apply(spec.initial, later)[1])
+    answers = [a for a in automaton.enabled_outputs(state) if a.transaction == read]
+    if not answers:
+        return (
+            f"after {writer} aborted, {read} ({later}) is blocked; "
+            "the aborted write was not undone"
+        )
+    if answers != [expected]:
+        return (
+            f"after {writer} aborted, {read} ({later}) returns "
+            f"{answers[0].value!r}, not {expected.value!r}"
+        )
+    return None
 
 
 def validate_object_algorithm(
@@ -111,7 +195,8 @@ def validate_object_algorithm(
     ``factory`` builds the generic object (``factory(obj, system_type)``);
     ``kind`` supplies workloads whose specs the factory accepts (defaults
     to read/write objects).  Small instances are additionally checked
-    against the brute-force oracle.
+    against the brute-force oracle, and the object must pass the
+    recovery probe (:func:`recovery_problem`).
     """
     from ..serial.simple_db import check_simple_behavior
 
@@ -168,4 +253,5 @@ def validate_object_algorithm(
                     detail=detail,
                 )
             )
+    report.recovery = recovery_problem(factory, kind)
     return report

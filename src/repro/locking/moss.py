@@ -25,6 +25,7 @@ obligations directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, FrozenSet, Tuple
 
 from ..automata.base import evolve
@@ -81,12 +82,15 @@ class MossState(ObjectState):
         return evolve(self, write_locks=locks)
 
 
+_depth = attrgetter("depth")
+
+
 def least_write_lockholder(state: MossState) -> TransactionName:
     """The unique deepest element of the write lockholder chain."""
     holders = state.write_lockholders
     if not holders:
         raise ValueError("no write lockholders")
-    return max(holders, key=lambda name: name.depth)
+    return max(holders, key=_depth)
 
 
 def write_lockholders_form_chain(state: MossState) -> bool:
@@ -187,10 +191,11 @@ class MossRWLockingObject(GenericObject):
     def response(self, state: MossState) -> Callable[[TransactionName], Any]:
         """A read responds with the least write lockholder's value when
         every write lockholder is its ancestor, a write with ``OK`` when
-        every lockholder is; the holder sets are built once per state."""
+        every lockholder is; the holder sets and the least write
+        lockholder's value are found once per state."""
         writers = state.write_lockholders
         holders = writers | state.read_lockholders
-        value = state.value(least_write_lockholder(state))
+        value = state.value(max(writers, key=_depth))
         access = self.system_type.access
 
         def respond(transaction: TransactionName) -> Any:

@@ -92,11 +92,13 @@ class AbortInjector(SchedulingPolicy):
         self._pending_aborts = aborts
 
     def choose(self, enabled: Sequence[Action]) -> Optional[Action]:
-        candidates = [
-            abort
-            for abort in self._pending_aborts
-            if self.victim_filter is None or self.victim_filter(abort.transaction)
-        ]
+        candidates = self._pending_aborts
+        if self.victim_filter is not None:
+            candidates = [
+                abort
+                for abort in candidates
+                if self.victim_filter(abort.transaction)
+            ]
         budget_left = self.max_aborts is None or self.aborts_injected < self.max_aborts
         if candidates and budget_left and self.rng.random() < self.abort_rate:
             self.aborts_injected += 1

@@ -53,7 +53,7 @@ class RandomPolicy(SchedulingPolicy):
     def choose(self, enabled: Sequence[Action]) -> Optional[Action]:
         if not enabled:
             return None
-        return self.rng.choice(list(enabled))
+        return self.rng.choice(enabled)
 
 
 class RoundRobinPolicy(SchedulingPolicy):
@@ -105,8 +105,7 @@ class EagerInformPolicy(SchedulingPolicy):
             for action in enabled
             if isinstance(action, (InformCommit, InformAbort, ReportCommit, ReportAbort))
         ]
-        pool = urgent if urgent else list(enabled)
-        return self.rng.choice(pool)
+        return self.rng.choice(urgent or enabled)
 
 
 class OrphanFreePolicy(SchedulingPolicy):

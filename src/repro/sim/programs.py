@@ -18,10 +18,23 @@ top-level programs induces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Set, Tuple, Union
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from ..automata.base import IOAutomaton, evolve
+from ..automata.base import IOAutomaton, SignatureRow, evolve
 from ..core.actions import (
     Action,
     Create,
@@ -236,15 +249,42 @@ def collect_programs(
 
 @dataclass(frozen=True)
 class ProgramState:
-    """State of a program transaction: progress through its calls."""
+    """State of a program transaction: progress through its calls.
+
+    Beside the history (the ``requested`` calls, and their ``outcomes``
+    in the order they arrived, which a computed result sees), the state
+    keeps each call's outcome by call index in ``results``, and the
+    program's *open calls*, as call indices in call order:
+    ``requestable``, the calls neither requested nor inactive, and
+    ``awaiting``, the calls that hold back the commit request (an
+    unresolved alternative, or an active call without an outcome).  A
+    call leaves either for good.  :meth:`ProgramTransaction.effect`
+    keeps both, so :meth:`ProgramTransaction.enabled_outputs` costs the
+    calls it can request rather than every call.  Build states with
+    ``initial_state`` and ``effect``, never by hand.
+    """
 
     created: bool = False
     requested: FrozenSet[str] = frozenset()
     outcomes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     commit_requested: bool = False
+    results: Tuple[Optional[Tuple[Any, ...]], ...] = ()
+    requestable: Tuple[int, ...] = ()
+    awaiting: Tuple[int, ...] = ()
 
     def outcome_map(self) -> Dict[str, Tuple[Any, ...]]:
         return dict(self.outcomes)
+
+
+_ACTIVE, _INACTIVE, _UNRESOLVED = "active", "inactive", "unresolved"
+
+
+def _without(indices: Tuple[int, ...], index: int) -> Tuple[int, ...]:
+    """``indices`` (ascending) without ``index``."""
+    at = bisect_left(indices, index)
+    if at < len(indices) and indices[at] == index:
+        return indices[:at] + indices[at + 1 :]
+    return indices
 
 
 class ProgramTransaction(IOAutomaton):
@@ -261,37 +301,54 @@ class ProgramTransaction(IOAutomaton):
         self.transaction = name
         self.program = program
         self.name = f"A_{name}"
-        self._children: FrozenSet[TransactionName] = frozenset(
-            name.child(call.component) for call in program.calls
+        calls = program.calls
+        self._children: Tuple[TransactionName, ...] = tuple(
+            [name.child(call.component) for call in calls]
+        )
+        self._requests = tuple([RequestCreate(child) for child in self._children])
+        self._index = {call.component: index for index, call in enumerate(calls)}
+        # each call's trigger, and each call's alternatives and theirs in
+        # turn, in call order
+        self._trigger: Tuple[Optional[int], ...] = (None,) * len(calls)
+        self._alternatives: Tuple[Tuple[int, ...], ...] = ((),) * len(calls)
+        if any(call.after_abort_of is not None for call in calls):
+            self._trigger = tuple(
+                None if trigger is None else self._index[trigger]
+                for trigger in (call.after_abort_of for call in calls)
+            )
+            alternatives: List[List[int]] = [[] for _ in calls]
+            for index, trigger in enumerate(self._trigger):
+                while trigger is not None:
+                    alternatives[trigger].append(index)
+                    trigger = self._trigger[trigger]
+            self._alternatives = tuple(map(tuple, alternatives))
+        every = tuple(range(len(calls)))
+        self._initial = ProgramState(
+            created=name.is_root,
+            results=(None,) * len(calls),
+            requestable=every,
+            awaiting=every,
         )
 
     # -- signature ---------------------------------------------------------
 
-    def _is_my_child(self, other: TransactionName) -> bool:
-        return other in self._children
-
-    def is_input(self, action: Action) -> bool:
-        if isinstance(action, Create):
-            return action.transaction == self.transaction
-        if isinstance(action, (ReportCommit, ReportAbort)):
-            return self._is_my_child(action.transaction)
-        return False
-
-    def is_output(self, action: Action) -> bool:
-        if isinstance(action, RequestCreate):
-            return self._is_my_child(action.transaction)
-        if isinstance(action, RequestCommit):
-            return action.transaction == self.transaction
-        return False
-
-    def routing_keys(self) -> Tuple[TransactionName]:
-        """Every action of ``A_T`` names ``T`` or a child of ``T``."""
-        return (self.transaction,)
+    def signature(self) -> Tuple[SignatureRow, ...]:
+        """``T``'s CREATE as an input and its REQUEST_COMMIT as an output;
+        its children's REQUEST_CREATEs as outputs and their reports as
+        inputs."""
+        me, children = (self.transaction,), self._children
+        return (
+            (Create, me, False),
+            (RequestCommit, me, True),
+            (RequestCreate, children, True),
+            (ReportCommit, children, False),
+            (ReportAbort, children, False),
+        )
 
     # -- transitions ----------------------------------------------------------
 
     def initial_state(self) -> ProgramState:
-        return ProgramState(created=self.transaction.is_root)
+        return self._initial
 
     def _activations(
         self, outcomes: Dict[str, Tuple[Any, ...]]
@@ -360,49 +417,94 @@ class ProgramTransaction(IOAutomaton):
             )
         return False
 
+    def _status(
+        self, results: Tuple[Optional[Tuple[Any, ...]], ...], index: int
+    ) -> str:
+        """Call ``index``'s status in :meth:`_activations`' terms, read
+        off its trigger chain and the ``results`` by call index."""
+        trigger = self._trigger[index]
+        if trigger is None:
+            return _ACTIVE
+        if self._status(results, trigger) == _INACTIVE:
+            return _INACTIVE
+        outcome = results[trigger]
+        if outcome is None:
+            return _UNRESOLVED
+        return _ACTIVE if outcome[0] == "abort" else _INACTIVE
+
     def effect(self, state: ProgramState, action: Action) -> ProgramState:
         if isinstance(action, Create):
             return evolve(state, created=True)
-        if isinstance(action, ReportCommit):
-            component = action.transaction.path[-1]
-            if component in state.outcome_map():
+        if isinstance(action, (ReportCommit, ReportAbort)):
+            index = self._call_index(action)
+            if state.results[index] is not None:
                 return state
+            if isinstance(action, ReportCommit):
+                outcome: Tuple[Any, ...] = ("commit", action.value)
+            else:
+                outcome = ("abort",)
+            return self._resolve(state, index, outcome)
+        if isinstance(action, RequestCreate):
             return evolve(
                 state,
-                outcomes=state.outcomes + ((component, ("commit", action.value)),),
+                requested=state.requested | {action.transaction.path[-1]},
+                requestable=_without(state.requestable, self._call_index(action)),
             )
-        if isinstance(action, ReportAbort):
-            component = action.transaction.path[-1]
-            if component in state.outcome_map():
-                return state
-            return evolve(
-                state, outcomes=state.outcomes + ((component, ("abort",)),)
-            )
-        if isinstance(action, RequestCreate):
-            component = action.transaction.path[-1]
-            return evolve(state, requested=state.requested | {component})
         if isinstance(action, RequestCommit):
             return evolve(state, commit_requested=True)
         raise ValueError(f"{self.name}: {action} not in signature")
 
+    def _call_index(self, action: Action) -> int:
+        """The index of the call whose child ``action`` names."""
+        try:
+            return self._index[action.transaction.path[-1]]
+        except KeyError:
+            raise ValueError(f"{self.name}: {action} not in signature") from None
+
+    def _resolve(
+        self, state: ProgramState, index: int, outcome: Tuple[Any, ...]
+    ) -> ProgramState:
+        """``state`` after the first outcome of call ``index``.  The call
+        and its alternatives are the only calls whose status can change:
+        an inactive one leaves both open lists, an active one with an
+        outcome leaves ``awaiting``."""
+        results = state.results[:index] + (outcome,) + state.results[index + 1 :]
+        requestable, awaiting = state.requestable, state.awaiting
+        for call in (index,) + self._alternatives[index]:
+            status = self._status(results, call)
+            if status == _INACTIVE:
+                requestable = _without(requestable, call)
+                awaiting = _without(awaiting, call)
+            elif status == _ACTIVE and results[call] is not None:
+                awaiting = _without(awaiting, call)
+        component = self.program.calls[index].component
+        return evolve(
+            state,
+            outcomes=state.outcomes + ((component, outcome),),
+            results=results,
+            requestable=requestable,
+            awaiting=awaiting,
+        )
+
     def enabled_outputs(self, state: ProgramState) -> Iterator[Action]:
         """The calls :meth:`_may_request` allows, then the commit request
-        :meth:`_ready_to_commit` allows, found in one walk of the calls."""
+        :meth:`_ready_to_commit` allows, read off the open calls: the
+        active requestable calls (in a sequential program, only those up
+        to the first awaited one), and the commit request once nothing
+        is awaited."""
         if not state.created or state.commit_requested:
             return
-        outcomes = state.outcome_map()
-        sequential = self.program.sequential
-        resolved = True  # every call so far has an outcome or is inactive
-        for call, status in self._activations(outcomes):
-            if (
-                status == "active"
-                and (resolved or not sequential)
-                and call.component not in state.requested
-            ):
-                yield RequestCreate(self.transaction.child(call.component))
-            if status == "unresolved" or (
-                status == "active" and call.component not in outcomes
-            ):
-                resolved = False
-        if resolved and not self.transaction.is_root:
-            yield RequestCommit(self.transaction, self.program.result_value(outcomes))
+        awaiting = state.awaiting
+        last = awaiting[0] if awaiting and self.program.sequential else len(
+            self._requests
+        )
+        results = state.results
+        for index in state.requestable:
+            if index > last:
+                break
+            if self._status(results, index) == _ACTIVE:
+                yield self._requests[index]
+        if not awaiting and not self.transaction.is_root:
+            yield RequestCommit(
+                self.transaction, self.program.result_value(state.outcome_map())
+            )

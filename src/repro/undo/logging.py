@@ -86,17 +86,21 @@ class UndoLoggingObject(GenericObject):
 
         ``(T, v)`` must commute backward with every logged ``(T', v')``
         such that some ancestor of ``T'`` outside ``ancestors(T)`` is not
-        known committed.
+        known committed.  Those ancestors are the ones below the depth
+        of ``lca(T, T')``, so one comparison of the two paths finds them.
         """
         op = self.system_type.access(transaction).op
+        path = transaction.path
+        committed = state.committed
         for entry in state.operations:
             issuer = entry.transaction
-            pending = any(
-                ancestor not in state.committed
-                for ancestor in issuer.ancestors()
-                if not ancestor.is_ancestor_of(transaction)
-            )
-            if not pending:
+            depth = 0
+            for mine, theirs in zip(path, issuer.path):
+                if mine != theirs:
+                    break
+                depth += 1
+            below_lca = issuer.ancestor_chain()[: issuer.depth - depth]
+            if committed.issuperset(below_lca):
                 continue
             other_op = self.system_type.access(issuer).op
             if self.spec.conflicts(other_op, entry.value, op, value):

@@ -42,10 +42,15 @@ class Toggle(IOAutomaton):
 
 
 class KeyedToggle(Toggle):
-    """A :class:`Toggle` that declares its transaction as a routing key."""
+    """A :class:`Toggle` whose signature is a table, and whose predicates
+    are read off it."""
 
-    def routing_keys(self):
-        return (self.transaction,)
+    def signature(self):
+        me = (self.transaction,)
+        return ((Create, me, False), (Commit, me, True))
+
+    is_input = IOAutomaton.is_input
+    is_output = IOAutomaton.is_output
 
 
 class Listener(Toggle):
@@ -179,8 +184,9 @@ class TestComposition:
         assert system.participants(Commit(T("u"))) == ()
 
     def test_keyed_components_are_routed_in_component_order(self):
-        """A keyed component is found through its key, an unkeyed one is
-        always consulted, and the participants keep component order."""
+        """A tabled component is found through its table, one without a
+        table is always consulted, and the participants keep component
+        order."""
         listener = Listener("listener", T("t"))
         keyed = KeyedToggle("keyed", T("t"))
         other = KeyedToggle("other", T("u"))
@@ -188,7 +194,7 @@ class TestComposition:
         assert system.participants(Commit(T("t"))) == (listener, keyed)
         assert system.participants(Commit(T("u"))) == (other,)
         assert system.participants(Create(T("t"))) == (keyed,)
-        # REQUEST_CREATE(T0/t) is looked up by T0/t and by T0; no one has it
+        # no table holds REQUEST_CREATE(T0/t), and no predicate does
         assert system.participants(RequestCreate(T("t"))) == ()
         state = system.effect(system.initial_state(), Create(T("t")))
         assert state == {"other": False, "listener": False, "keyed": True}
@@ -197,3 +203,35 @@ class TestComposition:
         assert system.is_output(Commit(T("t"))) and not system.is_input(Commit(T("t")))
         assert system.is_input(Create(T("t")))
         assert not system.is_input(Create(ROOT.child("v")))
+
+    def test_table_predicates(self):
+        keyed = KeyedToggle("keyed", T("t"))
+        assert keyed.is_input(Create(T("t"))) and not keyed.is_output(Create(T("t")))
+        assert keyed.is_output(Commit(T("t"))) and not keyed.is_input(Commit(T("t")))
+        assert not keyed.is_action(Commit(T("u")))
+        assert not keyed.is_action(RequestCreate(T("t")))
+
+    def test_two_owners_of_an_entry_raise_at_construction(self):
+        """Strong compatibility is checked when the tables merge: two
+        components owning one keyed entry, or a keyed and a class-wide
+        entry of one class, raise before any action is routed."""
+        with pytest.raises(ValueError, match="output of multiple components"):
+            Composition([KeyedToggle("a", T("t")), KeyedToggle("b", T("t"))])
+
+        class Committer(Toggle):
+            """Outputs every COMMIT."""
+
+            def signature(self):
+                return ((Commit, None, True),)
+
+        with pytest.raises(ValueError, match=r"\['a', 'every'\]"):
+            Composition([KeyedToggle("a", T("t")), Committer("every", T("u"))])
+        # distinct keys share a class without conflict
+        Composition([KeyedToggle("a", T("t")), KeyedToggle("b", T("u"))])
+
+    def test_an_automaton_needs_a_table_or_predicates(self):
+        class Bare(Toggle):
+            is_input = IOAutomaton.is_input
+
+        with pytest.raises(NotImplementedError, match="no signature table"):
+            Bare("bare", T("t")).is_input(Create(T("t")))

@@ -23,6 +23,8 @@ from collections import Counter
 import pytest
 
 from repro import OnlineCertifier, certify, serial_projection
+from repro.core.columnar import ColumnarHistory, build_columnar_graph
+from repro.core.serialization_graph import build_serialization_graph
 from repro.serial.simple_db import check_simple_behavior
 
 from conftest import reference_certify
@@ -113,6 +115,29 @@ def test_certify_matches_the_reference_on_every_mutant(corpus, validate_input):
     if validate_input:
         causes += ("input",)
     assert all(seen[cause] for cause in causes), seen
+
+
+def test_name_ranks_and_cycles_on_every_mutant(corpus):
+    """The store ranks names by their paths and the columnar graph
+    orders its groups by those ranks: the ranks equal a sort of the
+    names themselves, and the cycle equals the object graph's, on every
+    mutant; a rank taken before more names arrive is not reused."""
+    cycles = 0
+    for label, behavior, system in corpus:
+        serial = serial_projection(behavior)
+        store = ColumnarHistory(system)
+        store.extend(serial[: len(serial) // 2])
+        store.name_rank()
+        store.extend(serial[len(serial) // 2 :])
+        names = store.txn_names
+        by_name = sorted(range(len(names)), key=names.__getitem__)
+        assert [by_name.index(dense) for dense in range(len(names))] == (
+            store.name_rank()
+        ), label
+        cycle = build_columnar_graph(store).find_cycle()
+        assert cycle == build_serialization_graph(serial, system).find_cycle(), label
+        cycles += cycle is not None
+    assert cycles > 50
 
 
 #: compaction sweep intervals the online engine runs at (None: off)

@@ -394,3 +394,11 @@ class TestAlternativeCalls:
         assert Commit(T("t", "debit_backup")) in behavior
         assert Commit(T("t")) in behavior
         assert certify(behavior, system_type).certified
+
+
+def test_effect_refuses_a_child_outside_the_program():
+    automaton = ProgramTransaction(T("t"), seq(read(X, "a")))
+    state = automaton.effect(automaton.initial_state(), Create(T("t")))
+    for action in (RequestCreate(T("t", "b")), ReportAbort(T("t", "b"))):
+        with pytest.raises(ValueError, match="not in signature"):
+            automaton.effect(state, action)

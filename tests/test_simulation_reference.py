@@ -3,24 +3,26 @@
 The generic controller keeps its open work (creatable, committable and
 abortable transactions, owed reports and informs) in its state; each
 generic object keeps its waiting accesses in its state and answers them
-through one response rule; the composition routes each action to its
-participants through an index of routing keys; a program transaction
-enumerates its outputs in one walk of its calls; and the driver
-re-queries a component only when the composition gave it a new state
-object, and reads blocked accesses (its deadlock victims) off its
-caches.  The definitional versions live here as the reference: the
-controller enumeration that re-tests every transaction ever requested,
-committed or aborted against ``enabled``; the object enumeration that
-tests every created, unanswered access against ``enabled``; the
-composition step that scans every component's signature; the program
+through one response rule; the controller, the generic objects and the
+program transactions state their signatures as tables, which the
+composition merges into one route per action class and key; a program
+transaction keeps its open calls in its state; and the driver re-queries
+a component only when the composition gave it a new state object, and
+reads blocked accesses (its deadlock victims) off its caches.  The
+definitional versions live here as the reference: the controller
+enumeration that re-tests every transaction ever requested, committed or
+aborted against ``enabled``; the object enumeration that tests every
+created, unanswered access against ``enabled``; the hand-written
+signature predicates of the three tabled classes; the composition step
+that scans every component's signature through them; the program
 enumeration that tests every call against ``enabled``; and the driver
 loop that applies steps through that scan, re-queries every component
 whose signature holds the applied action, drops duplicate offers,
 filters the offered aborts through the enabled set and picks deadlock
 victims from every object's blocked accesses.  Random controller,
-object and program schedules and seeded Moss and undo runs under every
-scheduling policy must come out identical, and the routed participants
-must equal the scanned ones on every action.
+object and program schedules, arbitrary actions, and seeded Moss and
+undo runs under every scheduling policy must come out identical, and
+the routed participants must equal the scanned ones on every action.
 """
 
 import os
@@ -485,6 +487,104 @@ def test_object_enumeration_matches_enabled(case, schedule):
         assert_object_enumeration(obj, state)
 
 
+# -- the reference signatures ------------------------------------------------
+
+
+def is_access_of(obj: GenericObject, transaction: TransactionName) -> bool:
+    system_type = obj.system_type
+    return (
+        system_type.is_access(transaction)
+        and system_type.object_of(transaction) == obj.obj
+    )
+
+
+def is_child_of(program: ProgramTransaction, transaction: TransactionName) -> bool:
+    return (
+        not transaction.is_root
+        and transaction.parent == program.transaction
+        and any(
+            call.component == transaction.path[-1] for call in program.program.calls
+        )
+    )
+
+
+def reference_is_input(component: IOAutomaton, action: Action) -> bool:
+    """The hand-written input predicates of the controller, generic
+    objects and program transactions; any other component's own."""
+    if isinstance(component, GenericController):
+        return isinstance(action, (RequestCreate, RequestCommit))
+    if isinstance(component, GenericObject):
+        if isinstance(action, Create):
+            return is_access_of(component, action.transaction)
+        if isinstance(action, (InformCommit, InformAbort)):
+            return action.obj == component.obj
+        return False
+    if isinstance(component, ProgramTransaction):
+        if isinstance(action, Create):
+            return action.transaction == component.transaction
+        if isinstance(action, (ReportCommit, ReportAbort)):
+            return is_child_of(component, action.transaction)
+        return False
+    return component.is_input(action)
+
+
+def reference_is_output(component: IOAutomaton, action: Action) -> bool:
+    """The hand-written output predicates, as :func:`reference_is_input`."""
+    if isinstance(component, GenericController):
+        return isinstance(
+            action,
+            (Create, Commit, Abort, ReportCommit, ReportAbort, InformCommit, InformAbort),
+        )
+    if isinstance(component, GenericObject):
+        return isinstance(action, RequestCommit) and is_access_of(
+            component, action.transaction
+        )
+    if isinstance(component, ProgramTransaction):
+        if isinstance(action, RequestCreate):
+            return is_child_of(component, action.transaction)
+        if isinstance(action, RequestCommit):
+            return action.transaction == component.transaction
+        return False
+    return component.is_output(action)
+
+
+def reference_is_action(component: IOAutomaton, action: Action) -> bool:
+    return reference_is_input(component, action) or reference_is_output(
+        component, action
+    )
+
+
+def signature_vocabulary(system_type: SystemType):
+    """Names and objects in and out of ``system_type``: every name it
+    has, a foreign child of each, ``T0`` and a foreign top-level name;
+    its objects and a foreign one."""
+    names = {ROOT, T("zz")}
+    for access in system_type.all_accesses():
+        for ancestor in access.ancestors():
+            names.update((ancestor, ancestor.child("zz")))
+    objects = list(system_type.object_names()) + [ObjectName("zz")]
+    return sorted(names), objects
+
+
+def any_action(names, objects):
+    """Every action class over ``names`` and ``objects``."""
+    name = st.sampled_from(names)
+    proper = st.sampled_from([n for n in names if not n.is_root])
+    value = st.sampled_from(VALUES)
+    obj = st.sampled_from(objects)
+    return st.one_of(
+        st.builds(Create, name),
+        st.builds(RequestCommit, name, value),
+        st.builds(RequestCreate, proper),
+        st.builds(Commit, proper),
+        st.builds(Abort, proper),
+        st.builds(ReportCommit, proper, value),
+        st.builds(ReportAbort, proper),
+        st.builds(InformCommit, obj, proper),
+        st.builds(InformAbort, obj, proper),
+    )
+
+
 # -- the reference composition step and driver --------------------------------
 
 
@@ -494,7 +594,7 @@ def reference_effect(
     """Every component whose signature holds ``action`` performs it."""
     new_state = dict(state)
     for component in system.components:
-        if component.is_action(action):
+        if reference_is_action(component, action):
             new_state[component.name] = component.effect(state[component.name], action)
     return new_state
 
@@ -571,7 +671,7 @@ def reference_run_system(
                 break
         state = reference_effect(system, state, choice)
         for component in system.components:
-            if component.is_action(choice):
+            if reference_is_action(component, choice):
                 output_cache[component.name] = outputs_of(component)
         trace.append(choice)
         policy.observe(choice)
@@ -683,8 +783,8 @@ ROUTED_SYSTEMS = {
 
 def scanned(system: Composition, action: Action) -> tuple:
     """The participants by definition: every component whose signature
-    holds ``action``."""
-    return tuple(c for c in system.components if c.is_action(action))
+    holds ``action`` by the reference predicates."""
+    return tuple(c for c in system.components if reference_is_action(c, action))
 
 
 def foreign_actions(system_type: SystemType, behavior) -> List[Action]:
@@ -750,8 +850,9 @@ def test_routing_matches_the_signature_scan(algorithm, seed):
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 @pytest.mark.parametrize("top_level", [16, 128])
 def test_a_step_consults_a_few_signatures(algorithm, top_level, monkeypatch):
-    """Routing asks a constant number of components per step, however
-    many transactions (and so components) the system has."""
+    """Routing a generic system's steps consults no signature predicate,
+    however many transactions (and so components) the system has: every
+    component has a table."""
     factory, kind = ALGORITHMS[algorithm]
     system_type, programs = generate_workload(
         WorkloadConfig(seed=5, top_level=top_level, objects=8, max_depth=2, kind=kind())
@@ -772,9 +873,112 @@ def test_a_step_consults_a_few_signatures(algorithm, top_level, monkeypatch):
     )
     steps = result.stats.steps
     assert steps > 10 * top_level
-    # the generic controller, plus the transaction, its parent's program
-    # and an object for the ones that name them
-    assert calls / steps <= 4, f"{calls / steps:.1f} is_action calls per step"
+    assert calls == 0, f"{calls / steps:.1f} is_action calls per step"
+
+
+def signature_case(algorithm: str):
+    factory, kind = ALGORITHMS[algorithm]
+    system_type, programs = generate_workload(
+        WorkloadConfig(seed=6, top_level=5, objects=3, max_depth=3, kind=kind())
+    )
+    return system_type, programs, make_generic_system(system_type, programs, factory)
+
+
+SIGNATURE_CASES = {algorithm: signature_case(algorithm) for algorithm in ALGORITHMS}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_signature_tables_match_the_reference_predicates(algorithm, data):
+    """On arbitrary actions of every class, over names in and out of the
+    system type and foreign objects, each component's table-derived
+    predicates and the composition's routing equal the hand-written
+    predicates."""
+    system_type, _, system = SIGNATURE_CASES[algorithm]
+    names, objects = signature_vocabulary(system_type)
+    for action in data.draw(st.lists(any_action(names, objects), max_size=30)):
+        for component in system.components:
+            assert component.is_input(action) == reference_is_input(
+                component, action
+            ), (component.name, action)
+            assert component.is_output(action) == reference_is_output(
+                component, action
+            ), (component.name, action)
+        members = tuple(
+            c for c in system.components if reference_is_action(c, action)
+        )
+        owners = [c for c in members if reference_is_output(c, action)]
+        assert system.participants(action) == members, action
+        assert system.is_output(action) == bool(owners)
+        assert system.is_input(action) == (bool(members) and not owners)
+
+
+class Untabled:
+    """A component stating its signature through the reference
+    predicates, with no table."""
+
+    def signature(self):
+        return None
+
+    def is_input(self, action):
+        return reference_is_input(self, action)
+
+    def is_output(self, action):
+        return reference_is_output(self, action)
+
+
+class UntabledController(Untabled, GenericController):
+    pass
+
+
+class UntabledProgram(Untabled, ProgramTransaction):
+    pass
+
+
+def untabled(component: IOAutomaton) -> IOAutomaton:
+    """The same automaton without its table."""
+    if isinstance(component, GenericController):
+        return UntabledController(component.system_type)
+    if isinstance(component, GenericObject):
+        base = type(component)
+        cls = type(f"Untabled{base.__name__}", (Untabled, base), {})
+        return cls(component.obj, component.system_type)
+    return UntabledProgram(component.transaction, component.program)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_mixed_composition_keeps_component_order(algorithm):
+    """Every other component, the controller and objects among them,
+    without a table: the merged routes and the consulted components
+    interleave in component order, and a seeded run is unchanged."""
+    system_type, _, tabled = SIGNATURE_CASES[algorithm]
+    mixed = Composition(
+        [
+            untabled(component) if position % 2 else component
+            for position, component in enumerate(tabled.components)
+        ]
+    )
+    assert any(c.signature() is None for c in mixed.components)
+    assert any(c.signature() is not None for c in mixed.components)
+    runs = [
+        run_system(
+            system,
+            AbortInjector(RandomPolicy(4), abort_rate=0.05, seed=4),
+            system_type,
+            resolve_deadlocks=True,
+        ).behavior
+        for system in (tabled, mixed)
+    ]
+    assert runs[0] == runs[1] and len(runs[0]) > 50
+    for action in list(runs[0]) + foreign_actions(system_type, runs[0]):
+        members = mixed.participants(action)
+        assert members == tuple(
+            c for c in mixed.components if reference_is_action(c, action)
+        ), action
+        assert [c.name for c in members] == [
+            c.name for c in tabled.participants(action)
+        ]
 
 
 # -- names and states ---------------------------------------------------------
@@ -822,8 +1026,10 @@ print("ok")
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 @pytest.mark.parametrize("seed", [4, 7])
 def test_object_states_of_seeded_runs_hash(algorithm, seed):
-    """Every state a Moss or undo object passes through in a seeded run
-    hashes, and equal states hash alike."""
+    """Every state each component of a Moss or undo system passes
+    through in a seeded run hashes, survives a pickle round trip, and
+    equal states hash alike: the controller, every program transaction
+    and every object."""
     factory, kind = ALGORITHMS[algorithm]
     system_type, programs = generate_workload(
         WorkloadConfig(seed=seed, top_level=8, objects=3, kind=kind())
@@ -835,15 +1041,18 @@ def test_object_states_of_seeded_runs_hash(algorithm, seed):
         system_type,
         resolve_deadlocks=True,
     )
-    objects = [c for c in system.components if isinstance(c, GenericObject)]
-    hashed = 0
-    for obj in objects:
-        state = obj.initial_state()
+    hashed: Dict[type, int] = {}
+    for component in system.components:
+        state = component.initial_state()
+        hash(state)
         for action in result.behavior:
-            if obj.is_action(action):
-                state = obj.effect(state, action)
-                assert hash(state) == hash(pickle.loads(pickle.dumps(state)))
-                hashed += 1
-        assert state == result.final_state[obj.name]
-        assert hash(state) == hash(result.final_state[obj.name])
-    assert hashed > 20
+            if reference_is_action(component, action):
+                state = component.effect(state, action)
+                copy = pickle.loads(pickle.dumps(state))
+                assert copy == state and hash(copy) == hash(state)
+                kind_of = type(component)
+                hashed[kind_of] = hashed.get(kind_of, 0) + 1
+        assert state == result.final_state[component.name]
+        assert hash(state) == hash(result.final_state[component.name])
+    assert hashed[GenericController] == len(result.behavior)
+    assert hashed[ProgramTransaction] > 20 and hashed[factory] > 20
