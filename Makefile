@@ -62,7 +62,9 @@ HASH_SEED_SUITES = tests/test_core_properties.py tests/test_columnar.py \
 	tests/test_online_compaction.py tests/test_parallel.py \
 	tests/test_serde.py tests/test_stream.py \
 	tests/test_witness_phase.py tests/test_mutation_agreement.py \
-	tests/test_hash_seed_determinism.py tests/test_simulation_reference.py
+	tests/test_hash_seed_determinism.py tests/test_simulation_reference.py \
+	tests/test_driver.py tests/test_driver_deadlock.py \
+	tests/test_generic_controller.py
 
 hash-seeds:
 	@for seed in 10 23; do \

@@ -17,9 +17,12 @@ state keeps, beside its history sets, the controller's *open work*:
 transactions requested but not created, commit requests not yet
 decided, requested transactions not yet completed, and completed
 transactions that still owe a report or an inform to a relevant
-object.  Each is held in the order the enumeration yields it, and
-:meth:`GenericController.effect` updates it in time proportional to
-the open work, so :meth:`GenericController.enabled_outputs` and
+object.  Each is held in the order the enumeration yields it, the
+sorted ones beside their sort keys, and
+:meth:`GenericController.effect` (one handler per action class, looked
+up by the action's class) updates it in time proportional to the open
+work, finding each position by a bisect over the keys, so
+:meth:`GenericController.enabled_outputs` and
 :meth:`GenericController.enabled_aborts` cost the open work rather than
 the run so far.  The test suite keeps the full-history enumeration as
 the reference and checks that both yield the same actions in the same
@@ -31,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Set, Tuple, Union
 
 from ..automata.base import IOAutomaton, SignatureRow, evolve
 from ..core.actions import (
@@ -56,49 +59,41 @@ __all__ = ["CommitValues", "GenericControllerState", "GenericController"]
 OwedKey = Tuple[int, Tuple[str, ...], str]
 _COMMITTED, _ABORTED = 0, 1
 
-
-def _path(action: Any) -> Tuple[str, ...]:
-    return action.transaction.path
-
-
-def _owed_key(action: Action) -> OwedKey:
-    committed = isinstance(action, (ReportCommit, InformCommit))
-    section = _COMMITTED if committed else _ABORTED
-    obj = action.obj.name if isinstance(action, (InformCommit, InformAbort)) else ""
-    return (section, _path(action), obj)
+#: A run of open work and its sort keys, kept side by side.
+Keyed = Tuple[Tuple[Any, ...], Tuple[Any, ...]]
 
 
-def _insert_by_name(actions: Tuple[Any, ...], action: Any) -> Tuple[Any, ...]:
-    """``actions`` (in transaction-name order) with ``action`` added."""
-    at = bisect_left(actions, _path(action), key=_path)
-    return actions[:at] + (action,) + actions[at:]
+def _insert(
+    actions: Tuple[Any, ...],
+    keys: Tuple[Any, ...],
+    added: Tuple[Any, ...],
+    added_keys: Tuple[Any, ...],
+) -> Keyed:
+    """``actions`` (in ``keys`` order) with the run ``added`` (in
+    ``added_keys`` order, no other key between its first and last) put
+    in place."""
+    at = bisect_left(keys, added_keys[0])
+    return actions[:at] + added + actions[at:], keys[:at] + added_keys + keys[at:]
 
 
-def _remove_by_name(
-    actions: Tuple[Any, ...], transaction: TransactionName
-) -> Tuple[Any, ...]:
-    """``actions`` (in transaction-name order) without ``transaction``'s."""
-    at = bisect_left(actions, transaction.path, key=_path)
-    if at < len(actions) and actions[at].transaction == transaction:
-        return actions[:at] + actions[at + 1 :]
-    return actions
+def _remove(actions: Tuple[Any, ...], keys: Tuple[Any, ...], key: Any) -> Keyed:
+    """``actions`` (in ``keys`` order) without the one keyed ``key``."""
+    at = bisect_left(keys, key)
+    if at < len(keys) and keys[at] == key:
+        return actions[:at] + actions[at + 1 :], keys[:at] + keys[at + 1 :]
+    return actions, keys
 
 
-def _insert_owed(owed: Tuple[Action, ...], due: List[Action]) -> Tuple[Action, ...]:
-    """``owed`` with ``due`` (one transaction's, in key order) added."""
-    if not due:
-        return owed
-    at = bisect_left(owed, _owed_key(due[0]), key=_owed_key)
-    return owed[:at] + tuple(due) + owed[at:]
-
-
-def _remove_owed(owed: Tuple[Action, ...], *keys: OwedKey) -> Tuple[Action, ...]:
-    """``owed`` without the actions whose :func:`_owed_key` is in ``keys``."""
-    for key in keys:
-        at = bisect_left(owed, key, key=_owed_key)
-        if at < len(owed) and _owed_key(owed[at]) == key:
-            owed = owed[:at] + owed[at + 1 :]
-    return owed
+def _remove_owed(
+    owed: Tuple[Action, ...],
+    keys: Tuple[OwedKey, ...],
+    path: Tuple[str, ...],
+    obj: str,
+) -> Keyed:
+    """``owed`` without the actions keyed ``(section, path, obj)`` in
+    either section (a report has ``obj`` "")."""
+    owed, keys = _remove(owed, keys, (_COMMITTED, path, obj))
+    return _remove(owed, keys, (_ABORTED, path, obj))
 
 
 class CommitValues(Dict[TransactionName, Any]):
@@ -138,13 +133,18 @@ class GenericControllerState:
     effects copy on write, so value lookups stay O(1) even in large
     simulations and the state hashes.
 
-    The last four fields are the open work, derived from the history
+    The next four fields are the open work, derived from the history
     sets by :meth:`GenericController.effect` and held in enumeration
     order: ``creatable`` (requested, not created; by name),
     ``committable`` (commit requested, not completed; by request),
     ``abortable`` (requested, not completed; by name) and ``owed`` (the
     reports and relevant informs completed transactions still owe; see
-    :data:`OwedKey`).  Build states with ``initial_state`` and
+    :data:`OwedKey`).  The last three hold the sort keys of the sorted
+    ones, position for position: the transactions' paths for
+    ``creatable`` and ``abortable``, the :data:`OwedKey` of each owed
+    action, so ``effect`` finds a position by bisecting plain tuples.
+    They are a function of the open work, so equality, hashing and
+    ``repr`` leave them out.  Build states with ``initial_state`` and
     ``effect``, never by hand.
     """
 
@@ -159,6 +159,13 @@ class GenericControllerState:
     committable: Tuple[Commit, ...] = ()
     abortable: Tuple[Abort, ...] = ()
     owed: Tuple[Action, ...] = ()
+    creatable_keys: Tuple[Tuple[str, ...], ...] = field(
+        default=(), repr=False, compare=False
+    )
+    abortable_keys: Tuple[Tuple[str, ...], ...] = field(
+        default=(), repr=False, compare=False
+    )
+    owed_keys: Tuple[OwedKey, ...] = field(default=(), repr=False, compare=False)
 
     def completed(self, transaction: TransactionName) -> bool:
         return transaction in self.committed or transaction in self.aborted
@@ -257,106 +264,149 @@ class GenericController(IOAutomaton):
     def effect(
         self, state: GenericControllerState, action: Action
     ) -> GenericControllerState:
-        if isinstance(action, RequestCreate):
-            transaction = action.transaction
-            if transaction in state.create_requested:
-                return state
-            changes: Dict[str, Any] = {
-                "create_requested": state.create_requested | {transaction}
-            }
-            if transaction not in state.created:
-                changes["creatable"] = _insert_by_name(
-                    state.creatable, Create(transaction)
-                )
-            if not state.completed(transaction):
-                changes["abortable"] = _insert_by_name(
-                    state.abortable, Abort(transaction)
-                )
-            return evolve(state, **changes)
-        if isinstance(action, RequestCommit):
-            transaction = action.transaction
-            if state.commit_requested(transaction):
-                return state
-            changes = {
-                "commit_values": state.commit_values.with_value(
-                    transaction, action.value
-                )
-            }
-            if not state.completed(transaction):
-                changes["committable"] = state.committable + (Commit(transaction),)
-            elif transaction in state.committed and transaction not in state.reported:
-                # committed before its request: the report falls due now
-                changes["owed"] = _insert_owed(
-                    state.owed, [ReportCommit(transaction, action.value)]
-                )
-            return evolve(state, **changes)
-        if isinstance(action, Create):
-            return evolve(
-                state,
-                created=state.created | {action.transaction},
-                creatable=_remove_by_name(state.creatable, action.transaction),
+        if (handler := self._EFFECTS.get(type(action))) is None:
+            raise ValueError(f"{self.name}: {action} not in signature")
+        return handler(self, state, action)
+
+    def _request_create(
+        self, state: GenericControllerState, action: RequestCreate
+    ) -> GenericControllerState:
+        transaction = action.transaction
+        if transaction in state.create_requested:
+            return state
+        changes: Dict[str, Any] = {
+            "create_requested": state.create_requested | {transaction}
+        }
+        key = (transaction.path,)
+        if transaction not in state.created:
+            changes["creatable"], changes["creatable_keys"] = _insert(
+                state.creatable, state.creatable_keys, (Create(transaction),), key
             )
-        if isinstance(action, Commit):
-            return self._complete(state, action.transaction, committed=True)
-        if isinstance(action, Abort):
-            return self._complete(state, action.transaction, committed=False)
-        if isinstance(action, (ReportCommit, ReportAbort)):
-            path = action.transaction.path
-            return evolve(
-                state,
-                reported=state.reported | {action.transaction},
-                owed=_remove_owed(
-                    state.owed, (_COMMITTED, path, ""), (_ABORTED, path, "")
-                ),
+        if not state.completed(transaction):
+            changes["abortable"], changes["abortable_keys"] = _insert(
+                state.abortable, state.abortable_keys, (Abort(transaction),), key
             )
-        if isinstance(action, (InformCommit, InformAbort)):
-            path, obj = action.transaction.path, action.obj.name
-            return evolve(
-                state,
-                informed=state.informed | {(action.obj, action.transaction)},
-                owed=_remove_owed(
-                    state.owed, (_COMMITTED, path, obj), (_ABORTED, path, obj)
-                ),
+        return evolve(state, **changes)
+
+    def _request_commit(
+        self, state: GenericControllerState, action: RequestCommit
+    ) -> GenericControllerState:
+        transaction = action.transaction
+        if state.commit_requested(transaction):
+            return state
+        changes: Dict[str, Any] = {
+            "commit_values": state.commit_values.with_value(transaction, action.value)
+        }
+        if not state.completed(transaction):
+            changes["committable"] = state.committable + (Commit(transaction),)
+        elif transaction in state.committed and transaction not in state.reported:
+            # committed before its request: the report falls due now
+            changes["owed"], changes["owed_keys"] = _insert(
+                state.owed,
+                state.owed_keys,
+                (ReportCommit(transaction, action.value),),
+                ((_COMMITTED, transaction.path, ""),),
             )
-        raise ValueError(f"{self.name}: {action} not in signature")
+        return evolve(state, **changes)
+
+    def _create(
+        self, state: GenericControllerState, action: Create
+    ) -> GenericControllerState:
+        transaction = action.transaction
+        creatable, creatable_keys = _remove(
+            state.creatable, state.creatable_keys, transaction.path
+        )
+        return evolve(
+            state,
+            created=state.created | {transaction},
+            creatable=creatable,
+            creatable_keys=creatable_keys,
+        )
 
     def _complete(
-        self,
-        state: GenericControllerState,
-        transaction: TransactionName,
-        committed: bool,
+        self, state: GenericControllerState, action: Union[Commit, Abort]
     ) -> GenericControllerState:
-        """The state after COMMIT (``committed``) or ABORT of ``transaction``:
+        """The state after COMMIT or ABORT of ``action``'s transaction:
         it is no longer committable or abortable, and its report and its
         informs to relevant objects fall due."""
+        transaction = action.transaction
+        committed = type(action) is Commit
         fates = state.committed if committed else state.aborted
         if transaction in fates:
             return state
+        path = transaction.path
+        section = _COMMITTED if committed else _ABORTED
         due: List[Action] = []
         if transaction not in state.reported:
             if not committed:
                 due.append(ReportAbort(transaction))
             elif state.commit_requested(transaction):
                 due.append(ReportCommit(transaction, state.value_of(transaction)))
+        due_keys: List[OwedKey] = [(section, path, "")] * len(due)
+        inform = InformCommit if committed else InformAbort
         for obj in self._relevant_objects.get(transaction, ()):
             if (obj, transaction) not in state.informed:
-                due.append(
-                    InformCommit(obj, transaction)
-                    if committed
-                    else InformAbort(obj, transaction)
-                )
+                due.append(inform(obj, transaction))
+                due_keys.append((section, path, obj.name))
         changes: Dict[str, Any] = {
-            "committed" if committed else "aborted": fates | {transaction},
-            "owed": _insert_owed(state.owed, due),
+            "committed" if committed else "aborted": fates | {transaction}
         }
+        if due:
+            changes["owed"], changes["owed_keys"] = _insert(
+                state.owed, state.owed_keys, tuple(due), tuple(due_keys)
+            )
         if not state.completed(transaction):
             changes["committable"] = tuple(
                 commit
                 for commit in state.committable
-                if commit.transaction != transaction
+                if commit.transaction.path != path
             )
-            changes["abortable"] = _remove_by_name(state.abortable, transaction)
+            changes["abortable"], changes["abortable_keys"] = _remove(
+                state.abortable, state.abortable_keys, path
+            )
         return evolve(state, **changes)
+
+    def _report(
+        self, state: GenericControllerState, action: Union[ReportCommit, ReportAbort]
+    ) -> GenericControllerState:
+        transaction = action.transaction
+        owed, owed_keys = _remove_owed(
+            state.owed, state.owed_keys, transaction.path, ""
+        )
+        return evolve(
+            state,
+            reported=state.reported | {transaction},
+            owed=owed,
+            owed_keys=owed_keys,
+        )
+
+    def _inform(
+        self, state: GenericControllerState, action: Union[InformCommit, InformAbort]
+    ) -> GenericControllerState:
+        transaction, obj = action.transaction, action.obj
+        owed, owed_keys = _remove_owed(
+            state.owed, state.owed_keys, transaction.path, obj.name
+        )
+        return evolve(
+            state,
+            informed=state.informed | {(obj, transaction)},
+            owed=owed,
+            owed_keys=owed_keys,
+        )
+
+    #: Each input and output class's transition, looked up by the
+    #: action's exact class (as the composition routes it).
+    _EFFECTS: Dict[type, Callable[..., GenericControllerState]] = {
+        RequestCreate: _request_create,
+        RequestCommit: _request_commit,
+        Create: _create,
+        Commit: _complete,
+        Abort: _complete,
+        ReportCommit: _report,
+        ReportAbort: _report,
+        InformCommit: _inform,
+        InformAbort: _inform,
+    }
 
     def enabled_outputs(self, state: GenericControllerState) -> Iterator[Action]:
         """CREATEs by name, COMMITs by request, then the owed reports and

@@ -15,9 +15,10 @@ carries the behavior, ready for the Theorem 8/19 certifier.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..automata.composition import Composition
 from ..core.actions import (
@@ -59,6 +60,10 @@ def run_system(
     invoked but not currently serviceable (concurrency denied by the
     object algorithms) — the E7 metric.
 
+    Before each choice, a policy with an ``offer_aborts`` method is
+    handed the controller's enabled aborts, and one with ``offer_owed``
+    the controller's owed reports and informs.
+
     With ``resolve_deadlocks``, a stuck state (nothing enabled but some
     access invoked and blocked — a genuine locking deadlock) is broken
     the way deployed systems do: the top-level ancestor of the least
@@ -79,46 +84,61 @@ def run_system(
         if isinstance(component, GenericObject)
     ]
 
-    # Per-component caches of enabled outputs: a component's enabledness
-    # depends only on its own state, and effects are pure, so its
-    # outputs change only when ``Composition.effect`` hands it a new
-    # state object — after each step only the action's participants can
-    # have one, and only those that do are re-queried.  Enumeration
-    # order (component order, then each component's own order) is
-    # preserved exactly, so seeded runs are identical to the uncached
-    # driver.  Strongly compatible components share no outputs, so the
-    # caches concatenate without duplicates (``Composition.effect``
-    # rejects an action that two components output).
-    output_cache = {
-        component.name: list(component.enabled_outputs(state[component.name]))
-        for component in system.components
+    # Per-component caches of enabled outputs, by position in component
+    # order: a component's enabledness depends only on its own state,
+    # and effects are pure, so its outputs change only when
+    # ``Composition.effect`` hands it a new state object — after each
+    # step only the action's participants can have one, and only those
+    # that do are re-queried.  ``live`` holds the positions of the
+    # non-empty caches in component order, and only those are joined,
+    # so the enabled list keeps the uncached driver's order exactly
+    # (component order, then each component's own order) and seeded
+    # runs are identical to it.  Strongly compatible components share no
+    # outputs, so the caches concatenate without duplicates
+    # (``Composition.effect`` rejects an action that two components
+    # output).
+    position = {
+        component.name: at for at, component in enumerate(system.components)
     }
+    outputs = [
+        list(component.enabled_outputs(state[component.name]))
+        for component in system.components
+    ]
+    live = [at for at, cached in enumerate(outputs) if cached]
+    cache_at = outputs.__getitem__
 
     def pick_deadlock_victim() -> Optional[Abort]:
         # Called only when nothing is enabled, so every waiting access
         # is blocked: the least one, in the names' own order (paths,
         # compared in C), whose top-level ancestor may still abort.
-        abortable = {
-            abort.transaction.path
-            for abort in controller.enabled_aborts(state[controller.name])
-        }
-        least = min(
-            (
-                access.path
-                for generic_object in objects
-                for access in state[generic_object.name].waiting
-                if access.path[:1] in abortable
-            ),
-            default=None,
-        )
+        # Each object's waiting accesses are in name order, so its
+        # candidate is the first whose top-level path is among the
+        # controller's name-ordered abortable paths.
+        abortable = state[controller.name].abortable_keys
+        least: Optional[Tuple[str, ...]] = None
+        for generic_object in objects:
+            for access in state[generic_object.name].waiting:
+                top = access.path[:1]
+                at = bisect_left(abortable, top)
+                if at < len(abortable) and abortable[at] == top:
+                    if least is None or access.path < least:
+                        least = access.path
+                    break
         return None if least is None else Abort(TransactionName.interned(least[:1]))
 
+    # The controller outputs every enabled report and inform, and its
+    # ``owed`` tuple holds them in the order the enabled list does, so a
+    # policy that draws from them first (``EagerInformPolicy``) is
+    # handed them instead of filtering the enabled list.
     offer_aborts = getattr(policy, "offer_aborts", None)
+    offer_owed = getattr(policy, "offer_owed", None)
 
     while stats.steps < max_steps:
-        enabled: List[Action] = list(chain.from_iterable(output_cache.values()))
+        enabled: List[Action] = list(chain.from_iterable(map(cache_at, live)))
         if offer_aborts is not None:
             offer_aborts(controller.enabled_aborts(state[controller.name]))
+        if offer_owed is not None:
+            offer_owed(state[controller.name].owed)
         choice = policy.choose(enabled)
         if choice is None:
             if resolve_deadlocks and not enabled:
@@ -131,24 +151,29 @@ def run_system(
                 break
         previous, state = state, system.effect(state, choice)
         for component in system.participants(choice):
-            component_state = state[component.name]
-            if component_state is not previous[component.name]:
-                output_cache[component.name] = list(
-                    component.enabled_outputs(component_state)
-                )
+            name = component.name
+            component_state = state[name]
+            if component_state is not previous[name]:
+                at = position[name]
+                fresh = list(component.enabled_outputs(component_state))
+                if not fresh:
+                    if outputs[at]:
+                        live.remove(at)
+                elif not outputs[at]:
+                    insort(live, at)
+                outputs[at] = fresh
         trace.append(choice)
         policy.observe(choice)
         stats.steps += 1
-        stats.count(type(choice).__name__)
-        if isinstance(choice, Commit):
+        kind = type(choice)
+        stats.count(kind.__name__)
+        if kind is Commit:
             stats.committed += 1
             if choice.transaction.depth == 1:
                 stats.top_level_committed += 1
-        elif isinstance(choice, Abort):
+        elif kind is Abort:
             stats.aborted += 1
-        elif isinstance(choice, RequestCommit) and system_type.is_access(
-            choice.transaction
-        ):
+        elif kind is RequestCommit and system_type.is_access(choice.transaction):
             stats.accesses_answered += 1
         if collect_blocking:
             for generic_object in objects:

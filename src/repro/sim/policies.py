@@ -92,19 +92,30 @@ class EagerInformPolicy(SchedulingPolicy):
     Keeping objects promptly informed lets Moss locking inherit locks
     leaf-to-root without artificial blocking — the configuration real
     systems approximate.
+
+    The driver hands it the pending reports and informs before each
+    choice (:meth:`offer_owed`); offered nothing, it filters them out of
+    the enabled list.  Both give the same list, so the same draw.
     """
+
+    _URGENT = (InformCommit, InformAbort, ReportCommit, ReportAbort)
 
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
+        self._owed: Optional[Sequence[Action]] = None
+
+    def offer_owed(self, owed: Sequence[Action]) -> None:
+        """Called by the driver with the enabled reports and informs, in
+        the order the enabled list holds them (the generic controller's
+        ``owed`` tuple); the next :meth:`choose` draws from them."""
+        self._owed = owed
 
     def choose(self, enabled: Sequence[Action]) -> Optional[Action]:
+        urgent, self._owed = self._owed, None
         if not enabled:
             return None
-        urgent = [
-            action
-            for action in enabled
-            if isinstance(action, (InformCommit, InformAbort, ReportCommit, ReportAbort))
-        ]
+        if urgent is None:
+            urgent = [action for action in enabled if isinstance(action, self._URGENT)]
         return self.rng.choice(urgent or enabled)
 
 
@@ -155,3 +166,10 @@ class OrphanFreePolicy(SchedulingPolicy):
         inner = getattr(self.base, "offer_aborts", None)
         if inner is not None:
             inner(aborts)
+
+    def offer_owed(self, owed) -> None:
+        """Pass through to a wrapped EagerInformPolicy, if any: reports
+        and informs are never orphan work, so the offer stays exact."""
+        inner = getattr(self.base, "offer_owed", None)
+        if inner is not None:
+            inner(owed)

@@ -134,6 +134,21 @@ class TestPolicies:
         choice = policy.choose([Create(T("a")), inform])
         assert choice == inform
 
+    def test_eager_inform_draws_from_one_offer(self):
+        """Offered the owed reports and informs, the policy draws from
+        the offer without filtering the enabled list; the offer holds for
+        one choice, and offered nothing it filters again."""
+        from repro import Create, InformCommit
+
+        policy = EagerInformPolicy(seed=0)
+        inform = InformCommit(ObjectName("x"), T("a"))
+        policy.offer_owed((inform,))
+        assert policy.choose([Create(T("a"))]) == inform
+        assert policy.choose([Create(T("a"))]) == Create(T("a"))
+        policy.offer_owed(())
+        assert policy.choose([Create(T("a"))]) == Create(T("a"))
+        assert policy.choose([]) is None
+
 
 class TestMixedObjectAlgorithms:
     def test_per_object_factories(self):

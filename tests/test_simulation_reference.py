@@ -7,8 +7,10 @@ through one response rule; the controller, the generic objects and the
 program transactions state their signatures as tables, which the
 composition merges into one route per action class and key; a program
 transaction keeps its open calls in its state; and the driver re-queries
-a component only when the composition gave it a new state object, and
-reads blocked accesses (its deadlock victims) off its caches.  The
+a component only when the composition gave it a new state object, joins
+only the non-empty output caches, hands ``EagerInformPolicy`` the
+controller's owed reports and informs, and reads blocked accesses (its
+deadlock victims) off the objects' waiting lists.  The
 definitional versions live here as the reference: the controller
 enumeration that re-tests every transaction ever requested, committed or
 aborted against ``enabled``; the object enumeration that tests every
@@ -18,13 +20,16 @@ that scans every component's signature through them; the program
 enumeration that tests every call against ``enabled``; and the driver
 loop that applies steps through that scan, re-queries every component
 whose signature holds the applied action, drops duplicate offers,
-filters the offered aborts through the enabled set and picks deadlock
+filters the offered aborts through the enabled set, offers no owed work
+(so ``EagerInformPolicy`` filters the enabled list) and picks deadlock
 victims from every object's blocked accesses.  Random controller,
 object and program schedules, arbitrary actions, and seeded Moss and
 undo runs under every scheduling policy must come out identical, and
 the routed participants must equal the scanned ones on every action.
 """
 
+import hashlib
+import json
 import os
 import pickle
 import subprocess
@@ -699,14 +704,18 @@ def reference_run_system(
 class RecordingPolicy(SchedulingPolicy):
     """``policy``, logging each choice set it is offered and its choice.
 
-    ``offer_aborts`` exists only when the wrapped policy has it, since
-    the drivers offer aborts to a policy that has the method."""
+    ``offer_aborts`` and ``offer_owed`` exist only when the wrapped
+    policy has them, since the drivers offer aborts and owed work to a
+    policy that has the method (the reference driver offers no owed
+    work, so a wrapped ``EagerInformPolicy`` filters there)."""
 
     def __init__(self, policy: SchedulingPolicy) -> None:
         self.policy = policy
         self.choices: List[tuple] = []
         if hasattr(policy, "offer_aborts"):
             self.offer_aborts = policy.offer_aborts
+        if hasattr(policy, "offer_owed"):
+            self.offer_owed = policy.offer_owed
 
     def choose(self, enabled):
         choice = self.policy.choose(enabled)
@@ -725,6 +734,9 @@ POLICIES = {
     "round-robin": lambda seed, names: RoundRobinPolicy(),
     "orphan-free": lambda seed, names: OrphanFreePolicy(
         AbortInjector(RandomPolicy(seed), abort_rate=0.05, seed=seed)
+    ),
+    "orphan-free-eager": lambda seed, names: OrphanFreePolicy(
+        EagerInformPolicy(seed=seed)
     ),
     "scripted": lambda seed, names: ScriptedAbortInjector(
         RandomPolicy(seed), victims=names[::3], seed=seed, inject_rate=0.3
@@ -769,6 +781,103 @@ def test_driver_matches_reference(algorithm, policy, seed):
     if (algorithm, policy) == ("moss", "round-robin"):
         # both drivers pick deadlock victims here, each with its own sort
         assert runs[0][1].deadlock_aborts > 0
+
+
+class TwinEagerPolicy(SchedulingPolicy):
+    """Two ``EagerInformPolicy`` instances with one seed, side by side:
+    the driver offers the first its owed work, the second filters the
+    enabled list.  Each step checks that the offer is the filtered list
+    and that both draw the same action."""
+
+    URGENT = (InformCommit, InformAbort, ReportCommit, ReportAbort)
+
+    def __init__(self, seed: int) -> None:
+        self.offered = EagerInformPolicy(seed=seed)
+        self.filtering = EagerInformPolicy(seed=seed)
+        self.owed: Optional[tuple] = None
+        self.urgent_steps = 0
+
+    def offer_owed(self, owed) -> None:
+        self.owed = owed
+        self.offered.offer_owed(owed)
+
+    def choose(self, enabled):
+        urgent = [action for action in enabled if isinstance(action, self.URGENT)]
+        assert list(self.owed) == urgent
+        self.urgent_steps += bool(urgent)
+        choice = self.offered.choose(enabled)
+        assert self.filtering.choose(enabled) == choice
+        return choice
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("seed", [2, 5])
+def test_offered_owed_work_draws_what_the_filter_draws(algorithm, seed):
+    """On seeded runs the controller's ``owed`` tuple is, on every step,
+    the enabled list's reports and informs in its order, so
+    ``EagerInformPolicy`` offered it draws what filtering draws."""
+    factory, kind = ALGORITHMS[algorithm]
+    system_type, programs = generate_workload(
+        WorkloadConfig(seed=seed, top_level=16, objects=4, kind=kind())
+    )
+    system = make_generic_system(system_type, programs, factory)
+    twin = TwinEagerPolicy(seed)
+    result = run_system(system, twin, system_type, resolve_deadlocks=True)
+    assert result.stats.quiescent
+    assert twin.urgent_steps > 50
+
+
+#: (seed, top-level transactions) of each pinned cell's runs, over 8
+#: objects at nesting depth 2
+PINNED_RUNS = ((1, 16), (2, 24), (3, 32))
+#: Seeded Moss and undo runs under three of :data:`POLICIES`, pinned:
+#: sha256 over ``repr`` of each behavior and its sorted
+#: ``RunStats.to_dict()`` JSON, in :data:`PINNED_RUNS` order.  A change
+#: to the driver, a policy, the controller, the objects or the programs
+#: that moves any seeded run fails here.  The runs resolve deadlocks, and
+#: every Moss cell picks victims.
+PINNED_DIGESTS = {
+    ("moss", "abort-injector"): (
+        "fefbc6a1fb0702e600029dc9d96e51c6ec658a6689a31646ee827cd31ba6e990"
+    ),
+    ("moss", "eager"): (
+        "bab8de75570258477bab1f635cf7917f4d13cf509a36fa6763b5d5c2653c80f2"
+    ),
+    ("moss", "round-robin"): (
+        "611713bee2d5f590353ae8f565c84612774fbcaa63ccacf7cd3041b3eede19bc"
+    ),
+    ("undo", "abort-injector"): (
+        "845be52fcbf14c96dc6f19d9ff971274f625a05df89a2434e6900494bd17ec54"
+    ),
+    ("undo", "eager"): (
+        "2c72064fcc9067082e39470b641198739a9803139dc81d6cab2e6086af54bda1"
+    ),
+    ("undo", "round-robin"): (
+        "dbd76bc2db8598b715527ff9aede380db190507b937812d4e42ec4f564e3ae45"
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm, policy", sorted(PINNED_DIGESTS))
+def test_seeded_runs_are_pinned(algorithm, policy):
+    factory, kind = ALGORITHMS[algorithm]
+    digest = hashlib.sha256()
+    deadlock_aborts = 0
+    for seed, top_level in PINNED_RUNS:
+        system_type, programs = generate_workload(
+            WorkloadConfig(
+                seed=seed, top_level=top_level, objects=8, max_depth=2, kind=kind()
+            )
+        )
+        system = make_generic_system(system_type, programs, factory)
+        result = run_system(
+            system, POLICIES[policy](seed, ()), system_type, resolve_deadlocks=True
+        )
+        digest.update(repr(result.behavior).encode())
+        digest.update(json.dumps(result.stats.to_dict(), sort_keys=True).encode())
+        deadlock_aborts += result.stats.deadlock_aborts
+    assert digest.hexdigest() == PINNED_DIGESTS[(algorithm, policy)]
+    assert deadlock_aborts > 0 or algorithm == "undo"
 
 
 # -- routing ------------------------------------------------------------------
