@@ -64,7 +64,8 @@ HASH_SEED_SUITES = tests/test_core_properties.py tests/test_columnar.py \
 	tests/test_witness_phase.py tests/test_mutation_agreement.py \
 	tests/test_hash_seed_determinism.py tests/test_simulation_reference.py \
 	tests/test_driver.py tests/test_driver_deadlock.py \
-	tests/test_generic_controller.py
+	tests/test_generic_controller.py tests/test_faults.py \
+	tests/test_orphan_policy.py tests/test_robustness.py
 
 hash-seeds:
 	@for seed in 10 23; do \

@@ -78,7 +78,6 @@ from .core import (
     has_appropriate_return_values_rw,
     is_current,
     is_safe,
-    is_serially_correct_for_root,
     is_suitable,
     lca,
     oracle_serially_correct,

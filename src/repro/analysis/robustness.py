@@ -96,6 +96,7 @@ from ..core.history import ConflictCache, spec_is_read_only
 from ..core.names import ROOT, ObjectName, TransactionName, lca
 from ..core.serialization_graph import CONFLICT, PRECEDES
 from ..obs import MetricsRegistry
+from ..sim.policies import RandomPolicy, SchedulingPolicy
 from ..sim.programs import (
     AccessCall,
     SubtransactionCall,
@@ -927,7 +928,7 @@ class ValidationResult:
         return payload
 
 
-class DirectedPolicy:
+class DirectedPolicy(SchedulingPolicy):
     """Drive the generic system toward a counterexample's schedule.
 
     A :class:`repro.sim.policies.SchedulingPolicy` that aborts the
@@ -945,15 +946,6 @@ class DirectedPolicy:
         self.assumed: FrozenSet[TransactionName] = counterexample.assumed_aborts
         self._completed: Set[TransactionName] = set()
         self._aborted: Set[TransactionName] = set()
-        self._offered: List[Action] = []
-
-    def offer_aborts(self, aborts: Sequence[Action]) -> None:
-        self._offered = [
-            action
-            for action in aborts
-            if action.transaction in self.assumed
-            and action.transaction not in self._aborted
-        ]
 
     def observe(self, action: Action) -> None:
         if isinstance(action, Abort):
@@ -1004,9 +996,18 @@ class DirectedPolicy:
             return 3
         return 3
 
-    def choose(self, enabled: Sequence[Action]) -> Optional[Action]:
-        if self._offered:
-            return self._offered.pop(0)
+    def choose(
+        self,
+        enabled: Sequence[Action],
+        owed: Sequence[Action],
+        aborts: Sequence[Abort],
+    ) -> Optional[Action]:
+        for abort in aborts:
+            if (
+                abort.transaction in self.assumed
+                and abort.transaction not in self._aborted
+            ):
+                return abort
         if not enabled:
             return None
         target = self._next_target()
@@ -1074,7 +1075,7 @@ def _certified_cycle(
 def _run_once(
     objects: Mapping[ObjectName, Any],
     programs: Mapping[TransactionName, TransactionProgram],
-    policy: Any,
+    policy: SchedulingPolicy,
     max_steps: int,
 ) -> Optional[Tuple[TransactionName, List[TransactionName]]]:
     from ..generic.permissive import PermissiveObject
@@ -1100,8 +1101,6 @@ def explore_program_set(
     control, certified after the fact.  Returns the first serialization
     graph cycle found, or ``None`` when every seeded run stays acyclic.
     """
-    from ..sim.policies import RandomPolicy
-
     for seed in range(seeds):
         cycle = _run_once(objects, programs, RandomPolicy(seed), max_steps)
         if cycle is not None:
@@ -1133,8 +1132,6 @@ def validate_counterexample(
     )
     if cycle is not None:
         return ValidationResult(True, "directed", runs, cycle)
-    from ..sim.policies import RandomPolicy
-
     for seed in range(explore_seeds):
         runs += 1
         cycle = _run_once(objects, restricted, RandomPolicy(seed), max_steps)

@@ -29,7 +29,6 @@ from .correctness import (
     WitnessError,
     build_witness,
     certify,
-    is_serially_correct_for_root,
     validate_serial_behavior,
 )
 from .explain import (

@@ -82,7 +82,6 @@ __all__ = [
     "validate_serial_behavior",
     "object_replay_problems",
     "witness_projection_problems",
-    "is_serially_correct_for_root",
 ]
 
 
@@ -225,13 +224,6 @@ def certify(
             )
         _count_verdict(certificate, metrics)
     return certificate
-
-
-def is_serially_correct_for_root(
-    behavior: Sequence[Action], system_type: SystemType
-) -> bool:
-    """Convenience wrapper: does Theorem 8/19 certify this behavior?"""
-    return certify(behavior, system_type, construct_witness=False).certified
 
 
 # ---------------------------------------------------------------------------

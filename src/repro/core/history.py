@@ -99,31 +99,19 @@ class ConflictCache:
     columnar engine (whose event columns hold the same class ids, so
     lookups skip the structured-key hashing entirely), the online
     certifier (which may share one across instances) and the evidence
-    search of :mod:`repro.core.explain`.
-
-    ``max_entries`` (optional) bounds the *verdict* table for long-lived
-    streaming deployments whose operation/value domains are unbounded:
-    once full, the oldest verdict is evicted first (insertion order — a
-    recomputed verdict re-enters at the tail).  ``evictions`` counts how
-    many verdicts were dropped.  The interning tables themselves grow
-    with the distinct specs/operation classes observed — the same
-    lifetime as a ``SystemType``'s access registry.  The default remains
-    unbounded, matching the batch pipeline where the key domain is
-    bounded by the behavior.
+    search of :mod:`repro.core.explain`.  Every table grows with the
+    distinct specs and operation classes seen, as a ``SystemType``'s
+    access registry does.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive (or None for unbounded)")
+    def __init__(self) -> None:
         self._verdicts: Dict[Tuple[int, int, int], bool] = {}
         self._spec_ids: Dict[Any, int] = {}
         self._specs: List[Any] = []
         self._operation_ids: Dict[Tuple[Any, Any], int] = {}
         self._operations: List[Tuple[Any, Any]] = []
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     # -- dense interning ---------------------------------------------------
 
@@ -171,12 +159,6 @@ class ConflictCache:
             op1, value1 = self._operations[first]
             op2, value2 = self._operations[second]
             verdict = bool(self._specs[spec_id].conflicts(op1, value1, op2, value2))
-            if (
-                self.max_entries is not None
-                and len(self._verdicts) >= self.max_entries
-            ):
-                self._verdicts.pop(next(iter(self._verdicts)))
-                self.evictions += 1
             self._verdicts[key] = verdict
             self.misses += 1
         else:

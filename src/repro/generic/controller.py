@@ -415,8 +415,8 @@ class GenericController(IOAutomaton):
         return chain(state.creatable, state.committable, state.owed)
 
     def enabled_aborts(self, state: GenericControllerState) -> Tuple[Abort, ...]:
-        """Abort actions currently enabled, by name — used by
-        fault-injection policies.
+        """Abort actions currently enabled, by name — handed by the
+        driver to every scheduling policy's ``choose``.
 
         Aborts are deliberately kept out of :meth:`enabled_outputs` so that
         a simulated run only aborts transactions when its policy decides to

@@ -60,9 +60,10 @@ def run_system(
     invoked but not currently serviceable (concurrency denied by the
     object algorithms) — the E7 metric.
 
-    Before each choice, a policy with an ``offer_aborts`` method is
-    handed the controller's enabled aborts, and one with ``offer_owed``
-    the controller's owed reports and informs.
+    Each step calls ``policy.choose`` once with the enabled list, the
+    controller's owed reports and informs (its ``owed`` tuple: exactly
+    the enabled list's reports and informs, in its order) and the
+    controller's enabled aborts.
 
     With ``resolve_deadlocks``, a stuck state (nothing enabled but some
     access invoked and blocked — a genuine locking deadlock) is broken
@@ -126,20 +127,11 @@ def run_system(
                     break
         return None if least is None else Abort(TransactionName.interned(least[:1]))
 
-    # The controller outputs every enabled report and inform, and its
-    # ``owed`` tuple holds them in the order the enabled list does, so a
-    # policy that draws from them first (``EagerInformPolicy``) is
-    # handed them instead of filtering the enabled list.
-    offer_aborts = getattr(policy, "offer_aborts", None)
-    offer_owed = getattr(policy, "offer_owed", None)
-
     while stats.steps < max_steps:
         enabled: List[Action] = list(chain.from_iterable(map(cache_at, live)))
-        if offer_aborts is not None:
-            offer_aborts(controller.enabled_aborts(state[controller.name]))
-        if offer_owed is not None:
-            offer_owed(state[controller.name].owed)
-        choice = policy.choose(enabled)
+        controller_state = state[controller.name]
+        aborts = controller.enabled_aborts(controller_state)
+        choice = policy.choose(enabled, controller_state.owed, aborts)
         if choice is None:
             if resolve_deadlocks and not enabled:
                 victim = pick_deadlock_victim()

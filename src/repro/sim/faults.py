@@ -85,14 +85,17 @@ class AbortInjector(SchedulingPolicy):
         self.victim_filter = victim_filter
         self.max_aborts = max_aborts
         self.aborts_injected = 0
-        self._pending_aborts: Sequence[Abort] = ()
 
-    def offer_aborts(self, aborts: Sequence[Abort]) -> None:
-        """Called by the driver with the currently enabled abort actions."""
-        self._pending_aborts = aborts
+    def observe(self, action: Action) -> None:
+        self.base.observe(action)
 
-    def choose(self, enabled: Sequence[Action]) -> Optional[Action]:
-        candidates = self._pending_aborts
+    def choose(
+        self,
+        enabled: Sequence[Action],
+        owed: Sequence[Action],
+        aborts: Sequence[Abort],
+    ) -> Optional[Action]:
+        candidates = aborts
         if self.victim_filter is not None:
             candidates = [
                 abort
@@ -103,7 +106,7 @@ class AbortInjector(SchedulingPolicy):
         if candidates and budget_left and self.rng.random() < self.abort_rate:
             self.aborts_injected += 1
             return self.rng.choice(candidates)
-        return self.base.choose(enabled)
+        return self.base.choose(enabled, owed, aborts)
 
 
 class ScriptedAbortInjector(SchedulingPolicy):
@@ -134,19 +137,19 @@ class ScriptedAbortInjector(SchedulingPolicy):
         self.rng = random.Random(seed)
         self.inject_rate = inject_rate
         self.aborts_injected = 0
-        self._pending_aborts: Sequence[Abort] = ()
-
-    def offer_aborts(self, aborts: Sequence[Abort]) -> None:
-        """Called by the driver with the currently enabled abort actions."""
-        self._pending_aborts = aborts
 
     def observe(self, action: Action) -> None:
         self.base.observe(action)
 
-    def choose(self, enabled: Sequence[Action]) -> Optional[Action]:
+    def choose(
+        self,
+        enabled: Sequence[Action],
+        owed: Sequence[Action],
+        aborts: Sequence[Abort],
+    ) -> Optional[Action]:
         candidates = [
             abort
-            for abort in self._pending_aborts
+            for abort in aborts
             if abort.transaction in self.victims
         ]
         if candidates:
@@ -164,4 +167,4 @@ class ScriptedAbortInjector(SchedulingPolicy):
                 isinstance(action, Commit) and action.transaction in self.victims
             )
         ]
-        return self.base.choose(safe)
+        return self.base.choose(safe, owed, aborts)

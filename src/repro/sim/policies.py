@@ -1,15 +1,16 @@
 """Scheduling policies: how the driver resolves the system's nondeterminism.
 
 A policy picks the next action from the set of enabled locally-controlled
-actions.  All policies are deterministic given their seed, so every run
-is reproducible.
+actions, the reports and informs among them, and the aborts the
+controller may perform.  All policies are deterministic given their
+seed, so every run is reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.actions import (
     Abort,
@@ -34,10 +35,23 @@ __all__ = [
 
 
 class SchedulingPolicy(ABC):
-    """Chooses one of the currently enabled actions (or None to stop)."""
+    """Chooses the next action (or None to stop).
+
+    The driver calls :meth:`choose` once per step with the enabled
+    locally-controlled actions, the controller's owed reports and
+    informs (exactly those of ``enabled``, in its order) and the
+    controller's enabled aborts, which ``enabled`` never holds: a run
+    aborts a transaction only when its policy picks one of them or the
+    driver breaks a deadlock.
+    """
 
     @abstractmethod
-    def choose(self, enabled: Sequence[Action]) -> Optional[Action]: ...
+    def choose(
+        self,
+        enabled: Sequence[Action],
+        owed: Sequence[Action],
+        aborts: Sequence[Abort],
+    ) -> Optional[Action]: ...
 
     def observe(self, action: Action) -> None:
         """Called by the driver after each applied action (including ones
@@ -50,7 +64,12 @@ class RandomPolicy(SchedulingPolicy):
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
 
-    def choose(self, enabled: Sequence[Action]) -> Optional[Action]:
+    def choose(
+        self,
+        enabled: Sequence[Action],
+        owed: Sequence[Action],
+        aborts: Sequence[Abort],
+    ) -> Optional[Action]:
         if not enabled:
             return None
         return self.rng.choice(enabled)
@@ -73,7 +92,12 @@ class RoundRobinPolicy(SchedulingPolicy):
     def __init__(self) -> None:
         self._cursor = 0
 
-    def choose(self, enabled: Sequence[Action]) -> Optional[Action]:
+    def choose(
+        self,
+        enabled: Sequence[Action],
+        owed: Sequence[Action],
+        aborts: Sequence[Abort],
+    ) -> Optional[Action]:
         if not enabled:
             return None
         kinds = len(self._ORDER)
@@ -92,31 +116,20 @@ class EagerInformPolicy(SchedulingPolicy):
     Keeping objects promptly informed lets Moss locking inherit locks
     leaf-to-root without artificial blocking — the configuration real
     systems approximate.
-
-    The driver hands it the pending reports and informs before each
-    choice (:meth:`offer_owed`); offered nothing, it filters them out of
-    the enabled list.  Both give the same list, so the same draw.
     """
-
-    _URGENT = (InformCommit, InformAbort, ReportCommit, ReportAbort)
 
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
-        self._owed: Optional[Sequence[Action]] = None
 
-    def offer_owed(self, owed: Sequence[Action]) -> None:
-        """Called by the driver with the enabled reports and informs, in
-        the order the enabled list holds them (the generic controller's
-        ``owed`` tuple); the next :meth:`choose` draws from them."""
-        self._owed = owed
-
-    def choose(self, enabled: Sequence[Action]) -> Optional[Action]:
-        urgent, self._owed = self._owed, None
+    def choose(
+        self,
+        enabled: Sequence[Action],
+        owed: Sequence[Action],
+        aborts: Sequence[Abort],
+    ) -> Optional[Action]:
         if not enabled:
             return None
-        if urgent is None:
-            urgent = [action for action in enabled if isinstance(action, self._URGENT)]
-        return self.rng.choice(urgent or enabled)
+        return self.rng.choice(owed or enabled)
 
 
 class OrphanFreePolicy(SchedulingPolicy):
@@ -126,9 +139,9 @@ class OrphanFreePolicy(SchedulingPolicy):
     transactions — to keep taking steps (the theorems hold regardless,
     and the orphan-management algorithms of the literature are about
     *limiting* that wasted work).  This wrapper implements the simplest
-    such limiter: it tracks the aborts it has scheduled and never again
-    chooses a CREATE, REQUEST_CREATE or access response on behalf of an
-    orphan.  Reports and informs still flow, so the rest of the system
+    such limiter: it tracks the aborts the driver applies (whoever chose
+    them) and never again chooses a CREATE, REQUEST_CREATE or access
+    response on behalf of an orphan.  Reports and informs still flow, so the rest of the system
     learns about the aborts.
     """
 
@@ -145,31 +158,19 @@ class OrphanFreePolicy(SchedulingPolicy):
             for ancestor in action.transaction.ancestors()
         )
 
-    def choose(self, enabled: Sequence[Action]) -> Optional[Action]:
+    def choose(
+        self,
+        enabled: Sequence[Action],
+        owed: Sequence[Action],
+        aborts: Sequence[Abort],
+    ) -> Optional[Action]:
+        # reports and informs are never orphan work, so ``owed`` stays
+        # exactly those of the filtered list
         useful = [a for a in enabled if not self._is_orphan_work(a)]
         self.filtered_out += len(enabled) - len(useful)
-        choice = self.base.choose(useful)
-        if choice is None and enabled and not useful:
-            # only orphan work remains; refuse it and end the run
-            return None
-        return choice
+        return self.base.choose(useful, owed, aborts)
 
     def observe(self, action: Action) -> None:
         if isinstance(action, Abort):
             self.aborted.add(action.transaction)
-        base_observe = getattr(self.base, "observe", None)
-        if base_observe is not None:
-            base_observe(action)
-
-    def offer_aborts(self, aborts) -> None:
-        """Pass through to a wrapped AbortInjector, if any."""
-        inner = getattr(self.base, "offer_aborts", None)
-        if inner is not None:
-            inner(aborts)
-
-    def offer_owed(self, owed) -> None:
-        """Pass through to a wrapped EagerInformPolicy, if any: reports
-        and informs are never orphan work, so the offer stays exact."""
-        inner = getattr(self.base, "offer_owed", None)
-        if inner is not None:
-            inner(owed)
+        self.base.observe(action)

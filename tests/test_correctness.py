@@ -15,7 +15,6 @@ from repro import (
     WitnessError,
     build_witness,
     certify,
-    is_serially_correct_for_root,
     project_transaction,
     serial_projection,
     validate_serial_behavior,
@@ -61,7 +60,7 @@ class TestCertify:
     def test_blind_write_cycle_rejected(self):
         # sufficiency, not necessity: rejected here, accepted by the oracle
         behavior, system = blind_write_cycle_behavior()
-        assert not is_serially_correct_for_root(behavior, system)
+        assert not certify(behavior, system, construct_witness=False).certified
 
     def test_empty_behavior_certified(self):
         system = rw_system("x")

@@ -116,14 +116,14 @@ class TestRunSystem:
 
 class TestPolicies:
     def test_random_policy_none_on_empty(self):
-        assert RandomPolicy(0).choose([]) is None
+        assert RandomPolicy(0).choose([], [], []) is None
 
     def test_round_robin_cycles_kinds(self):
         from repro import Create, RequestCreate
 
         policy = RoundRobinPolicy()
         enabled = [RequestCreate(T("a")), Create(T("a"))]
-        first = policy.choose(enabled)
+        first = policy.choose(enabled, [], [])
         assert first == Create(T("a"))  # Create comes first in the rotation
 
     def test_eager_inform_prioritises_informs(self):
@@ -131,23 +131,20 @@ class TestPolicies:
 
         policy = EagerInformPolicy(seed=0)
         inform = InformCommit(ObjectName("x"), T("a"))
-        choice = policy.choose([Create(T("a")), inform])
+        choice = policy.choose([Create(T("a")), inform], [inform], [])
         assert choice == inform
 
     def test_eager_inform_draws_from_one_offer(self):
-        """Offered the owed reports and informs, the policy draws from
-        the offer without filtering the enabled list; the offer holds for
-        one choice, and offered nothing it filters again."""
+        """Handed the owed reports and informs in the same call as the
+        enabled list, the policy draws from them without filtering the
+        enabled list; handed none, it draws from the enabled list."""
         from repro import Create, InformCommit
 
         policy = EagerInformPolicy(seed=0)
         inform = InformCommit(ObjectName("x"), T("a"))
-        policy.offer_owed((inform,))
-        assert policy.choose([Create(T("a"))]) == inform
-        assert policy.choose([Create(T("a"))]) == Create(T("a"))
-        policy.offer_owed(())
-        assert policy.choose([Create(T("a"))]) == Create(T("a"))
-        assert policy.choose([]) is None
+        assert policy.choose([Create(T("a"))], (inform,), ()) == inform
+        assert policy.choose([Create(T("a"))], (), ()) == Create(T("a"))
+        assert policy.choose([], (), ()) is None
 
 
 class TestMixedObjectAlgorithms:

@@ -52,7 +52,7 @@ class ReadsFirstPolicy(SchedulingPolicy):
             return 3
         return 2
 
-    def choose(self, enabled):
+    def choose(self, enabled, owed, aborts):
         if not enabled:
             return None
         return min(enabled, key=lambda a: (self._priority(a), str(a)))

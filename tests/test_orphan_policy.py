@@ -6,6 +6,9 @@ from repro import (
     MossRWLockingObject,
     OrphanFreePolicy,
     RandomPolicy,
+    RequestCommit,
+    RequestCreate,
+    RWKind,
     WorkloadConfig,
     certify,
     generate_workload,
@@ -32,8 +35,13 @@ def run(seed, orphan_free: bool):
     return result, system_type, policy
 
 
-def orphan_creates(behavior):
-    """CREATE events performed on behalf of already-aborted ancestors."""
+#: The steps the filter refuses to take on behalf of an orphan.
+ORPHAN_WORK = (Create, RequestCreate, RequestCommit)
+
+
+def orphan_steps(behavior, kinds=(Create,)):
+    """Events of ``kinds`` (CREATEs by default) performed on behalf of
+    already-aborted ancestors."""
     aborted = set()
     count = 0
     from repro import Abort
@@ -41,7 +49,7 @@ def orphan_creates(behavior):
     for action in behavior:
         if isinstance(action, Abort):
             aborted.add(action.transaction)
-        elif isinstance(action, Create):
+        elif isinstance(action, kinds):
             if any(a.is_ancestor_of(action.transaction) for a in aborted):
                 count += 1
     return count
@@ -51,17 +59,31 @@ class TestOrphanFreePolicy:
     def test_never_creates_orphans(self):
         for seed in range(6):
             result, system_type, policy = run(seed, orphan_free=True)
-            assert orphan_creates(result.behavior) == 0, seed
+            assert orphan_steps(result.behavior) == 0, seed
             certificate = certify(result.behavior, system_type)
             assert certificate.certified, certificate.explain()
 
     def test_baseline_does_create_orphans(self):
         # without the filter, at least one seed exhibits orphan work
         total = sum(
-            orphan_creates(run(seed, orphan_free=False)[0].behavior)
+            orphan_steps(run(seed, orphan_free=False)[0].behavior)
             for seed in range(6)
         )
         assert total > 0
+
+    def test_filter_inside_an_abort_injector_sees_its_aborts(self):
+        """Wrapped by the injector, the filter observes the aborts the
+        injector schedules, so no orphan work follows them."""
+        for seed in range(6):
+            system_type, programs = generate_workload(
+                WorkloadConfig(seed=seed, top_level=8, objects=3, kind=RWKind())
+            )
+            system = make_generic_system(system_type, programs, MossRWLockingObject)
+            orphan_free = OrphanFreePolicy(RandomPolicy(seed))
+            policy = AbortInjector(orphan_free, abort_rate=0.25, seed=seed)
+            result = run_system(system, policy, system_type, resolve_deadlocks=True)
+            assert orphan_steps(result.behavior, ORPHAN_WORK) == 0, seed
+            assert orphan_free.filtered_out > 0, seed
 
     def test_filter_counter_advances(self):
         filtered = 0

@@ -370,16 +370,12 @@ class TestAlternativeCalls:
                 self.base = EagerInformPolicy(seed=0)
                 self.done = False
 
-            def offer_aborts(self, aborts):
-                self._aborts = [
-                    a for a in aborts if a.transaction == T("t", "debit")
-                ]
-
-            def choose(self, enabled):
-                if not self.done and getattr(self, "_aborts", None):
+            def choose(self, enabled, owed, aborts):
+                debit = [a for a in aborts if a.transaction == T("t", "debit")]
+                if not self.done and debit:
                     self.done = True
-                    return self._aborts[0]
-                return self.base.choose(enabled)
+                    return debit[0]
+                return self.base.choose(enabled, owed, aborts)
 
         result = run_system(
             system, AbortDebitOnce(), system_type, max_steps=4000,

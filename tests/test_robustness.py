@@ -40,6 +40,7 @@ from repro.scenarios import (
     build_program_scenario,
     program_system_type,
 )
+from repro.sim.policies import SchedulingPolicy
 from repro.sim.programs import (
     AccessCall,
     SubtransactionCall,
@@ -335,7 +336,8 @@ class TestValidationBridge:
         )
         report = analyze_robustness(rw_objects(), programs, validate=False)
         policy = DirectedPolicy(report.counterexamples[0])
-        assert policy.choose([]) is None
+        assert isinstance(policy, SchedulingPolicy)
+        assert policy.choose([], [], []) is None
 
 
 class TestCatalogue:

@@ -8,9 +8,9 @@ program transactions state their signatures as tables, which the
 composition merges into one route per action class and key; a program
 transaction keeps its open calls in its state; and the driver re-queries
 a component only when the composition gave it a new state object, joins
-only the non-empty output caches, hands ``EagerInformPolicy`` the
-controller's owed reports and informs, and reads blocked accesses (its
-deadlock victims) off the objects' waiting lists.  The
+only the non-empty output caches, hands each policy the controller's
+owed reports and informs and its enabled aborts, and reads blocked
+accesses (its deadlock victims) off the objects' waiting lists.  The
 definitional versions live here as the reference: the controller
 enumeration that re-tests every transaction ever requested, committed or
 aborted against ``enabled``; the object enumeration that tests every
@@ -20,12 +20,13 @@ that scans every component's signature through them; the program
 enumeration that tests every call against ``enabled``; and the driver
 loop that applies steps through that scan, re-queries every component
 whose signature holds the applied action, drops duplicate offers,
-filters the offered aborts through the enabled set, offers no owed work
-(so ``EagerInformPolicy`` filters the enabled list) and picks deadlock
-victims from every object's blocked accesses.  Random controller,
-object and program schedules, arbitrary actions, and seeded Moss and
-undo runs under every scheduling policy must come out identical, and
-the routed participants must equal the scanned ones on every action.
+hands policies the enabled list's reports and informs as the owed work
+and the enabled aborts not already in the enabled set, and picks
+deadlock victims from every object's blocked accesses.  Random
+controller, object and program schedules, arbitrary actions, and seeded
+Moss and undo runs under every scheduling policy must come out
+identical, and the routed participants must equal the scanned ones on
+every action.
 """
 
 import hashlib
@@ -604,6 +605,10 @@ def reference_effect(
     return new_state
 
 
+#: The owed work by its definition: the enabled reports and informs.
+OWED_CLASSES = (InformCommit, InformAbort, ReportCommit, ReportAbort)
+
+
 def reference_run_system(
     system: Composition,
     policy: SchedulingPolicy,
@@ -615,8 +620,9 @@ def reference_run_system(
     """Apply each step through :func:`reference_effect`, re-query every
     component whose signature holds the applied action through the
     reference controller and object enumerations, drop duplicate offers,
-    offer the aborts not already enabled, and pick a deadlock victim
-    from every object's blocked accesses."""
+    hand the policy the enabled reports and informs and the aborts not
+    already enabled, and pick a deadlock victim from every object's
+    blocked accesses."""
     state = system.initial_state()
     trace: List[Action] = []
     stats = RunStats()
@@ -653,18 +659,13 @@ def reference_run_system(
                 if action not in seen:
                     seen.add(action)
                     enabled.append(action)
-        offer = getattr(policy, "offer_aborts", None)
-        if offer is not None:
-            offer(
-                [
-                    abort
-                    for abort in reference_enabled_aborts(
-                        controller, state[controller.name]
-                    )
-                    if abort not in seen
-                ]
-            )
-        choice = policy.choose(enabled)
+        owed = [action for action in enabled if isinstance(action, OWED_CLASSES)]
+        aborts = [
+            abort
+            for abort in reference_enabled_aborts(controller, state[controller.name])
+            if abort not in seen
+        ]
+        choice = policy.choose(enabled, owed, aborts)
         if choice is None:
             if resolve_deadlocks and not enabled:
                 victim = pick_deadlock_victim()
@@ -702,24 +703,16 @@ def reference_run_system(
 
 
 class RecordingPolicy(SchedulingPolicy):
-    """``policy``, logging each choice set it is offered and its choice.
-
-    ``offer_aborts`` and ``offer_owed`` exist only when the wrapped
-    policy has them, since the drivers offer aborts and owed work to a
-    policy that has the method (the reference driver offers no owed
-    work, so a wrapped ``EagerInformPolicy`` filters there)."""
+    """``policy``, logging each choice set it is handed (the enabled
+    list, the owed work and the aborts) and its choice."""
 
     def __init__(self, policy: SchedulingPolicy) -> None:
         self.policy = policy
         self.choices: List[tuple] = []
-        if hasattr(policy, "offer_aborts"):
-            self.offer_aborts = policy.offer_aborts
-        if hasattr(policy, "offer_owed"):
-            self.offer_owed = policy.offer_owed
 
-    def choose(self, enabled):
-        choice = self.policy.choose(enabled)
-        self.choices.append((tuple(enabled), choice))
+    def choose(self, enabled, owed, aborts):
+        choice = self.policy.choose(enabled, owed, aborts)
+        self.choices.append((tuple(enabled), tuple(owed), tuple(aborts), choice))
         return choice
 
     def observe(self, action):
@@ -752,6 +745,9 @@ ALGORITHMS = {
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("seed", [3, 8])
 def test_driver_matches_reference(algorithm, policy, seed):
+    """Equal behaviors, stats and, on every step, equal choice sets: the
+    controller's ``owed`` tuple is the enabled list's reports and
+    informs in its order, and its aborts are the reference's."""
     factory, kind = ALGORITHMS[algorithm]
     system_type, programs = generate_workload(
         WorkloadConfig(seed=seed, top_level=8, objects=3, kind=kind())
@@ -781,50 +777,6 @@ def test_driver_matches_reference(algorithm, policy, seed):
     if (algorithm, policy) == ("moss", "round-robin"):
         # both drivers pick deadlock victims here, each with its own sort
         assert runs[0][1].deadlock_aborts > 0
-
-
-class TwinEagerPolicy(SchedulingPolicy):
-    """Two ``EagerInformPolicy`` instances with one seed, side by side:
-    the driver offers the first its owed work, the second filters the
-    enabled list.  Each step checks that the offer is the filtered list
-    and that both draw the same action."""
-
-    URGENT = (InformCommit, InformAbort, ReportCommit, ReportAbort)
-
-    def __init__(self, seed: int) -> None:
-        self.offered = EagerInformPolicy(seed=seed)
-        self.filtering = EagerInformPolicy(seed=seed)
-        self.owed: Optional[tuple] = None
-        self.urgent_steps = 0
-
-    def offer_owed(self, owed) -> None:
-        self.owed = owed
-        self.offered.offer_owed(owed)
-
-    def choose(self, enabled):
-        urgent = [action for action in enabled if isinstance(action, self.URGENT)]
-        assert list(self.owed) == urgent
-        self.urgent_steps += bool(urgent)
-        choice = self.offered.choose(enabled)
-        assert self.filtering.choose(enabled) == choice
-        return choice
-
-
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-@pytest.mark.parametrize("seed", [2, 5])
-def test_offered_owed_work_draws_what_the_filter_draws(algorithm, seed):
-    """On seeded runs the controller's ``owed`` tuple is, on every step,
-    the enabled list's reports and informs in its order, so
-    ``EagerInformPolicy`` offered it draws what filtering draws."""
-    factory, kind = ALGORITHMS[algorithm]
-    system_type, programs = generate_workload(
-        WorkloadConfig(seed=seed, top_level=16, objects=4, kind=kind())
-    )
-    system = make_generic_system(system_type, programs, factory)
-    twin = TwinEagerPolicy(seed)
-    result = run_system(system, twin, system_type, resolve_deadlocks=True)
-    assert result.stats.quiescent
-    assert twin.urgent_steps > 50
 
 
 #: (seed, top-level transactions) of each pinned cell's runs, over 8
