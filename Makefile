@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test bench bench-smoke examples scenarios trace-demo docs lint typecheck robustness hash-seeds ci all
+.PHONY: install test bench bench-smoke examples scenarios trace-demo docs lint typecheck robustness hash-seeds dev-mode ci all
 
 install:
 	pip install -e . || python setup.py develop
@@ -73,12 +73,28 @@ hash-seeds:
 			$(HASH_SEED_SUITES) || exit 1; \
 	done
 
+# The asyncio suites under Python's development mode (the CI test job's
+# dev-mode step).  A never-awaited coroutine (RuntimeWarning) or an
+# unclosed resource (ResourceWarning) warns from a finalizer: made an
+# error there, it reaches pytest as an unraisable exception, whose
+# warning is made an error too.  A task exception nobody retrieved goes
+# to the loop's exception handler, which tests/conftest.py turns into a
+# failure under -X dev.
+DEV_MODE_SUITES = tests/test_stream.py tests/test_flight.py
+
+dev-mode:
+	PYTHONPATH=src python -X dev -W error::ResourceWarning -W error::RuntimeWarning \
+		-m pytest -x -q -W error::pytest.PytestUnraisableExceptionWarning \
+		$(DEV_MODE_SUITES)
+
 # Mirror the GitHub Actions CI jobs locally: lint, typing, robustness,
-# the docs job (doc snippets and the shipped examples), the tier-1 tests
-# and their hash-seed re-runs, and the smoke-sized benchmarks
+# the docs job (doc snippets and the shipped examples), the tier-1 tests,
+# their hash-seed re-runs and the dev-mode asyncio suites, and the
+# smoke-sized benchmarks
 ci: lint typecheck robustness docs examples
 	PYTHONPATH=src python -m pytest -x -q
 	$(MAKE) hash-seeds
+	$(MAKE) dev-mode
 	$(MAKE) bench-smoke
 
 all: test bench examples

@@ -60,8 +60,11 @@ class RunOutcome:
     witness_ok: bool
     simple_ok: bool
     completion_order_ok: bool
-    oracle_ok: Optional[bool]  # None when not attempted (instance too big)
+    #: None when not attempted (instance too big) or inconclusive
+    oracle_ok: Optional[bool]
     detail: str = ""
+    #: the oracle search ran out of ``oracle_budget`` orders: inconclusive
+    oracle_truncated: bool = False
 
 
 @dataclass
@@ -106,9 +109,11 @@ class ValidationReport:
             else "some runs serialise outside completion order (not an error)"
         )
         recovery = "" if self.recovery is None else f"; recovery: {self.recovery}"
+        inconclusive = sum(o.oracle_truncated for o in self.outcomes)
         return (
             f"{verdict}: {len(self.outcomes)} runs, "
-            f"{len(self.failures())} failing{recovery}; {completion}."
+            f"{len(self.failures())} failing, {inconclusive} inconclusive "
+            f"(oracle budget spent){recovery}; {completion}."
         )
 
 
@@ -231,12 +236,14 @@ def validate_object_algorithm(
             serial = serial_projection(result.behavior)
             certificate = certify(result.behavior, system_type)
             oracle_ok: Optional[bool] = None
+            truncated = False
             if top_level <= 4 and certificate.certified:
-                oracle_ok = bool(
-                    oracle_serially_correct(
-                        result.behavior, system_type, max_orders=oracle_budget
-                    )
+                oracle = oracle_serially_correct(
+                    result.behavior, system_type, max_orders=oracle_budget
                 )
+                # a search that ran out of budget is inconclusive, not a no
+                truncated = oracle.truncated
+                oracle_ok = None if truncated else oracle.correct
             detail = "" if certificate.certified else certificate.explain()
             report.outcomes.append(
                 RunOutcome(
@@ -251,6 +258,7 @@ def validate_object_algorithm(
                     ),
                     oracle_ok=oracle_ok,
                     detail=detail,
+                    oracle_truncated=truncated,
                 )
             )
     report.recovery = recovery_problem(factory, kind)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+import asyncio
+import gc
+import sys
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 import pytest
 
@@ -134,6 +137,30 @@ def xy_system() -> SystemType:
 @pytest.fixture
 def builder(xy_system: SystemType) -> BehaviorBuilder:
     return BehaviorBuilder(xy_system)
+
+
+@pytest.fixture(autouse=True)
+def _loop_errors_fail_in_dev_mode(monkeypatch: pytest.MonkeyPatch) -> Iterator[None]:
+    """Under ``python -X dev``, fail a test whose event loops called their
+    exception handler: a task exception nobody retrieved, a task destroyed
+    while pending.  asyncio only logs these, so without this the
+    ``make dev-mode`` run would pass over them."""
+    if not sys.flags.dev_mode:
+        yield
+        return
+    reported: List[str] = []
+    handler = asyncio.BaseEventLoop.call_exception_handler
+
+    def call_exception_handler(loop: Any, context: Dict[str, Any]) -> None:
+        reported.append(str(context.get("message")))
+        handler(loop, context)
+
+    monkeypatch.setattr(
+        asyncio.BaseEventLoop, "call_exception_handler", call_exception_handler
+    )
+    yield
+    gc.collect()  # a finished task in a reference cycle reports when freed
+    assert not reported, f"event loop reported errors: {reported}"
 
 
 # The canonical anomaly behaviors live in the public scenario library

@@ -6,6 +6,7 @@ how the CLI subcommand uses the service.
 """
 
 import asyncio
+import random
 
 import pytest
 
@@ -213,6 +214,165 @@ class TestBackpressure:
         assert waits["p95"] is not None
 
 
+class TestInbox:
+    """The bounded per-worker inbox: order, bound and cancellation."""
+
+    @pytest.mark.parametrize("instrumented", [False, True])
+    @pytest.mark.parametrize("queue_size", [1, 2])
+    def test_shuffled_feeds_requests_and_cancellations(self, queue_size, instrumented):
+        """7 sessions on 3 workers under a seeded shuffle of feeds,
+        ``verdict()`` requests and cancelled feeds (each cancelled action
+        is fed again).  Every verdict equals a direct certifier's on the
+        prefix fed before it, no inbox ever holds more than
+        ``queue_size`` entries, and the service closes."""
+        cases = [simple_case(seed, steps=40) for seed in range(7)]
+        rng = random.Random(100 * queue_size + instrumented)
+        registry = MetricsRegistry() if instrumented else None
+
+        async def scenario():
+            service = StreamService(
+                StreamConfig(workers=3, queue_size=queue_size), metrics=registry
+            )
+            await service.start()
+            inboxes = service._inboxes
+            peak = [0]
+
+            def held():
+                peak[0] = max([peak[0]] + [len(inbox.entries) for inbox in inboxes])
+
+            handle = service._handle
+
+            def handle_and_check(entry):
+                # the worker just took this entry from its inbox
+                session = entry[0]
+                if session is not None:
+                    peak[0] = max(peak[0], len(inboxes[session.worker].entries) + 1)
+                held()
+                handle(entry)
+
+            service._handle = handle_and_check
+            sessions = [
+                await service.open_session(f"s{i}", system)
+                for i, (_, system) in enumerate(cases)
+            ]
+            cursors = [0] * len(cases)
+            feeding = [None] * len(cases)
+            asking = [None] * len(cases)
+            asked = []  # (session index, prefix length, request task)
+            cancelled = 0
+            while any(
+                cursors[i] < len(behavior) or feeding[i] is not None
+                for i, (behavior, _) in enumerate(cases)
+            ):
+                i = rng.randrange(len(cases))
+                behavior = cases[i][0]
+                task = feeding[i]
+                if asking[i] is not None and asking[i].done():
+                    asking[i] = None
+                if task is not None:
+                    if task.done():
+                        if task.cancelled():
+                            cancelled += 1  # not fed: feed it again
+                        else:
+                            task.result()
+                            cursors[i] += 1
+                        feeding[i] = None
+                    elif rng.random() < 0.3:
+                        task.cancel()
+                elif asking[i] is None and cursors[i] < len(behavior):
+                    if rng.random() < 0.15:
+                        # nothing of this session is in flight, and it
+                        # feeds nothing more until the answer is in, so
+                        # the answer reflects exactly the fed prefix
+                        asking[i] = asyncio.ensure_future(sessions[i].verdict())
+                        asked.append((i, cursors[i], asking[i]))
+                    else:
+                        feeding[i] = asyncio.ensure_future(
+                            sessions[i].feed(behavior[cursors[i]])
+                        )
+                if rng.random() < 0.4:
+                    await asyncio.sleep(0)
+                held()
+            answers = [(i, prefix, await task) for i, prefix, task in asked]
+            results = [await session.close() for session in sessions]
+            await service.close()
+            return answers, results, cancelled, peak[0]
+
+        answers, results, cancelled, peak = run(asyncio.wait_for(scenario(), 60))
+        assert cancelled > 0
+        assert 0 < peak <= queue_size
+        assert answers
+        for i, prefix, verdict in answers:
+            behavior, system = cases[i]
+            direct = OnlineCertifier(
+                system, compaction=True, compaction_interval=64
+            ).feed_all(behavior[:prefix])
+            assert judgement(verdict) == judgement(direct), (i, prefix)
+        for (behavior, system), result in zip(cases, results):
+            direct = OnlineCertifier(
+                system, compaction=True, compaction_interval=64
+            ).feed_all(behavior)
+            assert judgement(result.verdict) == judgement(direct), result.name
+            assert result.actions == len(behavior)
+        if instrumented:
+            assert registry.snapshot()["counters"]["stream.backpressure_waits"] > 0
+
+    def test_producer_cancelled_after_grant_passes_room_on(self):
+        """A producer granted room and cancelled before it appends hands
+        the room to the next waiting producer (as ``asyncio.Queue.put``
+        does), or that producer waits forever."""
+        behavior, system = simple_case(0)
+
+        async def scenario():
+            service = StreamService(StreamConfig(workers=1, queue_size=1))
+            await service.start()
+            session = await service.open_session("s", system)
+            first = asyncio.ensure_future(session.feed(behavior[0]))
+            granted = asyncio.ensure_future(session.feed(behavior[1]))
+            queued = asyncio.ensure_future(session.feed(behavior[1]))
+            await asyncio.sleep(0)
+            # `first` filled the inbox; `granted` and `queued` wait, in order
+            assert first.done() and not granted.done() and not queued.done()
+            # the worker takes `first`'s entry and grants `granted` room;
+            # cancel `granted` after that, before it resumes
+            asyncio.get_running_loop().call_soon(granted.cancel)
+            await asyncio.wait_for(queued, 5)
+            assert granted.cancelled()
+            await session.feed_all(behavior[2:])
+            result = await session.close()
+            await service.close()
+            return result
+
+        result = run(asyncio.wait_for(scenario(), 30))
+        direct = OnlineCertifier(
+            system, compaction=True, compaction_interval=64
+        ).feed_all(behavior)
+        assert judgement(result.verdict) == judgement(direct)
+        assert result.actions == len(behavior)
+
+    def test_cancelled_verdict_request_leaves_the_worker_running(self):
+        """A requester that stops waiting gets no answer, and the worker
+        goes on with the entries behind its request."""
+        behavior, system = simple_case(1)
+
+        async def scenario():
+            service = StreamService()
+            await service.start()
+            session = await service.open_session("s", system)
+            await session.feed_all(behavior[:5])
+            asked = asyncio.ensure_future(session.verdict())
+            await asyncio.sleep(0)  # the request is in the inbox
+            asked.cancel()
+            await session.feed_all(behavior[5:])
+            result = await session.close()
+            await service.close()
+            return asked, result
+
+        asked, result = run(asyncio.wait_for(scenario(), 30))
+        assert asked.cancelled()
+        assert result.actions == len(behavior)
+
+
 class TestLatencyTelemetry:
     def test_feed_to_verdict_histogram_counts_every_action(self):
         async def scenario():
@@ -337,6 +497,22 @@ class TestErrorSurfacing:
                 await session.close()
                 with pytest.raises(RuntimeError):
                     await session.feed(behavior[0])
+            finally:
+                await service.close()
+
+        run(scenario())
+
+    def test_verdict_and_close_after_close_rejected(self):
+        async def scenario():
+            service = StreamService()
+            await service.start()
+            try:
+                session = await service.open_session("done", rw_system("x"))
+                await session.close()
+                with pytest.raises(RuntimeError, match="is closed"):
+                    await session.verdict()
+                with pytest.raises(RuntimeError, match="is closed"):
+                    await session.close()
             finally:
                 await service.close()
 

@@ -48,6 +48,26 @@ class TestShippedAlgorithmsPass:
         assert "PASSED" in report.summary()
         assert report.failures() == []
 
+    def test_oracle_out_of_budget_is_inconclusive_not_failed(self):
+        """Seed 5 certifies with a valid witness, but the oracle needs
+        10,369 orders to find a serial witness: with the default budget
+        of 2,000 the search is truncated, which is no disagreement."""
+        report = validate_object_algorithm(
+            MossRWLockingObject, RWKind(), seeds=[5], abort_rates=(0.0,)
+        )
+        assert report.passed, report.summary()
+        [outcome] = report.outcomes
+        assert outcome.certified and outcome.witness_ok
+        assert outcome.oracle_ok is None and outcome.oracle_truncated
+        assert "1 inconclusive" in report.summary()
+        ample = validate_object_algorithm(
+            MossRWLockingObject, RWKind(), seeds=[5], abort_rates=(0.0,),
+            oracle_budget=20_000,
+        )
+        assert ample.outcomes[0].oracle_ok is True
+        assert not ample.outcomes[0].oracle_truncated
+        assert "0 inconclusive" in ample.summary()
+
 
 class TestMVTOIsFlaggedInformationally:
     def test_mvto_fails_certification_but_not_oracle(self):
