@@ -34,25 +34,21 @@ import time
 from bisect import bisect_right
 
 from _smoke import pick
-from repro import (
+from repro.core.actions import RequestCreate, is_report
+from repro.core.events import StatusIndex, serial_projection
+from repro.core.history import HistoryIndex, spec_is_read_only
+from repro.core.names import ROOT, lca
+from repro.core.online import OnlineCertifier
+from repro.core.return_values import check_appropriate_return_values
+from repro.core.serialization_graph import (
     CONFLICT,
     PRECEDES,
-    ROOT,
-    HistoryIndex,
-    MetricsRegistry,
-    OnlineCertifier,
-    RequestCreate,
     SerializationGraph,
     SiblingEdge,
-    StatusIndex,
-    check_appropriate_return_values,
     conflict_pairs,
-    lca,
     precedes_pairs,
-    serial_projection,
 )
-from repro.core.actions import is_report
-from repro.core.history import spec_is_read_only
+from repro.obs.metrics import MetricsRegistry
 
 #: timed runs per lane and size (one under ``BENCH_SMOKE``)
 RUNS = pick(5, 1)

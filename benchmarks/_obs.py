@@ -2,7 +2,7 @@
 
 The benchmarks time whole operations with ``pytest-benchmark``; these
 helpers add the *phase-level* view: run the operation once under a
-:class:`repro.obs.Tracer`, aggregate per-phase span totals, and write a
+:class:`repro.obs.tracer.Tracer`, aggregate per-phase span totals, and write a
 ``BENCH_<name>.json`` next to the benchmark files so results carry the
 breakdown (not just totals) for regression comparison across PRs.
 """
@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Tuple
 
 from _smoke import SMOKE
-from repro.obs import MetricsRegistry, RingBufferSink, Span, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import RingBufferSink, Span, Tracer
 
 BENCH_DIR = Path(__file__).parent
 

@@ -19,17 +19,14 @@ from _obs import write_bench_json
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro import (
-    EagerInformPolicy,
-    MetricsRegistry,
-    MossRWLockingObject,
-    OnlineCertifier,
-    WorkloadConfig,
-    certify,
-    generate_workload,
-    make_generic_system,
-    run_system,
-)
+from repro.core.correctness import certify
+from repro.core.online import OnlineCertifier
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
+from repro.sim.workload import WorkloadConfig, generate_workload
 
 
 def make_stream(top_level: int, objects: int, seed: int = 0):

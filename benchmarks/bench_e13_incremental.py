@@ -29,21 +29,16 @@ from _obs import write_bench_json
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro import (
-    OK,
-    Access,
+from repro.core.actions import (
     Commit,
     Create,
-    ObjectName,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    ROOT,
-    RWSpec,
-    SystemType,
-    WriteOp,
-    certify,
 )
+from repro.core.correctness import certify
+from repro.core.names import ROOT, Access, ObjectName, SystemType
+from repro.core.rw_semantics import OK, RWSpec, WriteOp
 
 
 def growing_history(top_level: int, objects: int = 2):

@@ -34,21 +34,15 @@ from _obs import write_bench_json
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro import (
-    OK,
-    Access,
+from repro.core.actions import (
     Commit,
     Create,
-    ObjectName,
-    ReadOp,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    ROOT,
-    RWSpec,
-    SystemType,
-    WriteOp,
 )
+from repro.core.names import ROOT, Access, ObjectName, SystemType
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
 
 #: one write per this many accesses — the read-heavy regime the
 #: writer-boundary enumeration is built for

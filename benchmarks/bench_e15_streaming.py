@@ -8,16 +8,18 @@ frontier) and evicts quiescent subtree records, so retained state
 tracks the *live window* of the stream rather than its length.
 
 This benchmark drives commit-as-you-go streams
-(:func:`repro.stream.commit_as_you_go`) of growing length — up to
-~100k events — through both engines, asserts the judgements are
+(:func:`repro.stream.workload.commit_as_you_go`) of growing length — up
+to ~100k events — through both engines, asserts the judgements are
 identical, and records peak retained tracked operations and throughput
 in ``BENCH_e15_streaming.json``.  The headline targets: the compacted
 peak is bounded by the live window (and flat as the stream grows 7x)
 while the uncompacted baseline's retention grows linearly with the
 stream; a mid-size stream is also pushed through the
-:class:`repro.stream.StreamService` feed API five times to price the
-asyncio transport, and the baseline keeps the median run with every
-run's seconds beside it.
+:class:`repro.stream.service.StreamService` feed API five times to price
+the asyncio transport, and the baseline keeps the median run with every
+run's seconds beside it.  Every lane is handed a pre-built action list,
+so the clock times certification, not stream generation, and the peak
+is sampled in a separate untimed pass.
 """
 
 import asyncio
@@ -32,14 +34,16 @@ from _obs import write_bench_json
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro import MetricsRegistry, OnlineCertifier
-from repro.stream import StreamConfig, StreamWorkload, certify_stream, commit_as_you_go
+from repro.core.online import OnlineCertifier
+from repro.obs.metrics import MetricsRegistry
+from repro.stream.service import StreamConfig, certify_stream
+from repro.stream.workload import StreamWorkload, commit_as_you_go
 
 #: sliding window of in-flight top-level transactions
 WINDOW = 8
 #: compaction sweep cadence (events between sweeps)
 INTERVAL = 64
-#: how often the feed loop samples ``live_tracked_ops`` for the peak
+#: how often the untimed peak pass samples ``live_tracked_ops``
 SAMPLE_EVERY = 8
 
 #: stream lengths, in top-level transactions (24 events each)
@@ -48,39 +52,50 @@ CASES = pick([600, 2100, 4200], [30, 60])
 SERVICE_RUNS = pick(5, 1)
 
 
-def make_workload(top_level: int) -> StreamWorkload:
-    return StreamWorkload(
-        top_level=top_level, accesses=4, window=WINDOW, rotation=16, seed=42
+def build_stream(top_level: int, seed: int = 42):
+    """One commit-as-you-go stream, generated in full: ``(system, actions)``."""
+    system, actions = commit_as_you_go(
+        StreamWorkload(
+            top_level=top_level, accesses=4, window=WINDOW, rotation=16, seed=seed
+        )
     )
+    return system, list(actions)
 
 
 def judgement(verdict):
     return (verdict.certified, verdict.arv_violations, verdict.cycle is None)
 
 
-def timed_feed(top_level: int, compaction: bool):
-    """Feed one freshly generated stream; return (verdict, stats)."""
-    system, actions = commit_as_you_go(make_workload(top_level))
+def peak_tracked_ops(system, actions, compaction: bool) -> int:
+    """The most tracked operations one certifier retains over ``actions``,
+    sampled every ``SAMPLE_EVERY`` events (an untimed pass)."""
     certifier = OnlineCertifier(
-        system,
-        compaction=compaction,
-        compaction_interval=INTERVAL,
+        system, compaction=compaction, compaction_interval=INTERVAL
     )
     peak = 0
-    events = 0
-    start = time.perf_counter()
-    for action in actions:
+    for events, action in enumerate(actions, 1):
         certifier.feed(action)
-        events += 1
         if events % SAMPLE_EVERY == 0:
             peak = max(peak, certifier.live_tracked_ops())
+    return max(peak, certifier.live_tracked_ops())
+
+
+def timed_feed(system, actions, compaction: bool):
+    """Time one certifier over the pre-built ``actions``; return
+    ``(verdict, stats)``."""
+    certifier = OnlineCertifier(
+        system, compaction=compaction, compaction_interval=INTERVAL
+    )
+    feed = certifier.feed
+    start = time.perf_counter()
+    for action in actions:
+        feed(action)
     seconds = time.perf_counter() - start
-    peak = max(peak, certifier.live_tracked_ops())
     return certifier.verdict(), {
-        "events": events,
+        "events": len(actions),
         "seconds": seconds,
-        "events_per_second": events / max(seconds, 1e-9),
-        "peak_live_tracked_ops": peak,
+        "events_per_second": len(actions) / max(seconds, 1e-9),
+        "peak_live_tracked_ops": peak_tracked_ops(system, actions, compaction),
         "compaction": certifier.compaction_stats(),
     }
 
@@ -93,26 +108,20 @@ def timed_service(top_level: int, sessions: int = 2, workers: int = 2):
     certification, in seconds) next to the raw throughput.
     """
     registry = MetricsRegistry()
+    streams = [build_stream(top_level, seed=42 + index) for index in range(sessions)]
+    config = StreamConfig(
+        workers=workers, compaction=True, compaction_interval=INTERVAL
+    )
 
     async def drive():
-        config = StreamConfig(
-            workers=workers, compaction=True, compaction_interval=INTERVAL
+        return await asyncio.gather(
+            *(
+                certify_stream(
+                    f"bench-{index}", system, actions, config, metrics=registry
+                )
+                for index, (system, actions) in enumerate(streams)
+            )
         )
-
-        async def one(index: int):
-            workload = StreamWorkload(
-                top_level=top_level,
-                accesses=4,
-                window=WINDOW,
-                rotation=16,
-                seed=42 + index,
-            )
-            system, actions = commit_as_you_go(workload)
-            return await certify_stream(
-                f"bench-{index}", system, actions, config, metrics=registry
-            )
-
-        return await asyncio.gather(*(one(index) for index in range(sessions)))
 
     start = time.perf_counter()
     results = asyncio.run(drive())
@@ -146,8 +155,9 @@ def run_comparison():
     rows = []
     report = {}
     for top_level in CASES:
-        compacted_verdict, compacted = timed_feed(top_level, compaction=True)
-        baseline_verdict, baseline = timed_feed(top_level, compaction=False)
+        system, actions = build_stream(top_level)
+        compacted_verdict, compacted = timed_feed(system, actions, compaction=True)
+        baseline_verdict, baseline = timed_feed(system, actions, compaction=False)
         assert judgement(compacted_verdict) == judgement(baseline_verdict)
         label = f"top{top_level}"
         report[label] = {

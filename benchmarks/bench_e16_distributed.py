@@ -7,7 +7,7 @@ have a price:
 
 * **How often does local-only certification lie?**  Seed sweeps over
   the partition-prone cross-reading workload
-  (:func:`repro.distributed.divergence_config`) count the runs where
+  (:func:`repro.distributed.scenarios.divergence_config`) count the runs where
   every per-site SG is acyclic but the merged global SG is cyclic —
   each one a run a local-only checker would have wrongly passed.
 * **What does the merge cost?**  The global pass re-certifies nothing;
@@ -33,13 +33,10 @@ from _obs import write_bench_json
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro.distributed import (
-    certify_sites,
-    divergence_config,
-    merge_site_graphs,
-    run_distributed,
-)
 from repro.core.correctness import certify
+from repro.distributed.certifier import certify_sites, merge_site_graphs
+from repro.distributed.scenarios import divergence_config
+from repro.distributed.simulate import run_distributed
 
 #: (label, sites, cross-reading pairs, crash schedule?)
 CASES = pick(

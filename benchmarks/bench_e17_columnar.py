@@ -36,23 +36,17 @@ from _obs import write_bench_json
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro import (
-    OK,
-    Access,
+from repro.core.actions import (
     Commit,
     Create,
-    MetricsRegistry,
-    ObjectName,
-    ReadOp,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    ROOT,
-    RWSpec,
-    SystemType,
-    WriteOp,
-    certify,
 )
+from repro.core.correctness import certify
+from repro.core.names import ROOT, Access, ObjectName, SystemType
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
+from repro.obs.metrics import MetricsRegistry
 
 #: one write per this many accesses — the read-heavy regime both the
 #: writer-boundary skip (indexed) and the bitset sweep (columnar) target

@@ -30,7 +30,7 @@ from _smoke import SMOKE, pick
 from _tables import print_table
 
 from repro.analysis.robustness import analyze_robustness, explore_program_set
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.scenarios import build_program_scenario, program_scenario_names
 from repro.sim.workload import WorkloadConfig, generate_program_set
 

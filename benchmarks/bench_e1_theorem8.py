@@ -16,17 +16,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _smoke import pick
 from _tables import print_table
 
-from repro import (
-    EagerInformPolicy,
-    MossRWLockingObject,
-    RandomPolicy,
-    WorkloadConfig,
-    certify,
-    generate_workload,
-    make_generic_system,
-    oracle_serially_correct,
-    run_system,
-)
+from repro.core.correctness import certify
+from repro.core.oracle import oracle_serially_correct
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy, RandomPolicy
+from repro.sim.workload import WorkloadConfig, generate_workload
 
 SWEEP = pick(
     [

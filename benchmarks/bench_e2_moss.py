@@ -14,16 +14,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _smoke import pick
 from _tables import print_table
 
-from repro import (
-    AbortInjector,
-    MossRWLockingObject,
-    RandomPolicy,
-    WorkloadConfig,
-    certify,
-    generate_workload,
-    make_generic_system,
-    run_system,
-)
+from repro.core.correctness import certify
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import RandomPolicy
+from repro.sim.workload import WorkloadConfig, generate_workload
 
 SWEEP = pick(
     [

@@ -15,22 +15,22 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro import (
-    AbortInjector,
+from repro.core.correctness import certify
+from repro.generic.system import make_generic_system
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import RandomPolicy
+from repro.sim.workload import (
     BankAccountKind,
     CounterKind,
     MapKind,
     QueueKind,
-    RandomPolicy,
     RegisterKind,
     SetKind,
-    UndoLoggingObject,
     WorkloadConfig,
-    certify,
     generate_workload,
-    make_generic_system,
-    run_system,
 )
+from repro.undo.logging import UndoLoggingObject
 
 KINDS = [
     ("counter", CounterKind()),

@@ -24,23 +24,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro import (
-    OK,
-    Access,
+from repro.core.actions import (
     Commit,
     Create,
-    ObjectName,
-    ReadOp,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    RWSpec,
-    SystemType,
-    TransactionName,
-    WriteOp,
-    certify,
-    oracle_serially_correct,
 )
+from repro.core.correctness import certify
+from repro.core.names import Access, ObjectName, SystemType, TransactionName
+from repro.core.oracle import oracle_serially_correct
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
 
 
 def random_behavior(seed: int):

@@ -16,18 +16,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _smoke import pick
 from _tables import print_table
 
-from repro import (
-    ROOT,
-    Digraph,
-    build_serialization_graph,
-    certify,
-    classical_edges,
-    history_to_nested_behavior,
-    is_conflict_serializable,
-    run_strict_2pl,
-)
-from repro.classical.histories import random_history
-from repro.classical.two_phase_locking import FlatScript
+from repro.classical.histories import history_to_nested_behavior, random_history
+from repro.classical.sgt import classical_edges, is_conflict_serializable
+from repro.classical.two_phase_locking import FlatScript, run_strict_2pl
+from repro.core.correctness import certify
+from repro.core.graph import Digraph
+from repro.core.names import ROOT
+from repro.core.serialization_graph import build_serialization_graph
 
 
 def top_level_conflict_graph(behavior, system_type):

@@ -17,19 +17,15 @@ from _obs import instrumented_run, phase_totals, write_bench_json
 from _smoke import pick
 from _tables import print_table
 
-from repro import (
-    EagerInformPolicy,
-    MetricsRegistry,
-    MossRWLockingObject,
-    WorkloadConfig,
-    build_serialization_graph,
-    certify_corpus,
-    generate_workload,
-    make_generic_system,
-    run_system,
-    serial_projection,
-    simulate_corpus,
-)
+from repro.core.events import serial_projection
+from repro.core.serialization_graph import build_serialization_graph
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.obs.metrics import MetricsRegistry
+from repro.parallel import certify_corpus, simulate_corpus
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
+from repro.sim.workload import WorkloadConfig, generate_workload
 
 
 def make_behavior(top_level: int, objects: int, seed: int = 0):

@@ -17,18 +17,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro import (
-    EagerInformPolicy,
-    MossRWLockingObject,
-    ObjectName,
-    ReadUpdateLockingObject,
-    RWSpec,
-    UndoLoggingObject,
-    certify,
-    make_generic_system,
-    run_system,
-)
-from repro.core import ROOT
+from repro.core.correctness import certify
+from repro.core.names import ROOT, ObjectName
+from repro.core.rw_semantics import RWSpec
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.locking.read_update import ReadUpdateLockingObject
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
 from repro.sim.programs import (
     TransactionProgram,
     op,
@@ -39,6 +35,7 @@ from repro.sim.programs import (
     write,
 )
 from repro.spec.builtin import CounterInc, CounterType
+from repro.undo.logging import UndoLoggingObject
 
 HOT = ObjectName("hot")
 

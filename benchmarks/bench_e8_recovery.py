@@ -17,18 +17,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro import (
-    AbortInjector,
-    CounterKind,
-    MossRWLockingObject,
-    RandomPolicy,
-    UndoLoggingObject,
-    WorkloadConfig,
-    certify,
-    generate_workload,
-    make_generic_system,
-    run_system,
-)
+from repro.core.correctness import certify
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import RandomPolicy
+from repro.sim.workload import CounterKind, WorkloadConfig, generate_workload
+from repro.undo.logging import UndoLoggingObject
 
 RATES = pick([0.0, 0.1, 0.3, 0.5, 0.8], [0.0, 0.5])
 SEEDS = pick(range(3), range(1))

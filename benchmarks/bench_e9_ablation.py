@@ -22,23 +22,21 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _smoke import SMOKE, pick
 from _tables import print_table
 
-from repro import (
-    ROOT,
-    EagerInformPolicy,
-    MossRWLockingObject,
-    RandomPolicy,
+from repro.core.correctness import certify
+from repro.core.events import StatusIndex, serial_projection
+from repro.core.names import ROOT
+from repro.core.serialization_graph import (
     SerializationGraph,
-    TransactionProgram,
-    WorkloadConfig,
-    certify,
-    generate_workload,
-    make_generic_system,
-    run_system,
-    serial_projection,
-    serializability_theorem_applies,
+    conflict_pairs,
+    precedes_pairs,
 )
-from repro.core.events import StatusIndex
-from repro.core.serialization_graph import conflict_pairs, precedes_pairs
+from repro.core.view import serializability_theorem_applies
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy, RandomPolicy
+from repro.sim.programs import TransactionProgram
+from repro.sim.workload import WorkloadConfig, generate_workload
 
 
 def sequential_workload(seed: int):

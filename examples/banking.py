@@ -14,21 +14,17 @@ books still balance: total money = initial money + nothing.  Finally the
 run is certified serially correct (Theorem 25).
 """
 
-from repro import (
-    AbortInjector,
-    ObjectName,
-    RandomPolicy,
-    UndoLoggingObject,
-    certify,
-    make_generic_system,
-    run_system,
-    serial_projection,
-    visible_projection,
-)
-from repro.core import ROOT, StatusIndex
+from repro.core.correctness import certify
+from repro.core.events import StatusIndex, serial_projection, visible_projection
+from repro.core.names import ROOT, ObjectName
 from repro.core.operations import operation_payloads, operations_of_object
+from repro.generic.system import make_generic_system
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import RandomPolicy
 from repro.sim.programs import TransactionProgram, op, seq, sub, system_type_for
 from repro.spec.builtin import BankAccountType, Deposit, Withdraw
+from repro.undo.logging import UndoLoggingObject
 
 ACCOUNTS = [ObjectName(name) for name in ("alice", "bob", "carol", "dave")]
 INITIAL = 100
@@ -90,7 +86,7 @@ def main() -> None:
     visible = visible_projection(serial, ROOT, index)
     print("\nCommitted transfers:")
     for i in range(len(TRANSFERS)):
-        from repro import TransactionName
+        from repro.core.names import TransactionName
 
         name = TransactionName((f"transfer{i}",))
         status = (

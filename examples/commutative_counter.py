@@ -15,17 +15,13 @@ Both runs are certified serially correct — the difference is purely how
 much concurrency the object admits (measured as blocked-access steps).
 """
 
-from repro import (
-    EagerInformPolicy,
-    MossRWLockingObject,
-    ObjectName,
-    RWSpec,
-    UndoLoggingObject,
-    certify,
-    make_generic_system,
-    run_system,
-)
-from repro.core import ROOT
+from repro.core.correctness import certify
+from repro.core.names import ROOT, ObjectName
+from repro.core.rw_semantics import RWSpec
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
 from repro.sim.programs import (
     TransactionProgram,
     op,
@@ -36,6 +32,7 @@ from repro.sim.programs import (
     write,
 )
 from repro.spec.builtin import CounterInc, CounterRead, CounterType
+from repro.undo.logging import UndoLoggingObject
 
 HOT = ObjectName("hits")
 CLIENTS = 8

@@ -16,7 +16,8 @@ and it diagnoses what went wrong:
 The brute-force oracle supplies ground truth for the rejected cases.
 """
 
-from repro import certify, oracle_serially_correct
+from repro.core.correctness import certify
+from repro.core.oracle import oracle_serially_correct
 from repro.scenarios import build_scenario, scenario_names
 
 

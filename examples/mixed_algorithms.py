@@ -19,20 +19,17 @@ serialization-graph test, which never needed to know which algorithm
 served which object.
 """
 
-from repro import (
-    EagerInformPolicy,
-    MossRWLockingObject,
-    ObjectName,
-    ReadUpdateLockingObject,
-    RWSpec,
-    UndoLoggingObject,
-    certify,
-    make_generic_system,
-    run_system,
-)
-from repro.core import ROOT
+from repro.core.correctness import certify
+from repro.core.names import ROOT, ObjectName
+from repro.core.rw_semantics import RWSpec
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.locking.read_update import ReadUpdateLockingObject
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
 from repro.sim.programs import TransactionProgram, op, read, seq, sub, system_type_for, write
 from repro.spec.builtin import CounterInc, CounterRead, CounterType, Enqueue, QueueType
+from repro.undo.logging import UndoLoggingObject
 
 INVENTORY = ObjectName("inventory")
 LEDGER = ObjectName("ledger")

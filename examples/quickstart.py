@@ -8,17 +8,14 @@ return values + acyclic SG  =>  serially correct for T0 (Theorem 8/17).
 The certifier also constructs an explicit witness serial behavior.
 """
 
-from repro import (
-    EagerInformPolicy,
-    MossRWLockingObject,
-    WorkloadConfig,
-    certify,
-    generate_workload,
-    make_generic_system,
-    run_system,
-    serial_projection,
-)
 from repro.core.actions import format_behavior
+from repro.core.correctness import certify
+from repro.core.events import serial_projection
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
+from repro.sim.workload import WorkloadConfig, generate_workload
 
 
 def main() -> None:

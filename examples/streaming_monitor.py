@@ -3,34 +3,30 @@
 
 A monitoring deployment cannot wait for the run to finish; it judges the
 event stream as it happens.  This example feeds a recorded run into
-:class:`repro.OnlineCertifier` one action at a time and logs every
+:class:`repro.core.online.OnlineCertifier` one action at a time and logs every
 verdict *transition* — including the subtle non-monotone moment where a
 read of a not-yet-committed write looks like an ARV violation until the
 writer's commit arrives and heals it.
 """
 
-from repro import Commit, OnlineCertifier, certify
+from repro.core.actions import Commit
+from repro.core.correctness import certify
+from repro.core.online import OnlineCertifier
 
 
 def build_scenario():
     """A run whose verdict changes twice while streaming."""
     # local lightweight builder to keep the example self-contained
-    from repro import (
+    from repro.core.actions import (
         Abort,
-        Access,
         Create,
-        ObjectName,
-        ReadOp,
         ReportAbort,
         ReportCommit,
         RequestCommit,
         RequestCreate,
-        RWSpec,
-        SystemType,
-        TransactionName,
-        WriteOp,
-        OK,
     )
+    from repro.core.names import Access, ObjectName, SystemType, TransactionName
+    from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
 
     system = SystemType({ObjectName("x"): RWSpec(initial=0)})
     events = []

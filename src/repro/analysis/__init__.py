@@ -28,46 +28,3 @@ The lint engines run via ``repro lint [--json] [--rules ...]`` and the
 ``make lint`` target; see ``docs/STATIC_ANALYSIS.md`` for the rule
 catalogue, the robustness verdict semantics, and suppression syntax.
 """
-
-from .linter import Finding, LintContext, LintEngine, ModuleUnit, Rule, lint_paths
-from .rules import all_rules, rule_by_id
-from .spec_check import SpecProblem, SpecReport, check_all_builtin_specs, check_spec
-from .drift import (
-    DriftProblem,
-    check_all_drift,
-    check_benchmark_drift,
-    check_metrics_drift,
-    documented_metric_names,
-    source_metric_names,
-)
-from .robustness import (
-    NOT_ROBUST,
-    ROBUST,
-    RobustnessReport,
-    analyze_robustness,
-)
-
-__all__ = [
-    "Finding",
-    "LintContext",
-    "LintEngine",
-    "ModuleUnit",
-    "Rule",
-    "lint_paths",
-    "all_rules",
-    "rule_by_id",
-    "SpecProblem",
-    "SpecReport",
-    "check_all_builtin_specs",
-    "check_spec",
-    "DriftProblem",
-    "check_all_drift",
-    "check_benchmark_drift",
-    "check_metrics_drift",
-    "documented_metric_names",
-    "source_metric_names",
-    "ROBUST",
-    "NOT_ROBUST",
-    "RobustnessReport",
-    "analyze_robustness",
-]

@@ -95,7 +95,7 @@ from ..core.correctness import certify
 from ..core.history import ConflictCache, spec_is_read_only
 from ..core.names import ROOT, ObjectName, TransactionName, lca
 from ..core.serialization_graph import CONFLICT, PRECEDES
-from ..obs import MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..sim.policies import RandomPolicy, SchedulingPolicy
 from ..sim.programs import (
     AccessCall,

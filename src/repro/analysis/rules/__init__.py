@@ -18,15 +18,7 @@ from .quadratic import QuadraticPatternRule
 from .automaton import AutomatonPreconditionRule
 from .programs import ProgramRegistryRule
 
-__all__ = [
-    "ABFlagRule",
-    "HygieneRule",
-    "QuadraticPatternRule",
-    "AutomatonPreconditionRule",
-    "ProgramRegistryRule",
-    "all_rules",
-    "rule_by_id",
-]
+__all__ = ["all_rules", "rule_by_id"]
 
 _RULE_CLASSES: Sequence[Type[Rule]] = (
     ABFlagRule,

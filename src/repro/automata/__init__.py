@@ -1,6 +1,1 @@
 """The I/O automaton framework (Section 2.1)."""
-
-from .base import Execution, IOAutomaton, behavior_of, replay_schedule
-from .composition import Composition
-
-__all__ = ["Execution", "IOAutomaton", "behavior_of", "replay_schedule", "Composition"]

@@ -1,21 +1,1 @@
 """The classical (flat) serializability theory, as a baseline."""
-
-from .histories import (
-    FlatAbort,
-    FlatCommit,
-    FlatRead,
-    FlatStep,
-    FlatWrite,
-    History,
-    committed_projection,
-    history_to_nested_behavior,
-    random_history,
-)
-from .sgt import (
-    classical_edges,
-    classical_serialization_graph,
-    is_conflict_serializable,
-)
-from .two_phase_locking import FlatScript, run_strict_2pl
-
-__all__ = [name for name in dir() if not name.startswith("_")]

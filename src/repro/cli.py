@@ -78,7 +78,7 @@ from typing import Optional, Sequence
 from .core.correctness import certify
 from .core.oracle import oracle_serially_correct
 from .core.serde import dump_case, load_case
-from .obs import MetricsRegistry
+from .obs.metrics import MetricsRegistry
 from .parallel import certify_corpus, record_corpus, seeded_run
 from .report import certificate_report, serialization_graph_to_dot
 
@@ -299,7 +299,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import JSONLFileSink, RingBufferSink, Tracer, span_coverage
+    from .obs.tracer import JSONLFileSink, RingBufferSink, Tracer, span_coverage
 
     registry = MetricsRegistry()
     ring = RingBufferSink()
@@ -343,13 +343,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .obs import MetricsRegistry as Registry
-    from .stream import (
-        StreamConfig,
-        StreamService,
-        StreamWorkload,
-        commit_as_you_go,
-    )
+    from .obs.metrics import MetricsRegistry as Registry
+    from .stream.service import StreamConfig, StreamService
+    from .stream.workload import StreamWorkload, commit_as_you_go
 
     try:
         config = StreamConfig(
@@ -368,7 +364,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     )
 
     async def run() -> list:
-        from .obs import FlightRecorder, SnapshotExporter
+        from .obs.export import SnapshotExporter
+        from .obs.flight import FlightRecorder
 
         service = StreamService(config, metrics=registry)
         await service.start()
@@ -441,20 +438,19 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .obs import to_prometheus
+    from .obs.export import load_jsonl, to_prometheus
 
     path = Path(args.snapshot)
 
     def render() -> str:
-        text = path.read_text()
         try:
-            snapshot = json.loads(text)
+            snapshot = json.loads(path.read_text())
         except json.JSONDecodeError:
             # an exporter JSONL file: the last record is the freshest
-            lines = [line for line in text.splitlines() if line.strip()]
-            if not lines:
+            records = load_jsonl(path)
+            if not records:
                 raise ValueError("empty snapshot file")
-            snapshot = json.loads(lines[-1])
+            snapshot = records[-1]
         if isinstance(snapshot, dict) and "snapshot" in snapshot:
             snapshot = snapshot["snapshot"]
         if not isinstance(snapshot, dict):
@@ -559,7 +555,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         ) else "UNEXPECTED"
         print(f"{name:16s} {status:9s} / {truth:9s}  [{marker}]  {expectation.reason}")
     if not args.name:
-        from .distributed import build_dist_scenario, dist_scenario_names
+        from .distributed.scenarios import build_dist_scenario, dist_scenario_names
 
         print()
         print("distributed scenarios (run with: repro distsim --scenario NAME):")
@@ -582,16 +578,18 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 def _cmd_distsim(args: argparse.Namespace) -> int:
     from .core.online import OnlineCertifier
-    from .distributed import (
-        build_dist_scenario,
+    from .distributed.certifier import (
         certify_distributed,
         certify_sites,
+        replica_divergence,
+    )
+    from .distributed.scenarios import (
+        build_dist_scenario,
         dist_scenario_names,
         divergence_config,
-        replica_divergence,
-        run_distributed,
     )
-    from .obs import FlightRecorder
+    from .distributed.simulate import run_distributed
+    from .obs.flight import FlightRecorder
 
     registry = (
         MetricsRegistry() if args.metrics_json or args.flight else None
@@ -723,12 +721,10 @@ def _lint_selection(tokens: Sequence[str]):
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import (
-        check_all_builtin_specs,
-        check_all_drift,
-        lint_paths,
-    )
+    from .analysis.drift import check_all_drift
+    from .analysis.linter import lint_paths
     from .analysis.rules import rule_by_id
+    from .analysis.spec_check import check_all_builtin_specs
 
     # argparse's greedy nargs lets `--rules R002 path/to/mod.py` bind the
     # path as a rules token; reclaim tokens that name existing files/dirs.

@@ -38,7 +38,7 @@ structured key, which matters both for data types whose
 engine (:mod:`repro.core.columnar`), whose event columns store the same
 dense class ids directly.
 
-Pass a :class:`repro.obs.MetricsRegistry` as ``metrics=`` to surface the
+Pass a :class:`repro.obs.metrics.MetricsRegistry` as ``metrics=`` to surface the
 ``history.index.*`` counters documented in ``docs/OBSERVABILITY.md``.
 """
 

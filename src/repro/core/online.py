@@ -262,7 +262,6 @@ class OnlineCertifier:
         system_type: SystemType,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        conflict_cache: Optional[ConflictCache] = None,
         compaction: bool = False,
         compaction_interval: int = 64,
         flight: Optional[FlightRecorder] = None,
@@ -281,11 +280,7 @@ class OnlineCertifier:
         self.site = site
         self.compaction = compaction
         self.compaction_interval = compaction_interval
-        # conflict verdicts are pure per (spec, ops, values): a cache may
-        # be shared across certifier instances auditing the same objects
-        self.conflict_cache = (
-            conflict_cache if conflict_cache is not None else ConflictCache()
-        )
+        self.conflict_cache = ConflictCache()
         # the id space: interning only, no events are appended
         self._store = ColumnarHistory()
         self._parent = self._store.txn_parent

@@ -12,61 +12,3 @@ runs where local-only certification would have wrongly passed.
 See ``docs/DISTRIBUTED.md`` for the model, the placement and
 available-copies rules, and runnable examples.
 """
-
-from .certifier import (
-    DistributedCertificate,
-    certify_distributed,
-    certify_sites,
-    merge_site_graphs,
-    replica_divergence,
-)
-from .cluster import (
-    ClusterSchedule,
-    DistributedConfig,
-    DRead,
-    DWrite,
-    GlobalTransaction,
-    PartitionWindow,
-    RoutedAccess,
-    RoutingResult,
-    route_workload,
-)
-from .placement import Placement, replica_name, replica_site, replica_variable
-from .scenarios import (
-    DIST_SCENARIOS,
-    DistributedExpectation,
-    build_dist_scenario,
-    dist_scenario_names,
-    divergence_config,
-)
-from .simulate import DistributedRun, SiteRun, run_distributed, site_system
-
-__all__ = [
-    "Placement",
-    "replica_name",
-    "replica_variable",
-    "replica_site",
-    "DRead",
-    "DWrite",
-    "GlobalTransaction",
-    "PartitionWindow",
-    "ClusterSchedule",
-    "DistributedConfig",
-    "RoutedAccess",
-    "RoutingResult",
-    "route_workload",
-    "SiteRun",
-    "DistributedRun",
-    "site_system",
-    "run_distributed",
-    "DistributedCertificate",
-    "merge_site_graphs",
-    "replica_divergence",
-    "certify_sites",
-    "certify_distributed",
-    "DistributedExpectation",
-    "DIST_SCENARIOS",
-    "build_dist_scenario",
-    "dist_scenario_names",
-    "divergence_config",
-]

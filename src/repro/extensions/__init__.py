@@ -1,5 +1,1 @@
 """Extensions beyond the paper's verified algorithms (its future work)."""
-
-from .mvto import MVTORWObject, MVTOState, Version
-
-__all__ = ["MVTORWObject", "MVTOState", "Version"]

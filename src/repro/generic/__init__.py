@@ -1,17 +1,1 @@
 """Generic systems: controller, generic object signature, composition (Section 5.1)."""
-
-from .controller import GenericController, GenericControllerState
-from .objects import GenericObject
-from .system import ObjectFactory, make_generic_system
-from .validation import RunOutcome, ValidationReport, validate_object_algorithm
-
-__all__ = [
-    "GenericController",
-    "GenericControllerState",
-    "GenericObject",
-    "ObjectFactory",
-    "make_generic_system",
-    "RunOutcome",
-    "ValidationReport",
-    "validate_object_algorithm",
-]

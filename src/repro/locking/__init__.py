@@ -1,28 +1,1 @@
 """Moss' read/write locking algorithm (Section 5)."""
-
-from .moss import (
-    MossRWLockingObject,
-    MossState,
-    least_write_lockholder,
-    write_lockholders_form_chain,
-)
-from .read_update import ReadUpdateLockingObject, ReadUpdateState
-from .visibility import (
-    inform_chain,
-    is_local_orphan,
-    is_lock_visible,
-    is_locally_visible,
-)
-
-__all__ = [
-    "MossRWLockingObject",
-    "MossState",
-    "ReadUpdateLockingObject",
-    "ReadUpdateState",
-    "least_write_lockholder",
-    "write_lockholders_form_chain",
-    "inform_chain",
-    "is_local_orphan",
-    "is_lock_visible",
-    "is_locally_visible",
-]

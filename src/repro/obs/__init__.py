@@ -18,68 +18,3 @@ The observability layer the rest of the library is instrumented with:
 See ``docs/OBSERVABILITY.md`` for the full API tour, the JSONL trace
 schema and measured overheads; ``repro trace --help`` for the CLI.
 """
-
-from .export import (
-    SnapshotExporter,
-    load_snapshots,
-    parse_prometheus,
-    prometheus_name,
-    render_registry,
-    to_prometheus,
-)
-from .flight import FlightRecorder, load_postmortems
-from .metrics import (
-    DEFAULT_DURATION_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .quantiles import (
-    LATENCY_BUCKETS,
-    bucket_quantile,
-    latency_histogram,
-    log_buckets,
-)
-from .tracer import (
-    NULL_TRACER,
-    JSONLFileSink,
-    LoggingSink,
-    NullTracer,
-    RingBufferSink,
-    Span,
-    SpanSink,
-    Tracer,
-    load_jsonl_trace,
-    span_coverage,
-)
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_DURATION_BUCKETS",
-    "Span",
-    "SpanSink",
-    "RingBufferSink",
-    "JSONLFileSink",
-    "LoggingSink",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "span_coverage",
-    "load_jsonl_trace",
-    "log_buckets",
-    "LATENCY_BUCKETS",
-    "bucket_quantile",
-    "latency_histogram",
-    "prometheus_name",
-    "to_prometheus",
-    "render_registry",
-    "parse_prometheus",
-    "SnapshotExporter",
-    "load_snapshots",
-    "FlightRecorder",
-    "load_postmortems",
-]

@@ -25,6 +25,8 @@ timestamped registry snapshot per interval to a JSONL file (and a final
 one on ``close()``), counting its work in ``obs.export.snapshots``.
 The ``repro metrics`` CLI subcommand wraps both: one-shot rendering of
 a snapshot file, or ``--serve`` over :mod:`http.server`.
+:func:`load_jsonl` reads any of the package's JSONL files back — these
+snapshots, flight-recorder post-mortems and JSONL traces.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ from .metrics import MetricsRegistry
 __all__ = [
     "prometheus_name",
     "to_prometheus",
-    "render_registry",
     "parse_prometheus",
     "SnapshotExporter",
-    "load_snapshots",
+    "load_jsonl",
 ]
 
 #: Characters legal in a Prometheus metric name body.
@@ -121,13 +122,6 @@ def to_prometheus(
     return "\n".join(lines) + "\n"
 
 
-def render_registry(
-    registry: MetricsRegistry, namespace: str = "repro"
-) -> str:
-    """Shortcut: snapshot ``registry`` and render it."""
-    return to_prometheus(registry.snapshot(), namespace)
-
-
 def _parse_number(token: str) -> float:
     if token == "+Inf":
         return math.inf
@@ -188,8 +182,11 @@ def parse_prometheus(text: str) -> Dict[str, Dict[str, Any]]:
     return families
 
 
-def load_snapshots(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Read a :class:`SnapshotExporter` JSONL file back into records."""
+def load_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Read a JSONL file back into its records, one per non-blank line:
+    :class:`SnapshotExporter` snapshots, flight-recorder post-mortems
+    (:mod:`repro.obs.flight`) or spans from a
+    :class:`repro.obs.tracer.JSONLFileSink`."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:

@@ -26,11 +26,11 @@ import json
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from .metrics import MetricsRegistry
 
-__all__ = ["FlightRecorder", "load_postmortems"]
+__all__ = ["FlightRecorder"]
 
 
 def _serialize_action(action: object) -> Dict[str, str]:
@@ -122,14 +122,3 @@ class FlightRecorder:
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record) + "\n")
         return True
-
-
-def load_postmortems(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Read a post-mortem JSONL file back into a list of records."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -47,7 +47,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "span_coverage",
-    "load_jsonl_trace",
 ]
 
 
@@ -324,17 +323,6 @@ NULL_TRACER = NullTracer()
 # ---------------------------------------------------------------------------
 # Trace analysis helpers (used by the ``repro trace`` CLI and the tests)
 # ---------------------------------------------------------------------------
-
-
-def load_jsonl_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Parse a JSONL trace file back into a list of span dicts."""
-    spans = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                spans.append(json.loads(line))
-    return spans
 
 
 def span_coverage(

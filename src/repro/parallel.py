@@ -16,7 +16,7 @@ embarrassingly parallel.  This module partitions a corpus across a
   the one ``repro demo``/``record``/``trace`` make for that seed, so a
   corpus file is byte-identical to a single ``repro record``.
 
-Shard fan-out is observable: pass a :class:`repro.obs.MetricsRegistry`
+Shard fan-out is observable: pass a :class:`repro.obs.metrics.MetricsRegistry`
 and the engine records ``parallel.jobs`` / ``parallel.shards`` gauges
 and ``parallel.cases`` / ``parallel.certified`` / ``parallel.rejected``
 counters (see ``docs/PERFORMANCE.md``).

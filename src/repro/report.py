@@ -1,6 +1,6 @@
 """Human-facing reports: certificate summaries and Graphviz export.
 
-The certifier produces structured results (:class:`repro.core.Certificate`);
+The certifier produces structured results (:class:`repro.core.correctness.Certificate`);
 this module renders them for people — a text report suitable for logs
 and a DOT rendering of the serialization graph for visual inspection
 (`dot -Tpng` or any Graphviz viewer).
@@ -36,7 +36,7 @@ def serialization_graph_to_dot(
 ) -> str:
     """Render ``SG(beta)`` as Graphviz DOT, one cluster per sibling group.
 
-    With an ``explanation`` (from :func:`repro.core.explain_cycle`), the
+    With an ``explanation`` (from :func:`repro.core.explain.explain_cycle`), the
     cycle's edges are drawn bold with their first concrete witness — the
     conflicting operation pair, or the report/request positions — as the
     edge label, so the rejected run's provenance is readable straight

@@ -1,22 +1,1 @@
 """Serial systems: scheduler, serial objects, simple database (Sections 2-3)."""
-
-from .rw_object import RWObjectState, SerialRWObject
-from .scheduler import SerialScheduler, SerialSchedulerState
-from .simple_db import SimpleDatabase, SimpleDatabaseState, check_simple_behavior
-from .system import enumerate_serial_behaviors, make_serial_system, serial_object_for
-from .typed_object import SerialTypedObject, TypedObjectState
-
-__all__ = [
-    "RWObjectState",
-    "SerialRWObject",
-    "SerialScheduler",
-    "SerialSchedulerState",
-    "SimpleDatabase",
-    "SimpleDatabaseState",
-    "check_simple_behavior",
-    "enumerate_serial_behaviors",
-    "make_serial_system",
-    "serial_object_for",
-    "SerialTypedObject",
-    "TypedObjectState",
-]

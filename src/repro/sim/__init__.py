@@ -1,41 +1,1 @@
 """Simulation substrate: programs, workloads, driver, policies, faults."""
-
-from .analysis import TraceAnalysis, TransactionSummary, analyze_trace
-from .driver import RunResult, run_system
-from .faults import AbortInjector
-from .policies import (
-    EagerInformPolicy,
-    OrphanFreePolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-)
-from .programs import (
-    AccessCall,
-    ProgramTransaction,
-    SubtransactionCall,
-    TransactionProgram,
-    collect_programs,
-    op,
-    par,
-    read,
-    seq,
-    sub,
-    system_type_for,
-    write,
-)
-from .stats import RunStats
-from .workload import (
-    BankAccountKind,
-    MapKind,
-    CounterKind,
-    ObjectKind,
-    QueueKind,
-    RegisterKind,
-    RWKind,
-    SetKind,
-    WorkloadConfig,
-    generate_workload,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -43,7 +43,7 @@ __all__ = [
 class SiteCrash:
     """A whole-site failure at a scheduled routing step.
 
-    Interpreted by :func:`repro.distributed.route_workload`: the site
+    Interpreted by :func:`repro.distributed.cluster.route_workload`: the site
     stops serving reads and writes, every transaction that touched it
     without completing is doomed, and its replicated variables arm the
     recovery-time write barrier.

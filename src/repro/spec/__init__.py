@@ -1,40 +1,1 @@
 """Arbitrary data types: specifications and commutativity (Section 6.1)."""
-
-from .builtin import (
-    EMPTY,
-    MISSING,
-    MapGet,
-    MapPut,
-    MapRemove,
-    MapType,
-    OK,
-    BalanceRead,
-    BankAccountType,
-    CounterInc,
-    CounterRead,
-    CounterType,
-    Deposit,
-    Dequeue,
-    Enqueue,
-    QueueType,
-    RegRead,
-    RegWrite,
-    RegisterType,
-    SetInsert,
-    SetMember,
-    SetRemove,
-    SetType,
-    Withdraw,
-)
-from .commutativity import (
-    CommutativityCounterexample,
-    commutes_backward_on_prefix,
-    equieffective_states,
-    exhaustive_prefixes,
-    find_commutativity_counterexample,
-    random_legal_prefixes,
-    verify_commutativity_table,
-)
-from .datatype import DataType, IllegalOperation
-
-__all__ = [name for name in dir() if not name.startswith("_")]

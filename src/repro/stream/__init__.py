@@ -10,23 +10,13 @@ in a long-lived deployment shape:
 * :mod:`repro.stream.workload` — commit-as-you-go stream generation
   whose live window stays O(1) in the stream length, the workload the
   ``repro stream`` CLI subcommand and benchmark E15 drive.
+
+Import names from those modules.  The four below are also importable
+from the package because the ``perfbench/`` ledger imports them from
+here; nothing else is.
 """
 
-from .service import (
-    SessionHandle,
-    SessionResult,
-    StreamConfig,
-    StreamService,
-    certify_stream,
-)
+from .service import StreamConfig, StreamService
 from .workload import StreamWorkload, commit_as_you_go
 
-__all__ = [
-    "StreamConfig",
-    "SessionResult",
-    "SessionHandle",
-    "StreamService",
-    "certify_stream",
-    "StreamWorkload",
-    "commit_as_you_go",
-]
+__all__ = ["StreamConfig", "StreamService", "StreamWorkload", "commit_as_you_go"]

@@ -25,7 +25,7 @@ sessions rather than their history.
 
 Observability: the service-level registry (``metrics``) carries the
 ``stream.*`` counters/gauges; each session may additionally bring its
-own :class:`repro.obs.MetricsRegistry`, which is handed to its
+own :class:`repro.obs.metrics.MetricsRegistry`, which is handed to its
 certifier and fills with the per-session ``online.*`` series (including
 ``online.compaction.*``).  With either registry attached, every fed
 action is stamped as it is fed and its feed→verdict latency — inbox
@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from typing import Any, AsyncIterator, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.actions import Action
-from ..core.history import ConflictCache
 from ..core.names import SystemType
 from ..core.online import OnlineCertifier, OnlineVerdict
 from ..obs.flight import FlightRecorder
@@ -116,7 +115,9 @@ class _Session:
     """Internal per-session state owned by exactly one worker.
 
     ``timed`` is set when the service or the session has a registry:
-    only then are feeds stamped and counted."""
+    only then are feeds stamped and counted.  ``closed`` is set as soon
+    as a client asks to close the session, so no call follows that
+    request; the worker answers it with everything fed before."""
 
     name: str
     certifier: OnlineCertifier
@@ -226,7 +227,8 @@ class SessionHandle:
     previously fed action.  A certifier error (e.g. an unregistered
     access) is captured by the worker and re-raised from the next
     ``verdict``/``close`` call; later ``feed`` calls become no-ops.
-    Every call on a closed session raises :class:`RuntimeError`.
+    Once ``close`` has been called, every later call (a second ``close``
+    included) raises :class:`RuntimeError`.
     """
 
     def __init__(self, service: "StreamService", session: _Session) -> None:
@@ -321,16 +323,14 @@ class StreamService:
         name: str,
         system_type: SystemType,
         metrics: Optional[MetricsRegistry] = None,
-        conflict_cache: Optional[ConflictCache] = None,
         flight: Optional[FlightRecorder] = None,
     ) -> SessionHandle:
         """Open a named session and pin it to a worker (round-robin).
 
         ``metrics`` (optional) is the per-session registry handed to the
-        session's certifier; ``conflict_cache`` may be shared across
-        sessions auditing the same object specifications; ``flight``
-        (optional) attaches a violation flight recorder to the session's
-        certifier (see :mod:`repro.obs.flight`).
+        session's certifier; ``flight`` (optional) attaches a violation
+        flight recorder to the session's certifier (see
+        :mod:`repro.obs.flight`).
         """
         if not self._started:
             raise RuntimeError("service not started")
@@ -339,7 +339,6 @@ class StreamService:
         certifier = OnlineCertifier(
             system_type,
             metrics=metrics,
-            conflict_cache=conflict_cache,
             compaction=self.config.compaction,
             compaction_interval=self.config.compaction_interval,
             flight=flight,
@@ -384,8 +383,16 @@ class StreamService:
     async def _request(self, session: _Session, close: bool) -> object:
         if session.closed:
             raise RuntimeError(f"session {session.name!r} is closed")
+        if close:
+            session.closed = True
         reply: "asyncio.Future[object]" = asyncio.get_running_loop().create_future()
-        await self._put(self._inboxes[session.worker], (session, None, reply, close))
+        inbox = self._inboxes[session.worker]
+        try:
+            await self._put(inbox, (session, None, reply, close))
+        except BaseException:
+            if close:  # the close never reached the worker
+                session.closed = False
+            raise
         return await reply
 
     async def _run_worker(self, index: int) -> None:
@@ -459,7 +466,6 @@ class StreamService:
             reply.set_result(result)
 
     def _finalize(self, session: _Session) -> None:
-        session.closed = True
         self._sessions.pop(session.name, None)
         if self.metrics is not None:
             self.metrics.inc("stream.sessions.closed")

@@ -1,5 +1,1 @@
 """The undo logging algorithm for arbitrary data types (Section 6.2)."""
-
-from .logging import UndoLoggingObject, UndoLogState
-
-__all__ = ["UndoLoggingObject", "UndoLogState"]

@@ -9,35 +9,27 @@ from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 import pytest
 
-from repro import (
-    OK,
-    ROOT,
+from repro.core.actions import (
     Abort,
-    Access,
-    Certificate,
     Commit,
     Create,
-    ObjectName,
-    ReadOp,
     ReportAbort,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    RWSpec,
-    SerializationGraph,
-    StatusIndex,
-    SystemType,
-    TransactionName,
+)
+from repro.core.correctness import (
+    Certificate,
     WitnessError,
-    WriteOp,
-    build_serialization_graph,
     build_witness,
-    check_appropriate_return_values,
-    check_simple_behavior,
-    project_transaction,
-    serial_projection,
     validate_serial_behavior,
 )
+from repro.core.events import StatusIndex, project_transaction, serial_projection
+from repro.core.names import ROOT, Access, ObjectName, SystemType, TransactionName
+from repro.core.return_values import check_appropriate_return_values
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
+from repro.core.serialization_graph import SerializationGraph, build_serialization_graph
+from repro.serial.simple_db import check_simple_behavior
 
 
 def T(*path: str) -> TransactionName:

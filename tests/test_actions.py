@@ -2,20 +2,16 @@
 
 import pytest
 
-from repro import (
-    ROOT,
+from repro.core.actions import (
     Abort,
     Commit,
     Create,
     InformAbort,
     InformCommit,
-    ObjectName,
     ReportAbort,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-)
-from repro.core.actions import (
     format_behavior,
     hightransaction,
     is_completion,
@@ -25,6 +21,7 @@ from repro.core.actions import (
     object_of,
     transaction_of,
 )
+from repro.core.names import ROOT, ObjectName
 from repro.core.rw_semantics import ReadOp
 
 from conftest import T, rw_system
@@ -117,7 +114,7 @@ class TestOperators:
     def test_object_of(self):
         system = rw_system("x")
         access = T("t", "a")
-        from repro import Access
+        from repro.core.names import Access
 
         system.register_access(access, Access(ObjectName("x"), ReadOp()))
         assert object_of(Create(access), system) == ObjectName("x")

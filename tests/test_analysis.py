@@ -1,15 +1,12 @@
 """Tests for post-run trace analysis."""
 
-from repro import (
-    EagerInformPolicy,
-    MossRWLockingObject,
-    WorkloadConfig,
-    generate_workload,
-    make_generic_system,
-    run_system,
-)
-from repro.core import ROOT
+from repro.core.names import ROOT
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
 from repro.sim.analysis import analyze_trace
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
+from repro.sim.workload import WorkloadConfig, generate_workload
 
 from conftest import BehaviorBuilder, T, rw_system
 
@@ -34,7 +31,7 @@ class TestHandBuilt:
         assert access.outcome == "committed"
 
     def test_aborted_outcome(self):
-        from repro import Abort, RequestCreate
+        from repro.core.actions import Abort, RequestCreate
 
         system = rw_system("x")
         b = BehaviorBuilder(system)

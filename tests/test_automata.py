@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro import Commit, Create, IOAutomaton, RequestCreate
-from repro.core.names import ROOT
-from repro.automata.base import behavior_of, evolve, replay_schedule
+from repro.automata.base import IOAutomaton, behavior_of, evolve, replay_schedule
 from repro.automata.composition import Composition
+from repro.core.actions import Commit, Create, RequestCreate
+from repro.core.names import ROOT
 
 from conftest import T
 

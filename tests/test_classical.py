@@ -131,12 +131,13 @@ class TestNestedTranslation:
         )
         behavior, system_type = history_to_nested_behavior(history)
         assert len(system_type.all_accesses()) == 2
-        from repro import check_simple_behavior, serial_projection
+        from repro.core.events import serial_projection
+        from repro.serial.simple_db import check_simple_behavior
 
         assert check_simple_behavior(serial_projection(behavior), system_type) == []
 
     def test_translation_read_values_follow_update_in_place(self):
-        from repro import RequestCommit
+        from repro.core.actions import RequestCommit
 
         history = (
             FlatWrite("T1", "x", 42),

@@ -13,8 +13,8 @@ visibility flips, and contended interleavings with cycle witnesses.
 
 import pytest
 
-from repro.core import certify
 from repro.core.columnar import ColumnarHistory, build_columnar_graph
+from repro.core.correctness import certify
 from repro.core.correctness import build_witness  # noqa: F401  (re-exported check)
 from repro.core.events import serial_projection
 from repro.core.history import HistoryIndex

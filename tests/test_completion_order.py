@@ -2,34 +2,28 @@
 
 import pytest
 
-from repro import (
-    AbortInjector,
-    EagerInformPolicy,
-    MossRWLockingObject,
-    RandomPolicy,
-    ReadUpdateLockingObject,
-    UndoLoggingObject,
-    CounterKind,
-    SetKind,
-    WorkloadConfig,
-    build_serialization_graph,
-    generate_workload,
-    make_generic_system,
-    run_system,
-    serial_projection,
-)
 from repro.core.completion_order import (
     completion_holds,
     completion_positions,
     edges_respect_completion_order,
 )
+from repro.core.events import serial_projection
+from repro.core.serialization_graph import build_serialization_graph
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.locking.read_update import ReadUpdateLockingObject
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import EagerInformPolicy, RandomPolicy
+from repro.sim.workload import CounterKind, SetKind, WorkloadConfig, generate_workload
+from repro.undo.logging import UndoLoggingObject
 
 from conftest import BehaviorBuilder, T, lost_update_behavior, rw_system
 
 
 class TestRelation:
     def test_positions(self):
-        from repro import Abort, Commit, RequestCreate
+        from repro.core.actions import Abort, Commit, RequestCreate
 
         behavior = (
             RequestCreate(T("a")),

@@ -13,31 +13,26 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    ROOT,
+from repro.core.actions import (
     Abort,
-    Access,
     Commit,
     Create,
-    ObjectName,
-    ReadOp,
     ReportAbort,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    RWSpec,
+)
+from repro.core.events import (
+    AffectsRelation,
     StatusIndex,
-    SystemType,
-    TransactionName,
-    WriteOp,
-    build_serialization_graph,
-    check_simple_behavior,
     clean_projection,
     serial_projection,
     visible_projection,
 )
-from repro.core.events import AffectsRelation
-from repro.core.rw_semantics import OK
+from repro.core.names import ROOT, Access, ObjectName, SystemType, TransactionName
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
+from repro.core.serialization_graph import build_serialization_graph
+from repro.serial.simple_db import check_simple_behavior
 
 
 def random_simple_behavior(seed: int, steps: int = 40):
@@ -200,7 +195,10 @@ def test_lemma5_rw_and_general_arv_agree(seed):
     """Lemma 5 as a property: the concrete RW definition of appropriate
     return values coincides with the general (replay) definition on
     arbitrary simple behaviors over read/write objects."""
-    from repro import has_appropriate_return_values, has_appropriate_return_values_rw
+    from repro.core.return_values import (
+        has_appropriate_return_values,
+        has_appropriate_return_values_rw,
+    )
 
     behavior, system = random_simple_behavior(seed)
     assert has_appropriate_return_values(

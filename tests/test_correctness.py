@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro import (
-    ROOT,
+from repro.core.actions import (
     Abort,
     Commit,
     Create,
@@ -11,14 +10,16 @@ from repro import (
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    SiblingOrder,
+)
+from repro.core.correctness import (
     WitnessError,
     build_witness,
     certify,
-    project_transaction,
-    serial_projection,
     validate_serial_behavior,
 )
+from repro.core.events import project_transaction, serial_projection
+from repro.core.names import ROOT
+from repro.core.sibling_order import SiblingOrder
 
 from conftest import (
     BehaviorBuilder,

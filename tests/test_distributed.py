@@ -8,28 +8,36 @@ from repro.core.actions import Abort, Commit
 from repro.core.names import ObjectName, TransactionName
 from repro.core.online import OnlineCertifier
 from repro.core.serialization_graph import SerializationGraph
-from repro.distributed import (
+from repro.distributed.certifier import (
+    certify_distributed,
+    certify_sites,
+    merge_site_graphs,
+    replica_divergence,
+)
+from repro.distributed.cluster import (
     ClusterSchedule,
     DistributedConfig,
     DRead,
     DWrite,
     GlobalTransaction,
     PartitionWindow,
+    route_workload,
+)
+from repro.distributed.placement import (
     Placement,
-    build_dist_scenario,
-    certify_distributed,
-    certify_sites,
-    dist_scenario_names,
-    divergence_config,
-    merge_site_graphs,
-    replica_divergence,
     replica_name,
     replica_site,
     replica_variable,
-    route_workload,
-    run_distributed,
 )
-from repro.obs import FlightRecorder, MetricsRegistry, load_postmortems
+from repro.distributed.scenarios import (
+    build_dist_scenario,
+    dist_scenario_names,
+    divergence_config,
+)
+from repro.distributed.simulate import run_distributed
+from repro.obs.export import load_jsonl
+from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.faults import SiteCrash, SiteRecovery
 
 
@@ -403,7 +411,7 @@ class TestFlightSiteId:
             system_type, flight=flight, session="test", site="s1"
         )
         online.feed_all(behavior)
-        records = load_postmortems(str(path))
+        records = load_jsonl(str(path))
         assert records
         assert all(r["context"]["site"] == "s1" for r in records)
 
@@ -413,7 +421,7 @@ class TestFlightSiteId:
         histories, _, _ = build_dist_scenario("local-reject")
         behavior, system_type = histories[1]
         OnlineCertifier(system_type, flight=flight).feed_all(behavior)
-        records = load_postmortems(str(path))
+        records = load_jsonl(str(path))
         assert records and all(r["context"]["site"] == "" for r in records)
 
 

@@ -2,24 +2,24 @@
 
 import pytest
 
-from repro import (
-    Commit,
-    EagerInformPolicy,
-    MossRWLockingObject,
-    ObjectName,
-    RandomPolicy,
-    RoundRobinPolicy,
-    RWSpec,
-    SystemType,
-    UndoLoggingObject,
-    WorkloadConfig,
-    generate_workload,
-    make_generic_system,
-    run_system,
+from repro.core.actions import Commit
+from repro.core.names import ROOT, ObjectName, SystemType, TransactionName
+from repro.core.rw_semantics import RWSpec
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy, RandomPolicy, RoundRobinPolicy
+from repro.sim.programs import (
+    TransactionProgram,
+    par,
+    read,
+    seq,
+    sub,
+    system_type_for,
+    write,
 )
-from repro.sim.programs import TransactionProgram, par, read, seq, sub, write
-from repro.sim.programs import system_type_for
-from repro.core.names import ROOT, TransactionName
+from repro.sim.workload import WorkloadConfig, generate_workload
+from repro.undo.logging import UndoLoggingObject
 
 from conftest import T
 
@@ -51,7 +51,7 @@ class TestRunSystem:
         system_type, programs = tiny_setup(sequential=True)
         system = make_generic_system(system_type, programs, MossRWLockingObject)
         result = run_system(system, EagerInformPolicy(seed=1), system_type)
-        from repro import RequestCommit
+        from repro.core.actions import RequestCommit
 
         reads = [
             a
@@ -119,7 +119,7 @@ class TestPolicies:
         assert RandomPolicy(0).choose([], [], []) is None
 
     def test_round_robin_cycles_kinds(self):
-        from repro import Create, RequestCreate
+        from repro.core.actions import Create, RequestCreate
 
         policy = RoundRobinPolicy()
         enabled = [RequestCreate(T("a")), Create(T("a"))]
@@ -127,7 +127,7 @@ class TestPolicies:
         assert first == Create(T("a"))  # Create comes first in the rotation
 
     def test_eager_inform_prioritises_informs(self):
-        from repro import Create, InformCommit
+        from repro.core.actions import Create, InformCommit
 
         policy = EagerInformPolicy(seed=0)
         inform = InformCommit(ObjectName("x"), T("a"))
@@ -138,7 +138,7 @@ class TestPolicies:
         """Handed the owed reports and informs in the same call as the
         enabled list, the policy draws from them without filtering the
         enabled list; handed none, it draws from the enabled list."""
-        from repro import Create, InformCommit
+        from repro.core.actions import Create, InformCommit
 
         policy = EagerInformPolicy(seed=0)
         inform = InformCommit(ObjectName("x"), T("a"))

@@ -1,17 +1,13 @@
 """Tests for driver-level deadlock detection and victim aborts."""
 
-from repro import (
-    Abort,
-    EagerInformPolicy,
-    MossRWLockingObject,
-    ObjectName,
-    RoundRobinPolicy,
-    RWSpec,
-    certify,
-    make_generic_system,
-    run_system,
-)
-from repro.core import ROOT
+from repro.core.actions import Abort, Create, RequestCommit
+from repro.core.correctness import certify
+from repro.core.names import ROOT, ObjectName
+from repro.core.rw_semantics import RWSpec
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy, RoundRobinPolicy, SchedulingPolicy
 from repro.sim.programs import (
     TransactionProgram,
     read,
@@ -21,8 +17,6 @@ from repro.sim.programs import (
     write,
 )
 
-from repro.core.actions import Create, RequestCommit
-from repro.sim.policies import SchedulingPolicy
 
 from conftest import T
 

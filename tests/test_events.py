@@ -1,25 +1,27 @@
 """Tests for projections, status index, visibility, clean, affects."""
 
-from repro import (
-    OK,
+from repro.core.actions import (
     Abort,
     Commit,
     Create,
     InformCommit,
-    ObjectName,
     ReportAbort,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    ROOT,
+)
+from repro.core.events import (
+    AffectsRelation,
     StatusIndex,
     clean_projection,
+    directly_affects_pairs,
     project_object,
     project_transaction,
     serial_projection,
     visible_projection,
 )
-from repro.core.events import AffectsRelation, directly_affects_pairs
+from repro.core.names import ROOT, ObjectName
+from repro.core.rw_semantics import OK
 
 from conftest import BehaviorBuilder, T, rw_system
 

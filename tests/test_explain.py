@@ -13,19 +13,13 @@ import json
 
 import pytest
 
-from repro import (
-    HistoryIndex,
-    certify,
-    conflict_pairs,
-    dump_case,
-    explain_behavior,
-    explain_cycle,
-    explain_edge,
-    precedes_pairs,
-    serialization_graph_to_dot,
-)
 from repro.cli import main
-from repro.report import explanation_report
+from repro.core.correctness import certify
+from repro.core.explain import explain_behavior, explain_cycle, explain_edge
+from repro.core.history import HistoryIndex
+from repro.core.serde import dump_case
+from repro.core.serialization_graph import conflict_pairs, precedes_pairs
+from repro.report import explanation_report, serialization_graph_to_dot
 
 from conftest import BehaviorBuilder, T, rw_system
 from test_online import random_contended_behavior

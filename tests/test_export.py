@@ -14,18 +14,15 @@ import math
 
 import pytest
 
-from repro.obs import (
-    JSONLFileSink,
-    MetricsRegistry,
+from repro.obs.export import (
     SnapshotExporter,
-    Tracer,
-    load_jsonl_trace,
-    load_snapshots,
+    load_jsonl,
     parse_prometheus,
     prometheus_name,
-    render_registry,
     to_prometheus,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import JSONLFileSink, Tracer
 
 
 def run(coroutine):
@@ -62,7 +59,7 @@ class TestRoundTrip:
     def test_counters_gauges_histograms_round_trip(self):
         registry = populated_registry()
         snapshot = registry.snapshot()
-        families = parse_prometheus(render_registry(registry))
+        families = parse_prometheus(to_prometheus(registry.snapshot()))
 
         assert families["repro_online_actions"] == {
             "type": "counter",
@@ -88,19 +85,19 @@ class TestRoundTrip:
         histogram = registry.histogram("h", buckets=(1.0, 2.0, 4.0))
         for value in (0.5, 1.5, 1.5, 3.0, 9.0):
             histogram.observe(value)
-        hist = parse_prometheus(render_registry(registry))["repro_h"]
+        hist = parse_prometheus(to_prometheus(registry.snapshot()))["repro_h"]
         assert hist["buckets"] == {"1.0": 1, "2.0": 3, "4.0": 4, "+Inf": 5}
 
     def test_round_trip_through_json_snapshot(self):
         """The snapshot-file shape (JSON round-tripped) renders the same."""
         registry = populated_registry()
         reparsed = json.loads(json.dumps(registry.snapshot()))
-        assert to_prometheus(reparsed) == render_registry(registry)
+        assert to_prometheus(reparsed) == to_prometheus(registry.snapshot())
 
     def test_output_is_deterministic_and_newline_terminated(self):
         registry = populated_registry()
-        text = render_registry(registry)
-        assert text == render_registry(registry)
+        text = to_prometheus(registry.snapshot())
+        assert text == to_prometheus(registry.snapshot())
         assert text.endswith("\n")
         # families are sorted by name within each instrument kind
         by_kind = {}
@@ -114,7 +111,7 @@ class TestRoundTrip:
     def test_infinite_gauge_survives(self):
         registry = MetricsRegistry()
         registry.set_gauge("weird", math.inf)
-        families = parse_prometheus(render_registry(registry))
+        families = parse_prometheus(to_prometheus(registry.snapshot()))
         assert families["repro_weird"]["value"] == math.inf
 
     def test_unparseable_line_rejected(self):
@@ -136,7 +133,7 @@ class TestSnapshotExporter:
             return registry
 
         registry = run(scenario())
-        records = load_snapshots(path)
+        records = load_jsonl(path)
         assert len(records) >= 2  # at least one periodic + the final
         assert [record["sequence"] for record in records] == list(
             range(len(records))
@@ -154,7 +151,31 @@ class TestSnapshotExporter:
             await exporter.close()
 
         run(scenario())
-        assert len(load_snapshots(path)) == 1
+        assert len(load_jsonl(path)) == 1
+
+    def test_metrics_command_renders_the_freshest_exported_snapshot(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "snapshots.jsonl"
+        registry = MetricsRegistry()
+
+        async def scenario():
+            exporter = SnapshotExporter(registry, path, interval=5.0)
+            exporter.write_snapshot()
+            registry.inc("work.items", 3)
+            await exporter.close()
+
+        run(scenario())
+        assert main(["metrics", str(path)]) == 0
+        last = load_jsonl(path)[-1]["snapshot"]
+        assert last["counters"]["work.items"] == 3
+        assert capsys.readouterr().out == to_prometheus(last)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        assert main(["metrics", str(empty)]) == 1
+        assert "empty snapshot file" in capsys.readouterr().err
 
     def test_buffered_final_snapshot_flushed_under_asyncio_run(self):
         """The shutdown guarantee: a file-object destination holds every
@@ -227,7 +248,7 @@ class TestJSONLFileSinkShutdown:
                 tracer.close()
 
         run(scenario())
-        spans = load_jsonl_trace(path)
+        spans = load_jsonl(path)
         assert [span["name"] for span in spans] == [
             f"step{index}" for index in range(7)
         ]
@@ -248,6 +269,6 @@ class TestJSONLFileSinkShutdown:
 
         with pytest.raises(RuntimeError, match="boom"):
             run(scenario())
-        spans = load_jsonl_trace(path)
+        spans = load_jsonl(path)
         assert [span["name"] for span in spans] == ["completed", "failing"]
         assert spans[1]["tags"].get("error") is True

@@ -1,18 +1,14 @@
 """Tests for abort injection and recovery behaviour under faults."""
 
-from repro import (
-    Abort,
-    AbortInjector,
-    EagerInformPolicy,
-    MossRWLockingObject,
-    RandomPolicy,
-    UndoLoggingObject,
-    WorkloadConfig,
-    certify,
-    generate_workload,
-    make_generic_system,
-    run_system,
-)
+from repro.core.actions import Abort
+from repro.core.correctness import certify
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import EagerInformPolicy, RandomPolicy
+from repro.sim.workload import WorkloadConfig, generate_workload
+from repro.undo.logging import UndoLoggingObject
 
 from conftest import T
 
@@ -86,7 +82,7 @@ class TestRecoveryCorrectness:
             assert not certificate.witness_problems
 
     def test_undo_correct_under_abort_storm(self):
-        from repro import CounterKind
+        from repro.sim.workload import CounterKind
 
         for seed in range(4):
             result, system_type, _ = run_with_aborts(

@@ -4,9 +4,12 @@ import asyncio
 
 import pytest
 
-from repro import OnlineCertifier, certify
-from repro.obs import FlightRecorder, MetricsRegistry, load_postmortems
-from repro.stream import StreamConfig, certify_stream
+from repro.core.correctness import certify
+from repro.core.online import OnlineCertifier
+from repro.obs.export import load_jsonl
+from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import MetricsRegistry
+from repro.stream.service import StreamConfig, certify_stream
 
 from conftest import BehaviorBuilder, rw_system
 from test_online import random_contended_behavior
@@ -57,7 +60,7 @@ class TestRecorder:
             metrics_snapshot=registry.snapshot(),
             context={"note": "test"},
         )
-        (record,) = load_postmortems(path)
+        (record,) = load_jsonl(path)
         assert record["reason"] == "cycle"
         assert record["session"] == "s1"
         assert [entry["action"] for entry in record["window"]] == [
@@ -78,7 +81,7 @@ class TestRecorder:
         assert recorder.dump("cycle")
         assert recorder.dump("cycle")
         assert not recorder.dump("cycle")
-        assert len(load_postmortems(path)) == 2
+        assert len(load_jsonl(path)) == 2
         assert recorder.dumps == 2
 
     def test_validation(self, tmp_path):
@@ -96,7 +99,7 @@ class TestCertifierIntegration:
         certifier = OnlineCertifier(system, flight=recorder, session="audit")
         verdict = certifier.feed_all(behavior)
         assert not verdict.certified and verdict.cycle is not None
-        records = load_postmortems(path)
+        records = load_jsonl(path)
         cycle_records = [r for r in records if r["reason"] == "cycle"]
         assert len(cycle_records) == 1  # the latch is monotone: one dump
         record = cycle_records[0]
@@ -122,7 +125,7 @@ class TestCertifierIntegration:
         )
         verdict = certifier.feed_all(behavior)
         assert verdict.arv_violations and verdict.cycle is None
-        records = load_postmortems(path)
+        records = load_jsonl(path)
         assert records and records[0]["reason"] == "arv"
         assert records[0]["cycle"] is None
         context = records[0]["context"]
@@ -167,6 +170,6 @@ class TestStreamIntegration:
             )
         )
         assert not result.verdict.certified
-        records = load_postmortems(path)
+        records = load_jsonl(path)
         assert any(record["reason"] == "cycle" for record in records)
         assert all(record["session"] == "flight" for record in records)

@@ -1,19 +1,19 @@
 """Tests for the generic controller automaton (Section 5.1)."""
 
-from repro import (
+from repro.automata.base import replay_schedule
+from repro.core.actions import (
     Abort,
     Commit,
     Create,
-    GenericController,
     InformAbort,
     InformCommit,
-    ObjectName,
     ReportAbort,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    replay_schedule,
 )
+from repro.core.names import ObjectName
+from repro.generic.controller import GenericController
 
 from conftest import T, rw_system
 
@@ -133,7 +133,7 @@ class TestEnumeration:
         # give transaction `a` an access to x so informing x about it is
         # relevant (the controller only enumerates relevant informs,
         # although `enabled` permits any inform per the model)
-        from repro import Access
+        from repro.core.names import Access
         from repro.core.rw_semantics import ReadOp
 
         system = rw_system("x", "y")

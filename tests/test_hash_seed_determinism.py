@@ -23,11 +23,14 @@ SRC = TESTS.parent / "src"
 SCRIPT = """
 import hashlib
 
-from repro import (
-    AbortInjector, CounterKind, EagerInformPolicy, MossRWLockingObject,
-    RandomPolicy, RWKind, UndoLoggingObject, WorkloadConfig, certify,
-    generate_workload, make_generic_system, run_system,
-)
+from repro.core.correctness import certify
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import EagerInformPolicy, RandomPolicy
+from repro.sim.workload import CounterKind, RWKind, WorkloadConfig, generate_workload
+from repro.undo.logging import UndoLoggingObject
 from conftest import reference_certify
 from test_online import random_contended_behavior
 

@@ -24,23 +24,23 @@ from conftest import (
     rw_system,
     serial_two_txn_behavior,
 )
-from repro import (
-    ROOT,
-    HistoryIndex,
-    MetricsRegistry,
-    ObjectName,
+from repro.core.correctness import certify
+from repro.core.events import (
     StatusIndex,
-    build_serialization_graph,
-    certify,
     clean_projection,
-    conflict_pairs,
-    precedes_pairs,
     project_object,
     project_transaction,
     serial_projection,
     visible_projection,
 )
-from repro.core.history import ConflictCache
+from repro.core.history import ConflictCache, HistoryIndex
+from repro.core.names import ROOT, ObjectName
+from repro.core.serialization_graph import (
+    build_serialization_graph,
+    conflict_pairs,
+    precedes_pairs,
+)
+from repro.obs.metrics import MetricsRegistry
 from test_core_properties import random_simple_behavior
 from test_online import random_contended_behavior
 
@@ -231,7 +231,7 @@ class TestConflictMachinery:
     def test_conflict_cache_memoizes_verdicts(self):
         cache = ConflictCache()
         spec = rw_system("x").spec(ObjectName("x"))
-        from repro import OK, ReadOp, WriteOp
+        from repro.core.rw_semantics import OK, ReadOp, WriteOp
 
         assert cache.conflicts(spec, WriteOp(1), OK, ReadOp(), 1)
         assert cache.misses == 1 and cache.hits == 0

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro import Digraph, IncrementalTopology
+from repro.core.graph import Digraph, IncrementalTopology
 
 
 class TestBasics:

@@ -1,20 +1,15 @@
 """Tests for certify(validate_input=True) and the simple-system composition."""
 
-from repro import (
-    Commit,
-    Create,
-    EagerInformPolicy,
-    MossRWLockingObject,
-    RequestCreate,
-    WorkloadConfig,
-    certify,
-    generate_workload,
-    make_generic_system,
-    run_system,
-    serial_projection,
-)
 from repro.automata.base import replay_schedule
+from repro.core.actions import Commit, Create, RequestCreate
+from repro.core.correctness import certify
+from repro.core.events import serial_projection
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
 from repro.serial.simple_db import make_simple_system
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
+from repro.sim.workload import WorkloadConfig, generate_workload
 
 from conftest import T, rw_system, serial_two_txn_behavior
 
@@ -62,11 +57,10 @@ class TestSimpleSystem:
     def test_simple_system_allows_wild_values(self):
         """The simple database itself accepts arbitrary access values —
         it models structure, not correctness."""
-        from repro import RequestCommit
-        from repro.core import ROOT
-        from repro.sim.programs import TransactionProgram, read, seq, sub, system_type_for
+        from repro.core.actions import RequestCommit
+        from repro.core.names import ROOT, ObjectName
         from repro.core.rw_semantics import RWSpec
-        from repro.core.names import ObjectName
+        from repro.sim.programs import TransactionProgram, read, seq, sub, system_type_for
 
         X = ObjectName("x")
         programs = {

@@ -10,25 +10,22 @@ certificate.
 
 import pytest
 
-from repro import (
-    ROOT,
-    AbortInjector,
-    EagerInformPolicy,
-    MossRWLockingObject,
-    RandomPolicy,
-    RequestCommit,
-    StatusIndex,
-    WorkloadConfig,
+from repro.core.actions import RequestCommit
+from repro.core.events import StatusIndex, serial_projection
+from repro.core.names import ROOT
+from repro.core.return_values import (
     check_current_and_safe,
-    generate_workload,
     has_appropriate_return_values,
     is_current,
     is_safe,
-    make_generic_system,
-    run_system,
-    serial_projection,
 )
 from repro.core.rw_semantics import is_read_access
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import EagerInformPolicy, RandomPolicy
+from repro.sim.workload import WorkloadConfig, generate_workload
 
 
 def moss_serial(seed, abort_rate=0.0):

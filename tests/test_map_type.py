@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro import (
-    Access,
-    Create,
-    InformCommit,
-    ObjectName,
-    RequestCommit,
-    SystemType,
-    UndoLoggingObject,
-)
+from repro.core.actions import Create, InformCommit, RequestCommit
+from repro.core.names import Access, ObjectName, SystemType
 from repro.spec.builtin import MISSING, OK, MapGet, MapPut, MapRemove, MapType
 from repro.spec.commutativity import exhaustive_prefixes
 from repro.spec.forward import forward_commutes
+from repro.undo.logging import UndoLoggingObject
 
 from conftest import T
 
@@ -107,13 +101,11 @@ class TestUnderUndoLogging:
         assert undo.enabled(state, RequestCommit(get, 1))
 
     def test_end_to_end_certified(self):
-        from repro import (
-            EagerInformPolicy,
-            certify,
-            make_generic_system,
-            run_system,
-        )
-        from repro.core import ROOT
+        from repro.core.correctness import certify
+        from repro.core.names import ROOT
+        from repro.generic.system import make_generic_system
+        from repro.sim.driver import run_system
+        from repro.sim.policies import EagerInformPolicy
         from repro.sim.programs import TransactionProgram, op, seq, sub, system_type_for
 
         obj = ObjectName("m")

@@ -5,11 +5,19 @@ public item is documented, and every simulation is reproducible from
 its seed.
 """
 
+import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import repro
+
+SRC = Path(repro.__file__).resolve().parent.parent
 
 
 def _public_modules():
@@ -45,8 +53,10 @@ class TestDocstrings:
 
     def test_public_methods_documented(self):
         """Spot-check the flagship classes' public methods."""
-        from repro import OnlineCertifier, SerializationGraph, SiblingOrder
         from repro.core.correctness import Certificate
+        from repro.core.online import OnlineCertifier
+        from repro.core.serialization_graph import SerializationGraph
+        from repro.core.sibling_order import SiblingOrder
 
         missing = []
         for cls in (OnlineCertifier, SerializationGraph, SiblingOrder, Certificate):
@@ -60,16 +70,13 @@ class TestDocstrings:
 
 class TestDeterminism:
     def _run(self, seed):
-        from repro import (
-            AbortInjector,
-            MossRWLockingObject,
-            RandomPolicy,
-            WorkloadConfig,
-            certify,
-            generate_workload,
-            make_generic_system,
-            run_system,
-        )
+        from repro.core.correctness import certify
+        from repro.generic.system import make_generic_system
+        from repro.locking.moss import MossRWLockingObject
+        from repro.sim.driver import run_system
+        from repro.sim.faults import AbortInjector
+        from repro.sim.policies import RandomPolicy
+        from repro.sim.workload import WorkloadConfig, generate_workload
 
         system_type, programs = generate_workload(
             WorkloadConfig(seed=seed, top_level=4, objects=3)
@@ -93,3 +100,50 @@ class TestDeterminism:
         behavior1, _ = self._run(17)
         behavior2, _ = self._run(18)
         assert behavior1 != behavior2
+
+
+class TestImportLayering:
+    """Each name has one import path, its defining module, so importing
+    the judge loads the judge and what it imports, nothing more."""
+
+    #: package ``__init__`` files that may import: the lint rule
+    #: registry, and the four stream names ``perfbench/`` imports from
+    #: the package
+    IMPORTING_INITS = {"repro/analysis/rules/__init__.py", "repro/stream/__init__.py"}
+    STREAM_NAMES = {"StreamConfig", "StreamService", "StreamWorkload", "commit_as_you_go"}
+
+    def test_certifier_import_loads_no_upper_layer(self):
+        script = (
+            "import json, sys\n"
+            "import repro.core.correctness\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        loaded = json.loads(
+            subprocess.run(
+                [sys.executable, "-c", script],
+                check=True, capture_output=True, text=True, env=env,
+            ).stdout
+        )
+        assert "asyncio" not in loaded
+        assert "multiprocessing" not in loaded
+        upper = ("sim", "stream", "distributed", "analysis", "parallel")
+        assert [
+            name for name in loaded
+            if name.split(".")[:2] in (["repro", layer] for layer in upper)
+        ] == []
+
+    def test_package_inits_import_nothing(self):
+        importing = {}
+        for init in sorted((SRC / "repro").rglob("__init__.py")):
+            tree = ast.parse(init.read_text())
+            imported = {
+                alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            }
+            if imported:
+                importing[init.relative_to(SRC).as_posix()] = imported
+        assert set(importing) <= self.IMPORTING_INITS, sorted(importing)
+        assert importing["repro/stream/__init__.py"] == self.STREAM_NAMES

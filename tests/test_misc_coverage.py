@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro import certify
 from repro.cli import main
+from repro.core.correctness import certify
 from repro.report import certificate_report, serialization_graph_to_dot
 from repro.spec.builtin import CounterInc, CounterRead, CounterType, OK
 from repro.spec.commutativity import (
@@ -58,7 +58,7 @@ class TestReportCorners:
         assert dot.count("conflict") >= 2
 
     def test_report_on_malformed_input_certificate(self):
-        from repro import Create
+        from repro.core.actions import Create
         from conftest import T, rw_system
 
         system = rw_system("x")
@@ -103,7 +103,7 @@ class TestCommutativityUtilities:
 
 class TestGraphCorners:
     def test_empty_serialization_graph(self):
-        from repro import SerializationGraph
+        from repro.core.serialization_graph import SerializationGraph
 
         graph = SerializationGraph()
         assert graph.is_acyclic()
@@ -114,7 +114,8 @@ class TestGraphCorners:
         assert order.pairs() == set()
 
     def test_certify_behavior_with_only_informs(self):
-        from repro import InformCommit, ObjectName
+        from repro.core.actions import InformCommit
+        from repro.core.names import ObjectName
         from conftest import T, rw_system
 
         system = rw_system("x")

@@ -2,22 +2,14 @@
 
 import pytest
 
-from repro import (
-    OK,
-    Access,
-    Create,
-    InformAbort,
-    InformCommit,
+from repro.core.actions import Create, InformAbort, InformCommit, RequestCommit
+from repro.core.names import ROOT, Access, ObjectName, SystemType
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
+from repro.locking.moss import (
     MossRWLockingObject,
-    ObjectName,
-    ReadOp,
-    RequestCommit,
-    ROOT,
-    RWSpec,
-    SystemType,
-    WriteOp,
+    least_write_lockholder,
+    write_lockholders_form_chain,
 )
-from repro.locking.moss import least_write_lockholder, write_lockholders_form_chain
 from repro.spec.builtin import CounterType
 
 from conftest import T

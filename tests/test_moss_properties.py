@@ -18,22 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    OK,
-    Access,
-    Create,
-    InformAbort,
-    InformCommit,
+from repro.core.actions import Create, InformAbort, InformCommit, RequestCommit
+from repro.core.names import Access, ObjectName, SystemType, TransactionName
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
+from repro.locking.moss import (
     MossRWLockingObject,
-    ObjectName,
-    ReadOp,
-    RequestCommit,
-    RWSpec,
-    SystemType,
-    TransactionName,
-    WriteOp,
+    least_write_lockholder,
+    write_lockholders_form_chain,
 )
-from repro.locking.moss import least_write_lockholder, write_lockholders_form_chain
 from repro.locking.visibility import is_local_orphan, is_lock_visible
 
 X = ObjectName("x")

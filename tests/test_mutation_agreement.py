@@ -22,8 +22,10 @@ from collections import Counter
 
 import pytest
 
-from repro import OnlineCertifier, certify, serial_projection
 from repro.core.columnar import ColumnarHistory, build_columnar_graph
+from repro.core.correctness import certify
+from repro.core.events import serial_projection
+from repro.core.online import OnlineCertifier
 from repro.core.serialization_graph import build_serialization_graph
 from repro.serial.simple_db import check_simple_behavior
 

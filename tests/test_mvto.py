@@ -2,21 +2,11 @@
 
 import pytest
 
-from repro import (
-    OK,
-    Access,
-    Create,
-    InformAbort,
-    InformCommit,
-    ObjectName,
-    ReadOp,
-    RequestCommit,
-    RWSpec,
-    SystemType,
-    WriteOp,
-    certify,
-    oracle_serially_correct,
-)
+from repro.core.actions import Create, InformAbort, InformCommit, RequestCommit
+from repro.core.correctness import certify
+from repro.core.names import Access, ObjectName, SystemType
+from repro.core.oracle import oracle_serially_correct
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
 from repro.extensions.mvto import MVTORWObject
 from repro.spec.builtin import CounterType
 
@@ -140,11 +130,7 @@ class TestBoundary:
         """The E10 phenomenon in miniature: a full MVTO run that is
         serially correct (oracle) but rejected by the SG test (stale-read
         ARV failure against event order)."""
-        from repro import (
-            Commit,
-            ReportCommit,
-            RequestCreate,
-        )
+        from repro.core.actions import Commit, ReportCommit, RequestCreate
 
         system, obj = setup()
         behavior = []

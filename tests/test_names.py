@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import ROOT, Access, ObjectName, RWSpec, SystemType, TransactionName, lca
-from repro.core.rw_semantics import ReadOp
+from repro.core.names import ROOT, Access, ObjectName, SystemType, TransactionName, lca
+from repro.core.rw_semantics import ReadOp, RWSpec
 
 from conftest import T
 

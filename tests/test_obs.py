@@ -5,31 +5,27 @@ import logging
 
 import pytest
 
-from repro import (
-    EagerInformPolicy,
-    MossRWLockingObject,
-    OnlineCertifier,
-    RunStats,
-    WorkloadConfig,
-    certify,
-    generate_workload,
-    make_generic_system,
-    run_system,
-)
-from repro.obs import (
+from repro.core.correctness import certify
+from repro.core.online import OnlineCertifier
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.obs.export import load_jsonl
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.tracer import (
+    _NULL_SPAN,
     NULL_TRACER,
     JSONLFileSink,
     LoggingSink,
-    MetricsRegistry,
     NullTracer,
     RingBufferSink,
     Tracer,
-    load_jsonl_trace,
     span_coverage,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.obs.tracer import _NULL_SPAN
 from repro.parallel import seeded_run
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
+from repro.sim.stats import RunStats
+from repro.sim.workload import WorkloadConfig, generate_workload
 
 
 def run_workload(seed=7, top_level=4):
@@ -148,7 +144,7 @@ class TestTracer:
             with tracer.span("b"):
                 pass
         tracer.close()
-        spans = load_jsonl_trace(path)
+        spans = load_jsonl(path)
         assert [span["name"] for span in spans] == ["b", "a"]
         assert all(span["dur"] >= 0 for span in spans)
 
@@ -181,7 +177,7 @@ class TestTracer:
         assert dumped == ["a", "b", "root"]
         tracer.close()
         assert dumped == ["a", "b", "root", "c"]
-        assert [span["name"] for span in load_jsonl_trace(path)] == dumped
+        assert [span["name"] for span in load_jsonl(path)] == dumped
 
     def test_jsonl_sink_unencodable_tag_fails_at_flush(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -12,12 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    Commit,
-    OnlineCertifier,
-    certify,
-    serial_projection,
-)
+from repro.core.actions import Commit
+from repro.core.correctness import certify
+from repro.core.events import serial_projection
+from repro.core.online import OnlineCertifier
 
 from conftest import (
     BehaviorBuilder,
@@ -93,7 +91,8 @@ class TestScenarios:
         assert not verdict.arv_violations
 
     def test_informs_ignored(self):
-        from repro import InformCommit, ObjectName
+        from repro.core.actions import InformCommit
+        from repro.core.names import ObjectName
 
         system = rw_system("x")
         certifier = OnlineCertifier(system)
@@ -116,14 +115,11 @@ class TestEquivalenceWithBatch:
             assert (online.cycle is None) == acyclic, (seed, cut)
 
     def test_matches_batch_on_driver_run(self):
-        from repro import (
-            EagerInformPolicy,
-            MossRWLockingObject,
-            WorkloadConfig,
-            generate_workload,
-            make_generic_system,
-            run_system,
-        )
+        from repro.generic.system import make_generic_system
+        from repro.locking.moss import MossRWLockingObject
+        from repro.sim.driver import run_system
+        from repro.sim.policies import EagerInformPolicy
+        from repro.sim.workload import WorkloadConfig, generate_workload
 
         system_type, programs = generate_workload(
             WorkloadConfig(seed=5, top_level=4, objects=3)
@@ -243,7 +239,7 @@ class TestIncrementalVsNaiveEngines:
             assert group.has_edge(src, dst)
 
     def test_incremental_counters(self):
-        from repro import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         behavior, system = lost_update_behavior()
         registry = MetricsRegistry()
@@ -300,17 +296,15 @@ class TestAbortAndDeadChainEdgeCases:
     def test_dead_chain_operation_never_becomes_visible(self, cycle_of):
         """An access requested under an already-aborted ancestor is dead
         on arrival (`_chain_dead`): no visibility, no edges, no ARV."""
-        from repro import (
-            OK,
+        from repro.core.actions import (
             Abort,
-            Access,
             Create,
-            ObjectName,
             ReportAbort,
             RequestCommit,
             RequestCreate,
-            WriteOp,
         )
+        from repro.core.names import Access, ObjectName
+        from repro.core.rw_semantics import OK, WriteOp
 
         system = rw_system("x")
         t1 = T("t1")
@@ -362,15 +356,12 @@ class TestAbortAndDeadChainEdgeCases:
 class TestEquivalenceOnDriverStreams:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_batch_on_aborting_nested_runs(self, seed):
-        from repro import (
-            AbortInjector,
-            MossRWLockingObject,
-            RandomPolicy,
-            WorkloadConfig,
-            generate_workload,
-            make_generic_system,
-            run_system,
-        )
+        from repro.generic.system import make_generic_system
+        from repro.locking.moss import MossRWLockingObject
+        from repro.sim.driver import run_system
+        from repro.sim.faults import AbortInjector
+        from repro.sim.policies import RandomPolicy
+        from repro.sim.workload import WorkloadConfig, generate_workload
 
         system_type, programs = generate_workload(
             WorkloadConfig(

@@ -19,15 +19,10 @@ not the stream length.
 
 import pytest
 
-from repro import (
-    Commit,
-    OnlineCertifier,
-    ReportCommit,
-    RequestCommit,
-    RequestCreate,
-)
+from repro.core.actions import Commit, ReportCommit, RequestCommit, RequestCreate
+from repro.core.online import OnlineCertifier
 from repro.obs.tracer import RingBufferSink, Tracer
-from repro.stream import StreamWorkload, commit_as_you_go
+from repro.stream.workload import StreamWorkload, commit_as_you_go
 
 from conftest import BehaviorBuilder, rw_system
 from test_core_properties import random_simple_behavior

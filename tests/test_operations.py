@@ -1,17 +1,14 @@
 """Tests for operations, perform/operations, serial object well-formedness."""
 
-from repro import (
-    Create,
-    ObjectName,
-    Operation,
-    RequestCommit,
-    perform,
-)
+from repro.core.actions import Create, RequestCommit
+from repro.core.names import ObjectName
 from repro.core.operations import (
+    Operation,
     is_serial_object_well_formed,
     operation_payloads,
     operations,
     operations_of_object,
+    perform,
 )
 from repro.core.rw_semantics import OK, ReadOp, WriteOp
 
@@ -95,6 +92,6 @@ class TestSerialObjectWellFormed:
         assert not is_serial_object_well_formed((Create(T("a")), Create(T("b"))))
 
     def test_foreign_action_rejected(self):
-        from repro import Commit
+        from repro.core.actions import Commit
 
         assert not is_serial_object_well_formed((Commit(T("a")),))

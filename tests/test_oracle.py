@@ -1,6 +1,7 @@
 """Tests for the brute-force serial-correctness oracle."""
 
-from repro import certify, enumerate_sibling_orders, oracle_serially_correct
+from repro.core.correctness import certify
+from repro.core.oracle import enumerate_sibling_orders, oracle_serially_correct
 
 from conftest import (
     BehaviorBuilder,

@@ -9,21 +9,15 @@ serial behavior ``gamma`` has ``gamma | T0 == beta | T0``.
 
 import pytest
 
-from repro import (
-    ROOT,
-    EagerInformPolicy,
-    MossRWLockingObject,
-    ObjectName,
-    RandomPolicy,
-    RWSpec,
-    enumerate_serial_behaviors,
-    make_generic_system,
-    make_serial_system,
-    oracle_serially_correct,
-    project_transaction,
-    run_system,
-    serial_projection,
-)
+from repro.core.events import project_transaction, serial_projection
+from repro.core.names import ROOT, ObjectName
+from repro.core.oracle import oracle_serially_correct
+from repro.core.rw_semantics import RWSpec
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.serial.system import enumerate_serial_behaviors, make_serial_system
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy, RandomPolicy
 from repro.sim.programs import TransactionProgram, read, seq, sub, system_type_for, write
 
 from conftest import T
@@ -71,7 +65,7 @@ class TestOracleCompleteness:
         assert oracle  # Moss runs are correct (Theorem 17)
 
     def test_oracle_and_definition_reject_corrupted_run(self):
-        from repro import RequestCommit
+        from repro.core.actions import RequestCommit
 
         system_type, programs = tiny_world()
         system = make_generic_system(system_type, programs, MossRWLockingObject)

@@ -1,21 +1,14 @@
 """Tests for OrphanFreePolicy — limiting wasted orphan work."""
 
-from repro import (
-    AbortInjector,
-    Create,
-    MossRWLockingObject,
-    OrphanFreePolicy,
-    RandomPolicy,
-    RequestCommit,
-    RequestCreate,
-    RWKind,
-    WorkloadConfig,
-    certify,
-    generate_workload,
-    make_generic_system,
-    run_system,
-)
-from repro.core import StatusIndex, serial_projection
+from repro.core.actions import Create, RequestCommit, RequestCreate
+from repro.core.correctness import certify
+from repro.core.events import StatusIndex, serial_projection
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import OrphanFreePolicy, RandomPolicy
+from repro.sim.workload import RWKind, WorkloadConfig, generate_workload
 
 
 def run(seed, orphan_free: bool):
@@ -44,7 +37,7 @@ def orphan_steps(behavior, kinds=(Create,)):
     already-aborted ancestors."""
     aborted = set()
     count = 0
-    from repro import Abort
+    from repro.core.actions import Abort
 
     for action in behavior:
         if isinstance(action, Abort):

@@ -11,16 +11,16 @@ import json
 
 import pytest
 
-from repro import (
+from repro.cli import main
+from repro.core.correctness import certify
+from repro.obs.metrics import MetricsRegistry
+from repro.parallel import (
     CaseVerdict,
-    MetricsRegistry,
-    certify,
+    _shard,
     certify_corpus,
     record_corpus,
     simulate_corpus,
 )
-from repro.cli import main
-from repro.parallel import _shard
 from repro.sim.stats import RunStats
 
 from test_core_properties import random_simple_behavior
@@ -107,7 +107,7 @@ class TestCorpusSimulation:
         paths = [tmp_path / f"run-{seed}.json" for seed in (5, 6)]
         recorded = record_corpus([5, 6], paths, top_level=3, objects=2, jobs=2)
         assert [path for path, _ in recorded] == [str(path) for path in paths]
-        from repro import load_case
+        from repro.core.serde import load_case
 
         for path, events in recorded:
             behavior, system_type = load_case(json.dumps(json.loads(

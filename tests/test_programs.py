@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro import (
+from repro.core.actions import (
     Create,
-    ObjectName,
     ReportAbort,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    TransactionProgram,
 )
+from repro.core.names import ObjectName
+from repro.core.rw_semantics import ReadOp, RWSpec, WriteOp
 from repro.sim.programs import (
     AccessCall,
     ProgramTransaction,
     SubtransactionCall,
+    TransactionProgram,
     collect_programs,
     op,
     par,
@@ -24,7 +25,6 @@ from repro.sim.programs import (
     system_type_for,
     write,
 )
-from repro.core.rw_semantics import ReadOp, RWSpec, WriteOp
 
 from conftest import T
 
@@ -192,7 +192,7 @@ class TestAlternativeCalls:
         assert RequestCreate(T("t", "fallback")) not in outputs
 
     def test_alternative_triggered_by_abort(self):
-        from repro import ReportAbort
+        from repro.core.actions import ReportAbort
 
         automaton = ProgramTransaction(T("t"), self._program())
         state = automaton.effect(automaton.initial_state(), Create(T("t")))
@@ -218,7 +218,7 @@ class TestAlternativeCalls:
         assert any(isinstance(a, RequestCommit) for a in outputs)
 
     def test_sequential_successor_waits_for_active_alternative(self):
-        from repro import ReportAbort
+        from repro.core.actions import ReportAbort
 
         program = TransactionProgram(
             (
@@ -278,7 +278,7 @@ class TestAlternativeCalls:
         assert RequestCreate(T("t", "fallback")) not in outputs
 
     def test_parallel_alternative_taken_on_sibling_abort(self):
-        from repro import ReportAbort
+        from repro.core.actions import ReportAbort
 
         program = TransactionProgram(
             (
@@ -329,18 +329,14 @@ class TestAlternativeCalls:
     def test_end_to_end_retry_run_certifies(self):
         """Whole-system test: a transfer whose debit is aborted retries
         against a fallback account, and the run still certifies."""
-        from repro import (
-            Abort,
-            EagerInformPolicy,
-            ObjectName,
-            UndoLoggingObject,
-            certify,
-            make_generic_system,
-            run_system,
-        )
-        from repro.core import ROOT
-        from repro.sim.policies import SchedulingPolicy
+        from repro.core.actions import Abort
+        from repro.core.correctness import certify
+        from repro.core.names import ROOT, ObjectName
+        from repro.generic.system import make_generic_system
+        from repro.sim.driver import run_system
+        from repro.sim.policies import EagerInformPolicy, SchedulingPolicy
         from repro.spec.builtin import BankAccountType, Withdraw
+        from repro.undo.logging import UndoLoggingObject
 
         primary_acct, backup_acct = ObjectName("primary"), ObjectName("backup")
         transfer = TransactionProgram(
@@ -385,7 +381,7 @@ class TestAlternativeCalls:
         behavior = result.behavior
         assert Abort(T("t", "debit")) in behavior
         # the fallback debit ran and the transfer committed
-        from repro import Commit
+        from repro.core.actions import Commit
 
         assert Commit(T("t", "debit_backup")) in behavior
         assert Commit(T("t")) in behavior

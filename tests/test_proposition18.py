@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import RWSpec
-from repro.core.rw_semantics import ReadOp, WriteOp
+from repro.core.rw_semantics import ReadOp, RWSpec, WriteOp
 from repro.spec.builtin import (
     BankAccountType,
     CounterInc,

@@ -13,14 +13,13 @@ import random
 
 import pytest
 
-from repro.obs import (
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.quantiles import (
     LATENCY_BUCKETS,
-    MetricsRegistry,
     bucket_quantile,
     latency_histogram,
     log_buckets,
 )
-from repro.obs.metrics import Histogram
 
 
 def exact_quantile(samples, q):

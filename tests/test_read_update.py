@@ -2,20 +2,11 @@
 
 import pytest
 
-from repro import (
-    Access,
-    Create,
-    InformAbort,
-    InformCommit,
-    ObjectName,
-    ReadUpdateLockingObject,
-    RequestCommit,
-    ROOT,
-    RWSpec,
-    SystemType,
-    certify,
-)
-from repro.locking.read_update import ReadUpdateState
+from repro.core.actions import Create, InformAbort, InformCommit, RequestCommit
+from repro.core.correctness import certify
+from repro.core.names import ROOT, Access, ObjectName, SystemType
+from repro.core.rw_semantics import RWSpec
+from repro.locking.read_update import ReadUpdateLockingObject, ReadUpdateState
 from repro.spec.builtin import (
     OK,
     BalanceRead,
@@ -137,14 +128,10 @@ class TestInheritanceAndUndo:
 class TestEndToEnd:
     @pytest.mark.parametrize("seed", range(4))
     def test_runs_are_serially_correct(self, seed):
-        from repro import (
-            CounterKind,
-            EagerInformPolicy,
-            WorkloadConfig,
-            generate_workload,
-            make_generic_system,
-            run_system,
-        )
+        from repro.generic.system import make_generic_system
+        from repro.sim.driver import run_system
+        from repro.sim.policies import EagerInformPolicy
+        from repro.sim.workload import CounterKind, WorkloadConfig, generate_workload
 
         system_type, programs = generate_workload(
             WorkloadConfig(seed=seed, top_level=4, objects=2, kind=CounterKind())

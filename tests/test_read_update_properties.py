@@ -12,17 +12,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    Access,
-    Create,
-    InformAbort,
-    InformCommit,
-    ObjectName,
-    ReadUpdateLockingObject,
-    RequestCommit,
-    SystemType,
-    TransactionName,
-)
+from repro.core.actions import Create, InformAbort, InformCommit, RequestCommit
+from repro.core.names import Access, ObjectName, SystemType, TransactionName
+from repro.locking.read_update import ReadUpdateLockingObject
 from repro.locking.visibility import is_lock_visible, is_local_orphan
 from repro.spec.builtin import (
     BankAccountType,

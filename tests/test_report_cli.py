@@ -5,14 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import (
-    build_serialization_graph,
+from repro.cli import main
+from repro.core.correctness import certify
+from repro.core.serialization_graph import build_serialization_graph
+from repro.report import (
+    behavior_summary,
     certificate_report,
-    certify,
     serialization_graph_to_dot,
 )
-from repro.cli import main
-from repro.report import behavior_summary
 
 from conftest import lost_update_behavior, serial_two_txn_behavior
 

@@ -7,15 +7,14 @@ binary is not required.
 
 import re
 
-from repro import (
+from repro.core.serialization_graph import (
     CONFLICT,
     PRECEDES,
     SerializationGraph,
     SiblingEdge,
     build_serialization_graph,
-    serialization_graph_to_dot,
 )
-from repro.report import behavior_summary
+from repro.report import behavior_summary, serialization_graph_to_dot
 
 from conftest import T, lost_update_behavior, serial_two_txn_behavior
 

@@ -1,15 +1,15 @@
 """Tests for appropriate return values and the current/safe conditions."""
 
-from repro import (
-    OK,
+from repro.core.actions import RequestCommit
+from repro.core.return_values import (
     check_appropriate_return_values,
     check_current_and_safe,
     has_appropriate_return_values,
     has_appropriate_return_values_rw,
     is_current,
     is_safe,
-    RequestCommit,
 )
+from repro.core.rw_semantics import OK
 
 from conftest import (
     BehaviorBuilder,
@@ -57,7 +57,7 @@ class TestAppropriateReturnValues:
         system = rw_system("x")
         b = BehaviorBuilder(system)
         t = b.begin_top("t")
-        from repro import WriteOp
+        from repro.core.rw_semantics import WriteOp
 
         b.access(t, "w", "x", WriteOp(1), "WRONG")
         b.commit(t)

@@ -34,7 +34,7 @@ from repro.core.history import ConflictCache
 from repro.core.names import ROOT, ObjectName
 from repro.core.rw_semantics import ReadOp, RWSpec, WriteOp
 from repro.core.serialization_graph import CONFLICT, PRECEDES
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.scenarios import (
     PROGRAM_SCENARIOS,
     build_program_scenario,

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import OK, ObjectName, ReadOp, RWSpec, WriteOp
+from repro.core.names import ObjectName
 from repro.core.rw_semantics import (
+    OK,
+    ReadOp,
+    RWSpec,
+    WriteOp,
     clean_final_value,
     clean_last_write,
     final_value,

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro import certify, check_simple_behavior, oracle_serially_correct
 from repro.cli import main
+from repro.core.correctness import certify
+from repro.core.oracle import oracle_serially_correct
 from repro.scenarios import SCENARIOS, build_scenario, scenario_names
+from repro.serial.simple_db import check_simple_behavior
 
 
 class TestScenarioLibrary:

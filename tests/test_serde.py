@@ -8,16 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import (
-    InformAbort,
-    InformCommit,
-    ObjectName,
-    dump_case,
-    load_case,
-)
+from repro.core.actions import InformAbort, InformCommit
+from repro.core.names import ObjectName
 from repro.core.serde import (
     behavior_from_json,
     behavior_to_json,
+    dump_case,
+    load_case,
     system_type_from_json,
     system_type_to_json,
 )
@@ -38,7 +35,7 @@ class TestBehaviorRoundTrip:
         assert behavior_from_json(behavior_to_json(behavior)) == behavior
 
     def test_values_varieties(self):
-        from repro import RequestCommit, ReportCommit
+        from repro.core.actions import ReportCommit, RequestCommit
 
         behavior = (
             RequestCommit(T("a"), None),
@@ -51,7 +48,7 @@ class TestBehaviorRoundTrip:
         assert behavior_from_json(behavior_to_json(behavior)) == behavior
 
     def test_unencodable_value_rejected(self):
-        from repro import RequestCommit
+        from repro.core.actions import RequestCommit
 
         class Weird:
             __hash__ = object.__hash__
@@ -69,7 +66,7 @@ class TestSystemTypeRoundTrip:
         assert restored.spec(ObjectName("x")).initial == 0
 
     def test_all_builtin_types(self):
-        from repro import Access, SystemType
+        from repro.core.names import Access, SystemType
         from repro.spec.builtin import (
             BalanceRead,
             BankAccountType,
@@ -105,7 +102,7 @@ class TestSystemTypeRoundTrip:
         assert restored.spec(ObjectName("q")).initial == ("a",)
 
     def test_unknown_spec_rejected(self):
-        from repro import SystemType
+        from repro.core.names import SystemType
 
         system = SystemType({ObjectName("x"): object()})
         with pytest.raises(TypeError):
@@ -121,7 +118,7 @@ class TestCaseRoundTrip:
         assert restored_system.all_accesses() == system.all_accesses()
 
     def test_certification_survives_round_trip(self):
-        from repro import certify
+        from repro.core.correctness import certify
 
         behavior, system = serial_two_txn_behavior()
         restored_behavior, restored_system = load_case(dump_case(behavior, system))
@@ -132,16 +129,12 @@ class TestCaseRoundTrip:
             load_case('{"format": "nope"}')
 
     def test_driver_run_round_trip(self):
-        from repro import (
-            EagerInformPolicy,
-            UndoLoggingObject,
-            CounterKind,
-            WorkloadConfig,
-            certify,
-            generate_workload,
-            make_generic_system,
-            run_system,
-        )
+        from repro.core.correctness import certify
+        from repro.generic.system import make_generic_system
+        from repro.sim.driver import run_system
+        from repro.sim.policies import EagerInformPolicy
+        from repro.sim.workload import CounterKind, WorkloadConfig, generate_workload
+        from repro.undo.logging import UndoLoggingObject
 
         system_type, programs = generate_workload(
             WorkloadConfig(seed=9, top_level=3, objects=2, kind=CounterKind())
@@ -169,7 +162,7 @@ class TestPropertyRoundTrip:
             )
             assert restored_behavior == behavior
             assert restored_system.all_accesses() == system.all_accesses()
-            from repro import certify
+            from repro.core.correctness import certify
 
             original = certify(behavior, system, construct_witness=False)
             replayed = certify(
@@ -182,7 +175,7 @@ class TestPropertyRoundTrip:
 
 class TestMapTypeRoundTrip:
     def test_map_spec_and_ops(self):
-        from repro import Access, SystemType
+        from repro.core.names import Access, SystemType
         from repro.spec.builtin import MapGet, MapPut, MapRemove, MapType
 
         system = SystemType({ObjectName("m"): MapType(initial={"a": 1})})

@@ -2,20 +2,12 @@
 
 import pytest
 
-from repro import (
-    OK,
-    Access,
-    Create,
-    ObjectName,
-    ReadOp,
-    RequestCommit,
-    RWSpec,
-    SerialRWObject,
-    SerialTypedObject,
-    SystemType,
-    WriteOp,
-)
 from repro.automata.base import replay_schedule
+from repro.core.actions import Create, RequestCommit
+from repro.core.names import Access, ObjectName, SystemType
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
+from repro.serial.rw_object import SerialRWObject
+from repro.serial.typed_object import SerialTypedObject
 from repro.spec.builtin import CounterInc, CounterRead, CounterType
 
 from conftest import T

@@ -1,6 +1,7 @@
 """Tests for the serial scheduler automaton (Section 2.2.3)."""
 
-from repro import (
+from repro.automata.base import replay_schedule
+from repro.core.actions import (
     Abort,
     Commit,
     Create,
@@ -8,9 +9,8 @@ from repro import (
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    SerialScheduler,
 )
-from repro.automata.base import replay_schedule
+from repro.serial.scheduler import SerialScheduler
 
 from conftest import T
 

@@ -2,20 +2,16 @@
 
 import pytest
 
-from repro import (
-    Commit,
-    ObjectName,
-    ReadOp,
-    RequestCommit,
-    RWSpec,
-    certify,
+from repro.core.actions import Commit, RequestCommit
+from repro.core.correctness import certify, validate_serial_behavior
+from repro.core.events import serial_projection
+from repro.core.names import ROOT, ObjectName, TransactionName
+from repro.core.rw_semantics import ReadOp, RWSpec
+from repro.serial.system import (
     enumerate_serial_behaviors,
     make_serial_system,
-    serial_projection,
-    validate_serial_behavior,
+    serial_object_for,
 )
-from repro.core.names import ROOT, TransactionName
-from repro.serial.system import serial_object_for
 from repro.sim.programs import (
     TransactionProgram,
     par,
@@ -44,20 +40,20 @@ def tiny_system(sequential=False):
 
 class TestSerialObjectFactory:
     def test_rw_spec_builds_rw_object(self):
-        from repro import SerialRWObject
+        from repro.serial.rw_object import SerialRWObject
 
         system_type, _ = tiny_system()
         assert isinstance(serial_object_for(X, system_type), SerialRWObject)
 
     def test_datatype_builds_typed_object(self):
-        from repro import SerialTypedObject
+        from repro.serial.typed_object import SerialTypedObject
 
         programs = {ROOT: TransactionProgram(())}
         system_type = system_type_for({X: CounterType()}, programs)
         assert isinstance(serial_object_for(X, system_type), SerialTypedObject)
 
     def test_unknown_spec_rejected(self):
-        from repro import SystemType
+        from repro.core.names import SystemType
 
         system_type = SystemType({X: object()})
         with pytest.raises(TypeError):

@@ -1,6 +1,6 @@
 """Tests for the serialization graph construction (conflict/precedes/SG)."""
 
-from repro import (
+from repro.core.serialization_graph import (
     CONFLICT,
     PRECEDES,
     SiblingEdge,
@@ -127,7 +127,7 @@ class TestPrecedesPairs:
     def test_aborted_sibling_still_precedes(self):
         # external consistency applies to aborted children too: the parent
         # saw the abort report before requesting the next child
-        from repro import Abort, ReportAbort, RequestCreate
+        from repro.core.actions import Abort, ReportAbort, RequestCreate
 
         system = rw_system("x")
         b = BehaviorBuilder(system)

@@ -2,15 +2,18 @@
 
 import pytest
 
-from repro import (
+from repro.core.actions import (
     Commit,
     Create,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    SiblingOrder,
 )
-from repro.core.sibling_order import consistent_partial_orders, is_suitable
+from repro.core.sibling_order import (
+    SiblingOrder,
+    consistent_partial_orders,
+    is_suitable,
+)
 
 from conftest import BehaviorBuilder, T, rw_system
 

@@ -1,6 +1,7 @@
 """Tests for the simple database automaton and simple-behavior checker."""
 
-from repro import (
+from repro.automata.base import replay_schedule
+from repro.core.actions import (
     Abort,
     Commit,
     Create,
@@ -8,10 +9,8 @@ from repro import (
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    SimpleDatabase,
-    check_simple_behavior,
 )
-from repro.automata.base import replay_schedule
+from repro.serial.simple_db import SimpleDatabase, check_simple_behavior
 
 from conftest import BehaviorBuilder, T, rw_system, serial_two_txn_behavior
 
@@ -154,15 +153,12 @@ class TestGenericImplementsSimple:
     def test_generic_run_satisfies_simple_constraints(self):
         # the paper's architecture: a generic system implements the simple
         # system; check the driver's serial projections pass the checker
-        from repro import (
-            EagerInformPolicy,
-            MossRWLockingObject,
-            WorkloadConfig,
-            generate_workload,
-            make_generic_system,
-            run_system,
-            serial_projection,
-        )
+        from repro.core.events import serial_projection
+        from repro.generic.system import make_generic_system
+        from repro.locking.moss import MossRWLockingObject
+        from repro.sim.driver import run_system
+        from repro.sim.policies import EagerInformPolicy
+        from repro.sim.workload import WorkloadConfig, generate_workload
 
         system_type, programs = generate_workload(
             WorkloadConfig(seed=3, top_level=3, objects=2)

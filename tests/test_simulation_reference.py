@@ -42,49 +42,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    OK,
-    ROOT,
+from repro.automata.base import IOAutomaton
+from repro.automata.composition import Composition
+from repro.core.actions import (
     Abort,
-    Access,
     Action,
     Commit,
     Create,
-    EagerInformPolicy,
-    GenericController,
     InformAbort,
     InformCommit,
-    IOAutomaton,
-    MossRWLockingObject,
-    MVTORWObject,
-    ObjectName,
-    OrphanFreePolicy,
-    RandomPolicy,
-    ReadOp,
-    ReadUpdateLockingObject,
     ReportAbort,
     ReportCommit,
     RequestCommit,
     RequestCreate,
-    RoundRobinPolicy,
-    RunStats,
-    SystemType,
-    TransactionName,
-    TransactionProgram,
-    UndoLoggingObject,
-    WorkloadConfig,
-    WriteOp,
-    generate_workload,
-    make_generic_system,
-    make_serial_system,
-    run_system,
 )
-from repro.automata.composition import Composition
-from repro.core.rw_semantics import RWSpec
-from repro.generic.controller import GenericControllerState
+from repro.core.names import ROOT, Access, ObjectName, SystemType, TransactionName
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
+from repro.extensions.mvto import MVTORWObject
+from repro.generic.controller import GenericController, GenericControllerState
 from repro.generic.objects import GenericObject
 from repro.generic.permissive import PermissiveObject
-from repro.locking.moss import least_write_lockholder
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject, least_write_lockholder
+from repro.locking.read_update import ReadUpdateLockingObject
+from repro.serial.simple_db import make_simple_system
+from repro.serial.system import make_serial_system
+from repro.sim.driver import RunResult, run_system
+from repro.sim.faults import AbortInjector, ScriptedAbortInjector
+from repro.sim.policies import (
+    EagerInformPolicy,
+    OrphanFreePolicy,
+    RandomPolicy,
+    RoundRobinPolicy,
+    SchedulingPolicy,
+)
+from repro.sim.programs import (
+    AccessCall,
+    ProgramState,
+    ProgramTransaction,
+    SubtransactionCall,
+    TransactionProgram,
+)
+from repro.sim.stats import RunStats
+from repro.sim.workload import CounterKind, RWKind, WorkloadConfig, generate_workload
 from repro.spec.builtin import (
     BalanceRead,
     BankAccountType,
@@ -94,12 +94,7 @@ from repro.spec.builtin import (
     Deposit,
     Withdraw,
 )
-from repro.serial.simple_db import make_simple_system
-from repro.sim.driver import RunResult
-from repro.sim.faults import AbortInjector, ScriptedAbortInjector
-from repro.sim.policies import SchedulingPolicy
-from repro.sim.programs import AccessCall, ProgramState, ProgramTransaction, SubtransactionCall
-from repro.sim.workload import CounterKind, RWKind
+from repro.undo.logging import UndoLoggingObject
 
 from conftest import T, rw_system
 
@@ -1047,7 +1042,7 @@ def test_mixed_composition_keeps_component_order(algorithm):
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 PICKLE_NAMES = """
 import pickle, sys
-from repro import ObjectName, TransactionName
+from repro.core.names import ObjectName, TransactionName
 names = [TransactionName(("a", "b")), TransactionName(()), ObjectName("x")]
 indexed = {name: i for i, name in enumerate(names)}
 sys.stdout.write(pickle.dumps((names, set(names), indexed)).hex())
@@ -1065,7 +1060,7 @@ def test_a_pickled_name_rehashes_where_it_is_loaded():
     ).stdout
     load = f"""
 import pickle
-from repro import ObjectName, TransactionName
+from repro.core.names import ObjectName, TransactionName
 names, as_set, as_dict = pickle.loads(bytes.fromhex({pickled!r}))
 fresh = [TransactionName(("a", "b")), TransactionName(()), ObjectName("x")]
 assert names == fresh and [hash(n) for n in names] == [hash(n) for n in fresh]

@@ -12,20 +12,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    check_all_builtin_specs,
-    check_all_drift,
-    lint_paths,
-)
 from repro.analysis.drift import (
+    check_all_drift,
     check_benchmark_drift,
     check_metrics_drift,
     documented_metric_names,
     source_metric_names,
 )
-from repro.analysis.linter import LintContext, Finding
+from repro.analysis.linter import Finding, LintContext, lint_paths
 from repro.analysis.rules import all_rules, rule_by_id
-from repro.analysis.spec_check import SpecDomain, builtin_spec_domains, check_spec
+from repro.analysis.spec_check import (
+    SpecDomain,
+    builtin_spec_domains,
+    check_all_builtin_specs,
+    check_spec,
+)
 from repro.cli import main
 from repro.spec.builtin import CounterInc, CounterRead
 

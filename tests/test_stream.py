@@ -10,17 +10,16 @@ import random
 
 import pytest
 
-from repro import OnlineCertifier
 from repro.core.names import Access, ObjectName, SystemType
+from repro.core.online import OnlineCertifier
 from repro.obs.metrics import MetricsRegistry
-from repro.stream import (
+from repro.stream.service import (
     SessionResult,
     StreamConfig,
     StreamService,
-    StreamWorkload,
     certify_stream,
-    commit_as_you_go,
 )
+from repro.stream.workload import StreamWorkload, commit_as_you_go
 
 from conftest import BehaviorBuilder, rw_system
 from test_core_properties import random_simple_behavior
@@ -517,6 +516,44 @@ class TestErrorSurfacing:
                 await service.close()
 
         run(scenario())
+
+    def test_calls_after_a_requested_close_rejected(self):
+        """A session closes once: as soon as ``close`` is called, a second
+        ``close`` and any ``feed`` or ``verdict`` raise, while the one
+        close still answers with everything fed before it."""
+        behavior, system = simple_case(4)
+        fed, late = behavior[:-1], behavior[-1]
+
+        async def scenario():
+            registry = MetricsRegistry()
+            service = StreamService(metrics=registry)
+            await service.start()
+            try:
+                session = await service.open_session("once", system)
+                await session.feed_all(fed)
+                closing = asyncio.ensure_future(session.close())
+                await asyncio.sleep(0)  # the close request is on its way
+                calls = (lambda: session.feed(late), session.verdict, session.close)
+                for call in calls:
+                    with pytest.raises(RuntimeError, match="is closed"):
+                        await call()
+                results = await asyncio.gather(
+                    closing, session.close(), return_exceptions=True
+                )
+            finally:
+                await service.close()
+            return results, registry.snapshot()["counters"]
+
+        (result, second), counters = run(scenario())
+        assert isinstance(result, SessionResult)
+        assert isinstance(second, RuntimeError)
+        assert result.actions == len(fed) == counters["stream.actions"]
+        direct = OnlineCertifier(
+            system, compaction=True, compaction_interval=64
+        ).feed_all(fed)
+        assert judgement(result.verdict) == judgement(direct)
+        assert counters["stream.sessions.opened"] == 1
+        assert counters["stream.sessions.closed"] == 1
 
 
 class TestCertifyStreamHelper:

@@ -12,31 +12,29 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    ROOT,
-    AbortInjector,
+from repro.core.correctness import certify
+from repro.core.events import serial_projection
+from repro.core.names import ROOT
+from repro.core.serialization_graph import build_serialization_graph
+from repro.core.sibling_order import is_suitable
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.locking.read_update import ReadUpdateLockingObject
+from repro.serial.simple_db import check_simple_behavior
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import EagerInformPolicy, RandomPolicy, RoundRobinPolicy
+from repro.sim.workload import (
     BankAccountKind,
     CounterKind,
-    EagerInformPolicy,
     MapKind,
-    MossRWLockingObject,
     QueueKind,
-    RandomPolicy,
-    ReadUpdateLockingObject,
-    RoundRobinPolicy,
     RWKind,
     SetKind,
-    UndoLoggingObject,
     WorkloadConfig,
-    build_serialization_graph,
-    certify,
-    check_simple_behavior,
     generate_workload,
-    is_suitable,
-    make_generic_system,
-    run_system,
-    serial_projection,
 )
+from repro.undo.logging import UndoLoggingObject
 
 ALGORITHMS = [
     ("moss", MossRWLockingObject, [RWKind()]),

@@ -13,37 +13,37 @@ These are the executable analogues of the paper's main results:
 
 import pytest
 
-from repro import (
-    ROOT,
-    AbortInjector,
+from repro.classical.histories import history_to_nested_behavior
+from repro.classical.sgt import classical_edges, is_conflict_serializable
+from repro.classical.two_phase_locking import FlatScript, run_strict_2pl
+from repro.core.correctness import certify
+from repro.core.events import serial_projection
+from repro.core.names import ROOT
+from repro.core.oracle import oracle_serially_correct
+from repro.core.serialization_graph import build_serialization_graph
+from repro.core.sibling_order import is_suitable
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.faults import AbortInjector
+from repro.sim.policies import (
+    EagerInformPolicy,
+    RandomPolicy,
+    RoundRobinPolicy,
+    SchedulingPolicy,
+)
+from repro.sim.workload import (
     BankAccountKind,
     CounterKind,
     MapKind,
-    EagerInformPolicy,
-    MossRWLockingObject,
     QueueKind,
-    RandomPolicy,
     RegisterKind,
-    RoundRobinPolicy,
     RWKind,
     SetKind,
-    UndoLoggingObject,
     WorkloadConfig,
-    build_serialization_graph,
-    certify,
-    classical_edges,
     generate_workload,
-    history_to_nested_behavior,
-    is_conflict_serializable,
-    is_suitable,
-    make_generic_system,
-    oracle_serially_correct,
-    run_system,
-    run_strict_2pl,
-    serial_projection,
 )
-from repro.classical.two_phase_locking import FlatScript
-from repro.sim.policies import SchedulingPolicy
+from repro.undo.logging import UndoLoggingObject
 
 
 def moss_run(seed, policy=None, **config_kw):
@@ -209,7 +209,7 @@ class TestClassicalAgreement:
             for edge in graph.edges()
             if edge.kind == "conflict"
         }
-        from repro import Digraph
+        from repro.core.graph import Digraph
 
         digraph = Digraph()
         for src, dst in conflict_only:

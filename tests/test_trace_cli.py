@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import load_jsonl_trace, span_coverage
+from repro.obs.export import load_jsonl
+from repro.obs.tracer import span_coverage
 
 
 class TestTraceCommand:
@@ -15,7 +16,7 @@ class TestTraceCommand:
         output = capsys.readouterr().out
         assert code == 0
         assert "certify phase coverage" in output
-        spans = load_jsonl_trace(out)
+        spans = load_jsonl(out)
         assert spans, "trace file must contain spans"
         names = {span["name"] for span in spans}
         assert {"trace", "simulate", "certify", "certify.build_graph"} <= names
@@ -33,7 +34,7 @@ class TestTraceCommand:
         """Spans must cover >= 90% of certify wall time (acceptance check)."""
         out = tmp_path / "t.jsonl"
         assert main(["trace", "--seed", "7", "--out", str(out)]) == 0
-        coverage = span_coverage(load_jsonl_trace(out), "certify")
+        coverage = span_coverage(load_jsonl(out), "certify")
         assert coverage is not None and coverage >= 0.90
 
     def test_trace_online_flag(self, tmp_path, capsys):
@@ -45,7 +46,7 @@ class TestTraceCommand:
         ])
         assert code == 0
         assert "disagree" not in capsys.readouterr().err
-        names = {span["name"] for span in load_jsonl_trace(out)}
+        names = {span["name"] for span in load_jsonl(out)}
         assert "online.feed_all" in names and "online.feed" in names
         metrics = json.loads(metrics_path.read_text())
         assert metrics["counters"]["online.actions"] > 0

@@ -11,18 +11,13 @@ from typing import Any, Tuple
 
 import pytest
 
-from repro import (
-    DataType,
-    EagerInformPolicy,
-    MossRWLockingObject,
-    ObjectName,
-    RWSpec,
-    UndoLoggingObject,
-    certify,
-    make_generic_system,
-    run_system,
-)
-from repro.core import ROOT
+from repro.core.correctness import certify
+from repro.core.names import ROOT, ObjectName
+from repro.core.rw_semantics import RWSpec
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
 from repro.sim.programs import (
     TransactionProgram,
     op,
@@ -35,6 +30,8 @@ from repro.spec.commutativity import (
     exhaustive_prefixes,
     find_commutativity_counterexample,
 )
+from repro.spec.datatype import DataType
+from repro.undo.logging import UndoLoggingObject
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,8 @@ class TestComposedSystem:
     def test_proposals_run_concurrently(self):
         # all proposals can be answered while none of their parents
         # committed — they commute
-        from repro import Access, Create, RequestCommit, SystemType, TransactionName
+        from repro.core.actions import Create, RequestCommit
+        from repro.core.names import Access, SystemType, TransactionName
 
         hwm_obj = ObjectName("hwm")
         system_type = SystemType({hwm_obj: HighWaterMark()})

@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro import (
-    Access,
-    Create,
-    InformAbort,
-    InformCommit,
-    ObjectName,
-    Operation,
-    RequestCommit,
-    SystemType,
-    UndoLoggingObject,
-)
+from repro.core.actions import Create, InformAbort, InformCommit, RequestCommit
+from repro.core.names import Access, ObjectName, SystemType
+from repro.core.operations import Operation
 from repro.spec.builtin import (
     OK,
     BalanceRead,
@@ -23,6 +15,7 @@ from repro.spec.builtin import (
     Deposit,
     Withdraw,
 )
+from repro.undo.logging import UndoLoggingObject
 
 from conftest import T
 

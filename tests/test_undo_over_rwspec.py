@@ -8,28 +8,16 @@ object with classical conflicts).  These tests back the claim.
 
 import pytest
 
-from repro import (
-    Access,
-    Create,
-    EagerInformPolicy,
-    InformCommit,
-    ObjectName,
-    RandomPolicy,
-    ReadOp,
-    RequestCommit,
-    RWKind,
-    RWSpec,
-    SystemType,
-    UndoLoggingObject,
-    WorkloadConfig,
-    WriteOp,
-    certify,
-    generate_workload,
-    make_generic_system,
-    run_system,
-)
-from repro.core.rw_semantics import OK
+from repro.core.actions import Create, InformCommit, RequestCommit
+from repro.core.correctness import certify
+from repro.core.names import Access, ObjectName, SystemType
+from repro.core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
 from repro.generic.permissive import PermissiveObject
+from repro.generic.system import make_generic_system
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy, RandomPolicy
+from repro.sim.workload import RWKind, WorkloadConfig, generate_workload
+from repro.undo.logging import UndoLoggingObject
 
 from conftest import T
 

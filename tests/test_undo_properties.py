@@ -16,18 +16,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    Access,
-    Create,
-    InformAbort,
-    InformCommit,
-    ObjectName,
-    Operation,
-    RequestCommit,
-    SystemType,
-    TransactionName,
-    UndoLoggingObject,
-)
+from repro.core.actions import Create, InformAbort, InformCommit, RequestCommit
+from repro.core.names import Access, ObjectName, SystemType, TransactionName
+from repro.core.operations import Operation
 from repro.locking.visibility import is_local_orphan, is_locally_visible
 from repro.spec.builtin import (
     BalanceRead,
@@ -43,6 +34,7 @@ from repro.spec.builtin import (
     SetRemove,
     SetType,
 )
+from repro.undo.logging import UndoLoggingObject
 
 C = ObjectName("c")
 

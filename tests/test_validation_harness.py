@@ -5,19 +5,15 @@ from typing import Any
 
 import pytest
 
-from repro import (
-    CounterKind,
-    MapKind,
-    MossRWLockingObject,
-    ReadUpdateLockingObject,
-    RWKind,
-    UndoLoggingObject,
-)
 from repro.core.actions import Create, InformAbort, RequestCommit
 from repro.core.rw_semantics import OK, WriteOp
 from repro.extensions.mvto import MVTORWObject
 from repro.generic.objects import GenericObject, ObjectState
 from repro.generic.validation import recovery_problem, validate_object_algorithm
+from repro.locking.moss import MossRWLockingObject
+from repro.locking.read_update import ReadUpdateLockingObject
+from repro.sim.workload import CounterKind, MapKind, RWKind
+from repro.undo.logging import UndoLoggingObject
 
 
 class TestShippedAlgorithmsPass:

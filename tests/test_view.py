@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro import (
-    ROOT,
-    ObjectName,
-    SiblingOrder,
-    build_serialization_graph,
-    certify,
-    serial_projection,
-    serializability_theorem_applies,
-    view,
-)
 from repro.core.actions import Create, RequestCommit
+from repro.core.correctness import certify
+from repro.core.events import serial_projection
+from repro.core.names import ROOT, ObjectName
+from repro.core.serialization_graph import build_serialization_graph
+from repro.core.sibling_order import SiblingOrder
+from repro.core.view import serializability_theorem_applies, view
 
 from conftest import (
     BehaviorBuilder,
@@ -112,7 +108,7 @@ class TestSerializabilityTheorem:
 
     def test_lost_update_has_no_good_total_order(self):
         behavior, system = lost_update_behavior()
-        from repro import enumerate_sibling_orders
+        from repro.core.oracle import enumerate_sibling_orders
 
         for order in enumerate_sibling_orders(behavior):
             assert serializability_theorem_applies(
@@ -122,14 +118,11 @@ class TestSerializabilityTheorem:
     def test_theorem8_order_satisfies_theorem2(self):
         """The reduction in the proof of Theorem 8: the topologically
         sorted SG order satisfies the Serializability Theorem hypotheses."""
-        from repro import (
-            EagerInformPolicy,
-            MossRWLockingObject,
-            WorkloadConfig,
-            generate_workload,
-            make_generic_system,
-            run_system,
-        )
+        from repro.generic.system import make_generic_system
+        from repro.locking.moss import MossRWLockingObject
+        from repro.sim.driver import run_system
+        from repro.sim.policies import EagerInformPolicy
+        from repro.sim.workload import WorkloadConfig, generate_workload
 
         for seed in range(3):
             system_type, programs = generate_workload(

@@ -1,6 +1,7 @@
 """Tests for lock-visible / locally-visible / local-orphan (Sections 5.3, 6.3)."""
 
-from repro import InformAbort, InformCommit, ObjectName
+from repro.core.actions import InformAbort, InformCommit
+from repro.core.names import ObjectName
 from repro.locking.visibility import (
     inform_chain,
     is_local_orphan,

@@ -19,40 +19,36 @@ import random
 
 import pytest
 
-from repro import (
-    EagerInformPolicy,
-    MossRWLockingObject,
-    UndoLoggingObject,
-    WorkloadConfig,
-    generate_workload,
-    make_generic_system,
-    run_system,
-)
-from repro.core import certify
 from repro.core.actions import Commit, ReportCommit, RequestCommit, transaction_of
 from repro.core.columnar import ColumnarSerializationGraph
 from repro.core.correctness import (
     WitnessError,
     _visible_transactions,
     build_witness,
+    certify,
     object_replay_problems,
     validate_serial_behavior,
     witness_projection_problems,
 )
-from repro.core.graph import CycleError
-from repro.core.names import ROOT
-from repro.core.serialization_graph import SerializationGraph
 from repro.core.events import project_object, project_transaction, serial_projection
+from repro.core.graph import CycleError
 from repro.core.history import HistoryIndex
+from repro.core.names import ROOT
 from repro.core.operations import (
     is_serial_object_well_formed,
     operation_payloads,
     operations_of_object,
 )
-from repro.obs import MetricsRegistry
+from repro.core.serialization_graph import SerializationGraph
+from repro.generic.system import make_generic_system
+from repro.locking.moss import MossRWLockingObject
+from repro.obs.metrics import MetricsRegistry
 from repro.scenarios import build_scenario, scenario_names
-from repro.sim.workload import CounterKind, RWKind
-from repro.stream import StreamWorkload, commit_as_you_go
+from repro.sim.driver import run_system
+from repro.sim.policies import EagerInformPolicy
+from repro.sim.workload import CounterKind, RWKind, WorkloadConfig, generate_workload
+from repro.stream.workload import StreamWorkload, commit_as_you_go
+from repro.undo.logging import UndoLoggingObject
 
 from conftest import lost_update_behavior, reference_certify
 from test_core_properties import random_simple_behavior

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro import (
-    ROOT,
+from repro.core.names import ROOT
+from repro.core.rw_semantics import ReadOp, WriteOp
+from repro.sim.programs import AccessCall, SubtransactionCall, collect_programs
+from repro.sim.workload import (
     CounterKind,
     RWKind,
     SetKind,
     WorkloadConfig,
     generate_workload,
 )
-from repro.sim.programs import AccessCall, SubtransactionCall, collect_programs
-from repro.core.rw_semantics import ReadOp, WriteOp
 
 
 class TestConfig:
@@ -83,7 +83,7 @@ class TestGeneration:
             assert isinstance(system_type.spec(obj), CounterType)
 
     def test_hot_object_bias(self):
-        from repro import ObjectName
+        from repro.core.names import ObjectName
 
         config = WorkloadConfig(
             seed=0, objects=8, top_level=20, hot_object_bias=1.0, max_calls=3
