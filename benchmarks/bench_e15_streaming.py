@@ -14,15 +14,20 @@ identical, and records peak retained tracked operations and throughput
 in ``BENCH_e15_streaming.json``.  The headline targets: the compacted
 peak is bounded by the live window (and flat as the stream grows 7x)
 while the uncompacted baseline's retention grows linearly with the
-stream; a mid-size stream is also pushed through the
-:class:`repro.stream.service.StreamService` feed API five times to price
-the asyncio transport, and the baseline keeps the median run with every
-run's seconds beside it.  Every lane is handed a pre-built action list,
+stream.  A mid-size stream pair is also pushed through the
+:class:`repro.stream.service.StreamService` feed API to price the
+asyncio transport: each round times the service and the bare compacted
+engine on the same streams, back to back in one process, and the
+baseline records every round's service ÷ engine ratio with its median
+and quartiles (a ratio of two lanes run together cancels the machine's
+drift, which raw service seconds do not), plus the median service
+run's latency quantiles.  Every lane is handed a pre-built action list,
 so the clock times certification, not stream generation, and the peak
 is sampled in a separate untimed pass.
 """
 
 import asyncio
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -48,8 +53,10 @@ SAMPLE_EVERY = 8
 
 #: stream lengths, in top-level transactions (24 events each)
 CASES = pick([600, 2100, 4200], [30, 60])
-#: timed service runs the baseline takes its median from
-SERVICE_RUNS = pick(5, 1)
+#: rounds of the service lane, each beside a bare-engine run
+SERVICE_ROUNDS = pick(7, 1)
+#: sessions (streams) the service lane drives over two workers
+SESSIONS = 2
 
 
 def build_stream(top_level: int, seed: int = 42):
@@ -80,17 +87,22 @@ def peak_tracked_ops(system, actions, compaction: bool) -> int:
     return max(peak, certifier.live_tracked_ops())
 
 
+def feed_seconds(certifier, actions) -> float:
+    """Seconds ``certifier`` takes to consume the pre-built ``actions``."""
+    feed = certifier.feed
+    start = time.perf_counter()
+    for action in actions:
+        feed(action)
+    return time.perf_counter() - start
+
+
 def timed_feed(system, actions, compaction: bool):
     """Time one certifier over the pre-built ``actions``; return
     ``(verdict, stats)``."""
     certifier = OnlineCertifier(
         system, compaction=compaction, compaction_interval=INTERVAL
     )
-    feed = certifier.feed
-    start = time.perf_counter()
-    for action in actions:
-        feed(action)
-    seconds = time.perf_counter() - start
+    seconds = feed_seconds(certifier, actions)
     return certifier.verdict(), {
         "events": len(actions),
         "seconds": seconds,
@@ -100,15 +112,26 @@ def timed_feed(system, actions, compaction: bool):
     }
 
 
-def timed_service(top_level: int, sessions: int = 2, workers: int = 2):
-    """Price the asyncio feed transport on identical streams.
+def timed_engine(streams) -> float:
+    """Seconds the bare compacted engine takes over ``streams``, one
+    certifier per stream, fed one stream after the other."""
+    return sum(
+        feed_seconds(
+            OnlineCertifier(system, compaction=True, compaction_interval=INTERVAL),
+            actions,
+        )
+        for system, actions in streams
+    )
+
+
+def timed_service(streams, workers: int = 2):
+    """Price the asyncio feed transport on ``streams``, one session each.
 
     A service-level registry rides along, so the report also carries the
     client-visible feed→verdict latency quantiles (queue wait plus
     certification, in seconds) next to the raw throughput.
     """
     registry = MetricsRegistry()
-    streams = [build_stream(top_level, seed=42 + index) for index in range(sessions)]
     config = StreamConfig(
         workers=workers, compaction=True, compaction_interval=INTERVAL
     )
@@ -129,7 +152,7 @@ def timed_service(top_level: int, sessions: int = 2, workers: int = 2):
     events = sum(result.actions for result in results)
     latency = registry.histogram("stream.latency.feed_to_verdict")
     return {
-        "sessions": sessions,
+        "sessions": len(streams),
         "workers": workers,
         "events": events,
         "seconds": seconds,
@@ -143,12 +166,45 @@ def timed_service(top_level: int, sessions: int = 2, workers: int = 2):
     }
 
 
-def median_service(top_level: int):
-    """The ``timed_service`` run of median seconds out of
-    ``SERVICE_RUNS``, with every run's seconds, in order, under ``runs``."""
-    runs = [timed_service(top_level) for _ in range(SERVICE_RUNS)]
-    median = sorted(runs, key=lambda run: run["seconds"])[len(runs) // 2]
-    return dict(median, runs=[run["seconds"] for run in runs])
+def quartiles(values):
+    """``(q1, median, q3)`` of ``values`` (all three equal for one value)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def service_rounds(top_level: int):
+    """``SERVICE_ROUNDS`` rounds over the same ``SESSIONS`` streams, each
+    timing the service and the bare compacted engine back to back (which
+    goes first alternates).  Returns the service run of median seconds,
+    with every run's seconds under ``runs``, each round under ``rounds``
+    and the service ÷ engine ratio's quartiles under ``ratio``."""
+    streams = [build_stream(top_level, seed=42 + index) for index in range(SESSIONS)]
+    runs, rounds = [], []
+    for index in range(SERVICE_ROUNDS):
+        if index % 2:
+            service = timed_service(streams)
+            engine = timed_engine(streams)
+        else:
+            engine = timed_engine(streams)
+            service = timed_service(streams)
+        runs.append(service)
+        rounds.append(
+            {
+                "service_s": service["seconds"],
+                "engine_s": engine,
+                "ratio": service["seconds"] / max(engine, 1e-9),
+            }
+        )
+    q1, median, q3 = quartiles([round_["ratio"] for round_ in rounds])
+    middle = sorted(runs, key=lambda run: run["seconds"])[len(runs) // 2]
+    return dict(
+        middle,
+        runs=[run["seconds"] for run in runs],
+        rounds=rounds,
+        ratio={"median": median, "q1": q1, "q3": q3},
+    )
 
 
 def run_comparison():
@@ -176,7 +232,7 @@ def run_comparison():
                 f"{compacted['events_per_second'] / 1e3:.1f}k",
             )
         )
-    report["service"] = median_service(CASES[len(CASES) // 2])
+    report["service"] = service_rounds(CASES[len(CASES) // 2])
     write_bench_json("e15_streaming", report)
     return report, rows
 
@@ -206,10 +262,15 @@ def test_e15_streaming_compaction(benchmark):
         <= first["compacted"]["peak_live_tracked_ops"] + 8
     )
     assert largest["compacted"]["compaction"]["evicted_rows"] > 0
-    # the service section reports feed→verdict latency quantiles
-    latency = report["service"]["latency"]
-    assert latency["count"] == report["service"]["events"]
+    # the service section reports feed→verdict latency quantiles and
+    # its cost against the bare engine on the same streams
+    service = report["service"]
+    latency = service["latency"]
+    assert latency["count"] == service["events"]
     assert 0.0 < latency["p50"] <= latency["p95"] <= latency["p99"]
+    assert len(service["rounds"]) == SERVICE_ROUNDS
+    ratio = service["ratio"]
+    assert 0.0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
     # the baseline's retention grows with the stream
     assert (
         largest["baseline"]["peak_live_tracked_ops"]

@@ -9,10 +9,10 @@ necessary-and-sufficient test our nested construction generalises.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Sequence, Set, Tuple
 
 from ..core.graph import Digraph
-from .histories import FlatRead, FlatStep, FlatWrite, committed_projection
+from .histories import FlatStep, FlatWrite, committed_projection
 
 __all__ = [
     "classical_serialization_graph",

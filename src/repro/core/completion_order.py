@@ -16,10 +16,10 @@ than checking acyclicity alone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .actions import Action, is_completion
-from .names import SystemType, TransactionName
+from .names import TransactionName
 from .serialization_graph import SerializationGraph, SiblingEdge
 
 __all__ = ["completion_positions", "completion_holds", "edges_respect_completion_order"]

@@ -41,10 +41,7 @@ from .actions import (
     RequestCommit,
     RequestCreate,
     hightransaction,
-    is_completion,
     is_serial_action,
-    lowtransaction,
-    object_of,
     transaction_of,
 )
 from .names import ObjectName, SystemType, TransactionName

@@ -23,7 +23,7 @@ from typing import (
     TypeVar,
 )
 
-__all__ = ["Digraph", "CycleError", "IncrementalTopology"]
+__all__ = ["Digraph", "CycleError"]
 
 N = TypeVar("N", bound=Hashable)
 
@@ -202,141 +202,3 @@ class Digraph(Generic[N]):
     def __repr__(self) -> str:
         return f"Digraph(nodes={len(self)}, edges={self.edge_count()})"
 
-
-class IncrementalTopology(Generic[N]):
-    """Incremental cycle detection via topological-order maintenance.
-
-    Pearce–Kelly style: every node carries a topological index; inserting
-    an edge ``u -> v`` with ``index[u] < index[v]`` is free (the order is
-    already consistent), and only an out-of-order insert searches the
-    *affected region* — the nodes whose indices lie between ``index[v]``
-    and ``index[u]``.  If the forward frontier from ``v`` reaches ``u``
-    inside that region the edge closes a cycle, which is returned as a
-    node list (first node repeated last, like
-    :meth:`Digraph.find_cycle`); otherwise the affected nodes are
-    reindexed and the order is consistent again.
-
-    This is the online certifier's replacement for running a full DFS
-    over the whole sibling group on every new edge: amortised work is
-    proportional to the affected region, which for append-mostly
-    histories (new transactions conflict with older ones) is usually
-    empty.  ``last_affected`` exposes the region size of the most recent
-    insert so callers can surface the work in metrics.
-    """
-
-    def __init__(self) -> None:
-        self._succ: Dict[N, Set[N]] = {}
-        self._pred: Dict[N, Set[N]] = {}
-        self._index: Dict[N, int] = {}
-        self._next_index = 0
-        #: nodes visited while repairing the order on the last insert
-        self.last_affected = 0
-
-    def __contains__(self, node: object) -> bool:
-        return node in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def index_of(self, node: N) -> int:
-        """The node's current topological index (raises if unknown)."""
-        return self._index[node]
-
-    def add_node(self, node: N) -> None:
-        """Register ``node`` with the next free (largest) index."""
-        if node not in self._index:
-            self._succ[node] = set()
-            self._pred[node] = set()
-            self._index[node] = self._next_index
-            self._next_index += 1
-
-    def has_edge(self, src: N, dst: N) -> bool:
-        return src in self._succ and dst in self._succ[src]
-
-    def add_edge(self, src: N, dst: N) -> Optional[List[N]]:
-        """Insert an edge, repairing the order; return a cycle if one forms.
-
-        Returns ``None`` when the graph stays acyclic.  When the edge
-        closes a cycle, returns the cycle as ``[src, ..., src]`` *without*
-        recording the edge, leaving the maintained order consistent (the
-        caller latches the verdict and stops consulting this structure).
-        """
-        self.add_node(src)
-        self.add_node(dst)
-        self.last_affected = 0
-        if dst in self._succ[src]:
-            return None
-        if src == dst:
-            return [src, src]
-        lower = self._index[dst]
-        upper = self._index[src]
-        if lower > upper:
-            # already consistent: a plain insert, no search at all
-            self._succ[src].add(dst)
-            self._pred[dst].add(src)
-            return None
-        # forward search from dst, bounded by the affected region
-        forward: List[N] = []
-        seen: Set[N] = {dst}
-        parent: Dict[N, N] = {}
-        stack = [dst]
-        while stack:
-            node = stack.pop()
-            forward.append(node)
-            for succ in self._succ[node]:
-                if succ == src:
-                    # the new edge would close src -> dst -> ... -> src
-                    path = [node]
-                    while path[-1] != dst:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    self.last_affected = len(forward)
-                    return [src, *path, src]
-                if succ not in seen and self._index[succ] < upper:
-                    seen.add(succ)
-                    parent[succ] = node
-                    stack.append(succ)
-        # backward search from src, bounded below by index[dst]
-        backward: List[N] = []
-        seen_back: Set[N] = {src}
-        stack = [src]
-        while stack:
-            node = stack.pop()
-            backward.append(node)
-            for pred in self._pred[node]:
-                if pred not in seen_back and self._index[pred] > lower:
-                    seen_back.add(pred)
-                    stack.append(pred)
-        self.last_affected = len(forward) + len(backward)
-        # reorder: backward nodes first, then forward nodes, into the
-        # pooled (sorted) set of indices both regions occupied
-        backward.sort(key=self._index.__getitem__)
-        forward.sort(key=self._index.__getitem__)
-        pool = sorted(self._index[node] for node in backward + forward)
-        for node, index in zip(backward + forward, pool):
-            self._index[node] = index
-        self._succ[src].add(dst)
-        self._pred[dst].add(src)
-        return None
-
-    def as_digraph(self) -> Digraph[N]:
-        """A :class:`Digraph` copy of the recorded edges (for inspection)."""
-        graph: Digraph[N] = Digraph()
-        for node in self._index:
-            graph.add_node(node)
-        for src, targets in self._succ.items():
-            for dst in targets:
-                graph.add_edge(src, dst)
-        return graph
-
-    def check_invariant(self) -> bool:
-        """True iff every recorded edge respects the maintained order."""
-        return all(
-            self._index[src] < self._index[dst]
-            for src, targets in self._succ.items()
-            for dst in targets
-        )
-
-    def __repr__(self) -> str:
-        edges = sum(len(t) for t in self._succ.values())
-        return f"IncrementalTopology(nodes={len(self)}, edges={edges})"

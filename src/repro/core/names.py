@@ -18,7 +18,7 @@ parameters of an access are regarded as encoded in its name"; the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = [
     "TransactionName",

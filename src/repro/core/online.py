@@ -25,12 +25,17 @@ Transactions are interned through a
 :class:`repro.core.columnar.ColumnarHistory` (parents first, ``T0`` is
 0), the batch engine's id space, and all bookkeeping is keyed by those
 ints; names come back only in ARV messages, the latched cycle, flight
-dumps and :attr:`OnlineCertifier.graph`.  Each sibling group has one
-edge store: a Pearce–Kelly :class:`repro.core.graph.IncrementalTopology`
-over ids, which latches a cycle the moment an insert closes one, and
-per target one predecessor bitset per edge kind.  A bit is a node's
-rank among its siblings, so a bitset is as wide as the group, and it
-masks out re-added edges before they reach the topology.
+dumps and :attr:`OnlineCertifier.graph`.  Each sibling group stores its
+edges once, per target one predecessor bitset per edge kind; a bit is a
+node's rank among its siblings, so a bitset is as wide as the group.
+The group keeps a topological order beside them in two flat lists (each
+placed member's position, the member at each position) and repairs it
+Pearce–Kelly style, scanning the positions between an out-of-order
+edge's endpoints against the bitsets, so a cycle latches the moment an
+insert closes one.  Edges into one target arrive as one bitset OR: a
+visible operation's conflicts with the compaction frontier and with
+earlier rows of other top-level transactions, and a new request's
+precedes edges from its reported siblings.
 
 Prefix compaction
 -----------------
@@ -109,7 +114,6 @@ from .columnar import (
     ColumnarHistory,
     action_kind,
 )
-from .graph import IncrementalTopology
 from .history import ConflictCache, spec_is_read_only
 from .names import ObjectName, SystemType, TransactionName
 from .serialization_graph import CONFLICT, PRECEDES, SerializationGraph, SiblingEdge
@@ -219,11 +223,128 @@ class _Subtree:
 
 @dataclass(eq=False, slots=True)
 class _Group:
-    """One sibling group's edge store: the Pearce–Kelly order over ids,
-    and per target one predecessor bitset per edge kind."""
+    """One sibling group's edges and their topological order, over member
+    ranks (a member's index among its siblings).
 
-    topology: IncrementalTopology[int] = field(default_factory=IncrementalTopology)
+    ``preds[t]`` holds member ``t``'s predecessor bitsets, one per edge
+    kind: bit ``s`` set records the edge ``s -> t``.  They are the
+    group's only edge relation.  ``order`` lists the placed members (the
+    endpoints of ordered edges) in a topological order, and
+    ``position[m]`` is member ``m``'s index in it, or -1 while unplaced.
+    Until a cycle latches, every recorded edge runs forward in the order.
+    """
+
     preds: Dict[int, List[int]] = field(default_factory=dict)
+    position: List[int] = field(default_factory=list)
+    order: List[int] = field(default_factory=list)
+    #: edges the last :meth:`insert` ordered, a cycle's closing edge
+    #: included, and the members it reordered
+    inserted: int = 0
+    affected: int = 0
+
+    def record(self, sources: int, target: int, kind: int) -> int:
+        """Record edges of ``kind`` from the members set in ``sources``
+        into ``target``; return the bitset of those that are new (an
+        existing edge gains the label at most)."""
+        preds = self.preds.get(target)
+        if preds is None:
+            preds = self.preds[target] = [0, 0]
+        new = sources & ~(preds[0] | preds[1])
+        preds[kind] |= sources
+        return new
+
+    def insert(self, sources: int, target: int) -> Optional[List[int]]:
+        """Order recorded edges from the members set in ``sources`` into
+        ``target``, source by source in rank order; stop at, and return,
+        the first cycle one closes, as ``[source, target, ..., source]``.
+
+        An unplaced target has no edges yet, so it is placed after every
+        source and the whole batch needs no search."""
+        position = self.position
+        size = max(sources.bit_length(), target + 1)
+        if size > len(position):
+            position.extend([-1] * (size - len(position)))
+        self.inserted = self.affected = 0
+        lower = position[target]
+        if lower < 0:
+            self.inserted = sources.bit_count()
+            self._place(sources)
+            self._place(1 << target)
+            return None
+        while sources:
+            low = sources & -sources
+            source = low.bit_length() - 1
+            sources ^= low
+            self.inserted += 1
+            if position[source] < 0:
+                self._place(low)
+            upper = position[source]
+            if upper > lower:
+                cycle = self._repair(source, target, lower, upper)
+                if cycle is not None:
+                    return cycle
+                lower = position[target]
+        return None
+
+    def _place(self, members: int) -> None:
+        """Append the unplaced members set in ``members`` to the order,
+        in rank order."""
+        position, order = self.position, self.order
+        while members:
+            low = members & -members
+            member = low.bit_length() - 1
+            if position[member] < 0:
+                position[member] = len(order)
+                order.append(member)
+            members ^= low
+
+    def _repair(
+        self, source: int, target: int, lower: int, upper: int
+    ) -> Optional[List[int]]:
+        """Pearce–Kelly's repair for ``source -> target`` against the order:
+        scan the positions between the two for the members ``target``
+        reaches (forward) and those that reach ``source`` (backward), then
+        give the backward members, then the forward ones, the positions
+        both sets held.  A forward member with an edge into ``source``
+        closes a cycle instead, and nothing moves."""
+        order, preds = self.order, self.preds
+        reached = 1 << target
+        forward = [target]
+        for at in range(lower + 1, upper):
+            member = order[at]
+            bits = preds.get(member)
+            if bits is not None and (bits[0] | bits[1]) & reached:
+                reached |= 1 << member
+                forward.append(member)
+        bits = preds.get(source)
+        if bits is not None and (bits[0] | bits[1]) & reached:
+            # walk back from source through forward predecessors, which
+            # sit at ever smaller positions, down to target
+            path = [source]
+            member = source
+            while member != target:
+                bits = preds[member]
+                common = (bits[0] | bits[1]) & reached
+                member = (common & -common).bit_length() - 1
+                path.append(member)
+            return [source, *reversed(path)]
+        into = 0 if bits is None else bits[0] | bits[1]
+        backward = [source]
+        for at in range(upper - 1, lower, -1):
+            member = order[at]
+            if into >> member & 1:
+                backward.append(member)
+                bits = preds.get(member)
+                if bits is not None:
+                    into |= bits[0] | bits[1]
+        backward.reverse()
+        moved = backward + forward
+        self.affected += len(moved)
+        position = self.position
+        for member, at in zip(moved, sorted(position[member] for member in moved)):
+            position[member] = at
+            order[at] = member
+        return None
 
 
 class OnlineCertifier:
@@ -309,11 +430,16 @@ class OnlineCertifier:
         # position, plus each touched parent's visibility watch
         self._requests: Dict[int, Dict[int, int]] = {}
         self._reports: Dict[int, Dict[int, int]] = {}
+        #: parent -> ranks of its children with a recorded report
+        self._reported: Dict[int, int] = {}
         self._watches: Dict[int, _Watch] = {}
         self._waiting_parents: Dict[int, Dict[int, _Watch]] = {}
         self._groups: Dict[int, _Group] = {}
         self._cycle: Optional[Tuple[TransactionName, List[TransactionName]]] = None
         self._last_sweep = 0
+        #: tracked operations retained: visible rows plus the waiting or
+        #: dead operations in subtree records
+        self._live_ops = 0
         self._stats = dict.fromkeys(
             ("sweeps", "evicted_subtrees", "evicted_ops", "evicted_rows"), 0
         )
@@ -367,6 +493,7 @@ class OnlineCertifier:
         elif kind >= K_REPORT_COMMIT:
             parent = self._parent_of(dense)
             self._reports.setdefault(parent, {}).setdefault(dense, position)
+            self._reported[parent] = self._reported.get(parent, 0) | 1 << self._rank[dense]
             self._touch_parent(parent)
 
     def verdict(self) -> OnlineVerdict:
@@ -405,7 +532,9 @@ class OnlineCertifier:
                         low = bits & -bits
                         source = members[low.bit_length() - 1]
                         graph.add_edge(
-                            SiblingEdge(names[source], names[target], _EDGE_LABELS[kind])
+                            SiblingEdge(
+                                names[source], names[members[target]], _EDGE_LABELS[kind]
+                            )
                         )
                         bits ^= low
         return graph
@@ -415,14 +544,13 @@ class OnlineCertifier:
 
         Counts every distinct ``_Op`` still held: visible rows in the
         per-object sequences plus the not-yet-visible (waiting or dead)
-        operations in the subtree records.  With ``compaction=True``
-        this stays proportional to the live window of the stream;
-        without it, it grows with history length.
+        operations in the subtree records.  The count is kept as
+        operations are tracked, trimmed and evicted, so reading it is
+        O(1).  With ``compaction=True`` it stays proportional to the
+        live window of the stream; without it, it grows with history
+        length.
         """
-        total = sum(len(state.rows) for state in self._objects.values())
-        for subtree in self._subtrees.values():
-            total += sum(1 for op in subtree.ops.values() if not op.visible)
-        return total
+        return self._live_ops
 
     def compaction_stats(self) -> Dict[str, int]:
         """Sweep/eviction totals (also surfaced as ``online.compaction.*``).
@@ -496,6 +624,7 @@ class OnlineCertifier:
         )
         subtree = self._subtree(chain[0])
         subtree.ops[position] = tracked
+        self._live_ops += 1
         if not tracked.pending:
             self._make_op_visible(tracked)
             return
@@ -593,6 +722,7 @@ class OnlineCertifier:
         tracked.visible = True
         state = tracked.obj
         top = tracked.chain[0]
+        rank = self._rank
         # conflict edges against the compacted prefix, via the frontier:
         # evicted rows always precede this op, so the edge runs from the
         # retired top to this op's top; intra-subtree (nested) pairs are
@@ -601,7 +731,7 @@ class OnlineCertifier:
             partners = state.front_writer if tracked.read_only else state.front_any
         else:
             partners = 0
-            others = ~(1 << self._rank[top])
+            others = ~(1 << rank[top])
             for cls, tops in state.front.items():
                 if not tops & others:
                     continue
@@ -609,12 +739,11 @@ class OnlineCertifier:
                     continue
                 if self.conflict_cache.conflicts_ids(state.spec_id, cls, tracked.cls):
                     partners |= tops
-        if partners:
-            self._add_frontier_edges(partners, top)
         # conflict edges against every already-visible op on the object;
         # read/read pairs commute (both ops preserve the state) and are
         # skipped before the spec or the verdict cache is consulted, and
-        # read/write specs need no verdict at all
+        # read/write specs need no verdict at all.  Edges from an earlier
+        # row's top into this op's top join the frontier's batch
         conflicts = None if state.rw else self.conflict_cache.conflicts_ids
         for other in state.rows:
             if tracked.read_only and other.read_only:
@@ -635,7 +764,13 @@ class OnlineCertifier:
                 state.spec_id, first.cls, second.cls
             ):
                 continue
-            self._add_edge(mine[depth], theirs[depth], _CONFLICT)
+            if depth or second is not tracked:
+                self._add_edge(mine[depth], theirs[depth], _CONFLICT)
+            else:
+                partners |= 1 << rank[mine[0]]
+        partners &= ~(1 << rank[top])  # a top is not its own partner
+        if partners:
+            self._add_edges(0, partners, rank[top], _CONFLICT)
         # insert by position and re-validate the suffix
         rows = state.rows
         index = len(rows)
@@ -708,56 +843,42 @@ class OnlineCertifier:
 
     def _add_precedes_for_new_request(self, parent: int, requested: int) -> None:
         # every recorded report came before this request
-        for reported in self._reports.get(parent, ()):
-            if reported != requested:
-                self._add_edge(reported, requested, _PRECEDES)
-
-    def _add_frontier_edges(self, partners: int, target: int) -> None:
-        """Conflict edges into top-level ``target`` from the T0-group
-        ranks set in ``partners``, skipping itself and existing edges."""
-        partners &= ~(1 << self._rank[target])
-        group = self._groups.get(0)
-        if group is not None and target in group.preds:
-            conflict, precedes = group.preds[target]
-            partners &= ~(conflict | precedes)
-        members = self._members[0]
-        while partners:
-            low = partners & -partners
-            self._add_edge(members[low.bit_length() - 1], target, _CONFLICT)
-            partners ^= low
+        rank = self._rank[requested]
+        reported = self._reported.get(parent, 0) & ~(1 << rank)
+        if reported:
+            self._add_edges(parent, reported, rank, _PRECEDES)
 
     def _add_edge(self, source: int, target: int, kind: int) -> None:
-        parent = self._parent[source]
+        rank = self._rank
+        self._add_edges(self._parent[source], 1 << rank[source], rank[target], kind)
+
+    def _add_edges(self, parent: int, sources: int, target: int, kind: int) -> None:
+        """Edges of ``kind`` into member ``target`` of ``parent``'s group
+        from the members set in ``sources``; counted one per new edge."""
         group = self._groups.get(parent)
         if group is None:
             group = self._groups[parent] = _Group()
-        bit = 1 << self._rank[source]
-        preds = group.preds.get(target)
-        if preds is None:
-            preds = group.preds[target] = [0, 0]
-        elif (preds[0] | preds[1]) & bit:
-            preds[kind] |= bit  # an existing edge gains a label at most
+        new = group.record(sources, target, kind)
+        if not new:
             return
-        preds[kind] |= bit
         if self.metrics is not None:
             self.metrics.inc(
-                "online.edges.conflict" if kind == _CONFLICT else "online.edges.precedes"
+                "online.edges.conflict" if kind == _CONFLICT else "online.edges.precedes",
+                new.bit_count(),
             )
         if self._cycle is not None:
             return  # the verdict is monotone: once latched, always cyclic
-        topology = group.topology
-        cycle = topology.add_edge(source, target)
+        cycle = group.insert(new, target)
         if self.metrics is not None:
-            self.metrics.inc("online.incremental.edge_inserts")
-            self.metrics.inc(
-                "online.incremental.affected_nodes", topology.last_affected
-            )
+            self.metrics.inc("online.incremental.edge_inserts", group.inserted)
+            self.metrics.inc("online.incremental.affected_nodes", group.affected)
         if cycle is not None:
             self._latch_cycle(parent, cycle)
 
     def _latch_cycle(self, parent: int, cycle: List[int]) -> None:
         names = self._store.txn_names
-        self._cycle = (names[parent], [names[dense] for dense in cycle])
+        members = self._members[parent]
+        self._cycle = (names[parent], [names[members[rank]] for rank in cycle])
         if self.metrics is not None:
             self.metrics.inc("online.cycle_latched")
         if self.flight is not None:
@@ -831,6 +952,7 @@ class OnlineCertifier:
             if subtree is not None:
                 subtree.ops.pop(row.position, None)
         self._stats["evicted_rows"] += cut
+        self._live_ops -= cut
         # rows are position-sorted, so the state after the last trimmed
         # row is absolute over the whole evicted prefix
         state.base = state.states[cut - 1]
@@ -843,18 +965,22 @@ class OnlineCertifier:
     def _evict_subtrees(self, evictable: Set[int]) -> None:
         """Drop the records of quiescent top-level subtrees: their op
         trackers, parent watches, nested report/request buckets and
-        nested sibling groups.  Visible rows retire separately (see
-        :meth:`_trim_rows`); root-level state stays, keeping late events
-        that reference a retired subtree exact."""
+        nested sibling groups, whose members' positions go with them (a
+        later edge there starts a fresh group).  Visible rows retire
+        separately (see :meth:`_trim_rows`); root-level state stays,
+        keeping late events that reference a retired subtree exact."""
         for top in evictable:
             subtree = self._subtrees.pop(top)
             self._stats["evicted_subtrees"] += 1
             self._stats["evicted_ops"] += len(subtree.ops)
+            # quiescent: every operation not in a row is dead
+            self._live_ops -= sum(not op.visible for op in subtree.ops.values())
             if self.metrics is not None:
                 self.metrics.inc("online.compaction.evicted_ops", len(subtree.ops))
             for parent in subtree.parents:
                 self._requests.pop(parent, None)
                 self._reports.pop(parent, None)
+                self._reported.pop(parent, None)
                 self._watches.pop(parent, None)
         chain = self._store.chain
         for parent in [p for p in self._groups if p and chain(p)[0] in evictable]:

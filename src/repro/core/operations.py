@@ -15,7 +15,7 @@ behaviors they induce:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from .actions import Action, Behavior, Create, RequestCommit
 from .names import ObjectName, SystemType, TransactionName

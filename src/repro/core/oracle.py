@@ -17,9 +17,8 @@ behavior the theorems of the paper can certify and more.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from .actions import Action, Behavior
 from .correctness import WitnessError, build_witness, validate_serial_behavior

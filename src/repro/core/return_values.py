@@ -15,10 +15,10 @@ internal implications can be tested, not just assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from .actions import Action, RequestCommit, is_serial_action
+from .actions import Action, RequestCommit
 from .events import StatusIndex, visible_projection
 from .names import ROOT, ObjectName, SystemType, TransactionName
 from .operations import operation_payloads, operations_of_object

@@ -34,7 +34,7 @@ from .actions import (
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from .events import StatusIndex, visible_projection
-from .graph import CycleError, Digraph
+from .graph import Digraph
 from .names import ROOT, ObjectName, SystemType, TransactionName, lca
 from .sibling_order import SiblingOrder
 

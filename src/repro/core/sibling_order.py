@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .actions import Action, hightransaction, is_serial_action, lowtransaction
-from .events import AffectsRelation, StatusIndex, visible_projection
+from .events import AffectsRelation, StatusIndex
 from .graph import Digraph
 from .history import HistoryIndex
 from .names import TransactionName, lca

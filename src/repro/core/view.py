@@ -27,7 +27,6 @@ from .events import StatusIndex, visible_projection
 from .history import HistoryIndex
 from .names import ObjectName, SystemType, TransactionName
 from .operations import Operation, operation_payloads, perform
-from .return_values import ReturnValueViolation
 from .sibling_order import SiblingOrder, is_suitable
 
 __all__ = ["view", "serializability_theorem_applies"]

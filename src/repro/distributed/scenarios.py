@@ -42,7 +42,7 @@ from ..core.actions import (
     RequestCommit,
     RequestCreate,
 )
-from ..core.names import Access, ObjectName, SystemType, TransactionName
+from ..core.names import Access, SystemType, TransactionName
 from ..core.rw_semantics import OK, ReadOp, RWSpec, WriteOp
 from ..sim.faults import SiteCrash, SiteRecovery
 from .cluster import (

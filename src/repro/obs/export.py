@@ -37,7 +37,7 @@ import math
 import re
 import time
 from pathlib import Path
-from typing import Any, Dict, IO, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, IO, List, Mapping, Optional, Union
 
 from .metrics import MetricsRegistry
 

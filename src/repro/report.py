@@ -14,7 +14,7 @@ from .core.actions import Action, format_behavior
 from .core.correctness import Certificate
 from .core.events import StatusIndex, serial_projection
 from .core.explain import CycleExplanation
-from .core.names import ROOT, SystemType
+from .core.names import SystemType
 from .core.serialization_graph import CONFLICT, PRECEDES, SerializationGraph
 
 __all__ = [

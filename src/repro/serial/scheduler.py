@@ -13,8 +13,8 @@ no ``CREATE(T0)`` action is ever emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, Iterator, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, FrozenSet, Iterator, Tuple
 
 from ..automata.base import IOAutomaton
 from ..core.actions import (

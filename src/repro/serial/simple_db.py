@@ -16,7 +16,7 @@ generic system provably implements (tested, not assumed).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..automata.base import IOAutomaton
 from ..core.actions import (
@@ -30,7 +30,7 @@ from ..core.actions import (
     RequestCreate,
     is_serial_action,
 )
-from ..core.names import ROOT, SystemType, TransactionName
+from ..core.names import SystemType, TransactionName
 
 __all__ = [
     "SimpleDatabaseState",

@@ -15,7 +15,7 @@ module provides:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 from ..automata.base import IOAutomaton
 from ..automata.composition import Composition

@@ -8,8 +8,8 @@ answered, and the shape of the transaction tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..core.actions import (
     Abort,

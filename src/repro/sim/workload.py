@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Tuple
 
 from ..core.names import ObjectName, SystemType, TransactionName
 from ..core.rw_semantics import ReadOp, RWSpec, WriteOp

@@ -102,6 +102,47 @@ class TestDeterminism:
         assert behavior1 != behavior2
 
 
+def unused_imports(source):
+    """``(line, name)`` for each name ``source`` imports and never uses.
+
+    A name is used when it is read anywhere in the module, listed in
+    ``__all__``, or named in a string annotation.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    spelled = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            spelled.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            spelled.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            spelled.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            spelled.append(node.value)
+    for root in filter(None, spelled):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    expression = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(
+                    name.id for name in ast.walk(expression) if isinstance(name, ast.Name)
+                )
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
 class TestImportLayering:
     """Each name has one import path, its defining module, so importing
     the judge loads the judge and what it imports, nothing more."""
@@ -147,3 +188,24 @@ class TestImportLayering:
                 importing[init.relative_to(SRC).as_posix()] = imported
         assert set(importing) <= self.IMPORTING_INITS, sorted(importing)
         assert importing["repro/stream/__init__.py"] == self.STREAM_NAMES
+
+    def test_src_imports_only_what_it_uses(self):
+        """An unused import gives a name a second import path."""
+        unused = {
+            path.relative_to(SRC).as_posix(): found
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            if (found := unused_imports(path.read_text()))
+        }
+        assert unused == {}
+
+    def test_unused_import_scan(self):
+        source = (
+            "from typing import List, Optional, Set, Tuple\n"
+            "import os.path\n"
+            "from .names import Kept, Spelled, Unused\n"
+            "__all__ = ['Kept']\n"
+            "def f(x: 'Optional[Spelled]') -> List[int]:\n"
+            "    return os.path.sep\n"
+            "y: 'Set[int]' = set()\n"
+        )
+        assert unused_imports(source) == [(1, "Tuple"), (3, "Unused")]

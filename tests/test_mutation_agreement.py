@@ -14,7 +14,9 @@ compaction off and at three sweep intervals, it must not raise, and its
 final verdict must match ``certify(..., construct_witness=False)`` on
 ``certified`` and on whether ARV violations exist.  Whether a cycle
 latched must match too: always without compaction, and with compaction
-on every mutant that is still a simple behavior.
+on every mutant that is still a simple behavior.  After every feed, its
+kept ``live_tracked_ops()`` count must equal the walk over what it
+retains.
 """
 
 import random
@@ -32,6 +34,7 @@ from repro.serial.simple_db import check_simple_behavior
 from conftest import reference_certify
 from test_core_properties import random_simple_behavior
 from test_online import random_contended_behavior
+from test_online_compaction import walked_live_ops
 from test_witness_phase import simulated_run
 
 KINDS = ("drop", "duplicate", "swap", "truncate", "shuffle")
@@ -160,7 +163,7 @@ LOST_NESTED_CYCLES = {
 
 
 def test_online_engine_matches_certify_on_every_mutant(corpus):
-    differences, crashes, lost_cycles = [], [], set()
+    differences, crashes, miscounts, lost_cycles = [], [], [], set()
     simple = 0
     for label, behavior, system in corpus:
         batch = certify(behavior, system, construct_witness=False)
@@ -174,7 +177,11 @@ def test_online_engine_matches_certify_on_every_mutant(corpus):
                 compaction_interval=interval or 64,
             )
             try:
-                verdict = certifier.feed_all(behavior)
+                for step, action in enumerate(behavior):
+                    certifier.feed(action)
+                    if certifier.live_tracked_ops() != walked_live_ops(certifier):
+                        miscounts.append((label, interval, step))
+                verdict = certifier.verdict()
             except Exception as exc:  # a crash fails the sweep like a mismatch
                 crashes.append((label, interval, repr(exc)))
                 continue
@@ -187,5 +194,6 @@ def test_online_engine_matches_certify_on_every_mutant(corpus):
                     differences.append((label, interval, verdict.cycle, batch.cycle))
     assert crashes == []
     assert differences == []
+    assert miscounts == []
     assert lost_cycles == LOST_NESTED_CYCLES
     assert simple == 486

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.actions import Commit
+from repro.core.actions import Commit, RequestCommit
 from repro.core.correctness import certify
 from repro.core.events import serial_projection
 from repro.core.online import OnlineCertifier
@@ -385,3 +385,110 @@ class TestEquivalenceOnDriverStreams:
                 assert online.certified == certified, (seed, cut)
                 assert (not online.arv_violations) == arv_ok, (seed, cut)
                 assert (online.cycle is None) == acyclic, (seed, cut)
+
+
+def long_lived_behavior(others, late_read):
+    """Top-level ``long`` writes ``x`` first and commits after ``others``
+    top-level transactions, each writing one of eight rotating objects
+    (every 100th also writes ``x``) and committing unreported, all
+    visible before ``long`` is.  At its commit, ``long -> t0`` runs
+    against the order from ``t0``'s position to the last.  With
+    ``late_read`` it also reads ``y0`` last, so ``t0 -> long`` closes a
+    cycle at that commit."""
+    system = rw_system("x", *(f"y{i}" for i in range(8)))
+    b = BehaviorBuilder(system)
+    long = b.begin_top("long")
+    b.write(long, "w", "x", -1)
+    for i in range(others):
+        t = b.begin_top(f"t{i}")
+        b.write(t, "w", f"y{i % 8}", i)
+        if i % 100 == 0:
+            b.write(t, "v", "x", i)
+        b.emit(RequestCommit(t, "done"), Commit(t))  # unreported: no precedes
+    if late_read:
+        b.read(long, "r", "y0", max(range(0, others, 8)))
+    b.commit(long)
+    return b.build(), system
+
+
+def judged(verdict):
+    return verdict.certified, verdict.arv_violations, verdict.cycle is None
+
+
+class TestLongLivedTopLevel:
+    """One early access committed after many others: the engine's first
+    edge out of it is a search over every position in between."""
+
+    @pytest.mark.parametrize("late_read", [False, True], ids=["acyclic", "cyclic"])
+    def test_agrees_with_certify_on_every_prefix(self, late_read):
+        behavior, system = long_lived_behavior(100, late_read)
+        engines = [
+            OnlineCertifier(system),
+            OnlineCertifier(system, compaction=True, compaction_interval=16),
+        ]
+        for cut, action in enumerate(behavior, start=1):
+            expected = batch_verdict(behavior[:cut], system)
+            for certifier in engines:
+                certifier.feed(action)
+                online = certifier.verdict()
+                assert online.certified == expected[0], (cut, certifier.compaction)
+                assert (not online.arv_violations) == expected[1], cut
+                assert (online.cycle is None) == expected[2], cut
+        assert (engines[0].verdict().cycle is None) != late_read
+
+    @pytest.mark.parametrize("late_read", [False, True], ids=["acyclic", "cyclic"])
+    def test_after_a_thousand_others(self, late_read):
+        """Both engines agree on every prefix; ``certify`` is consulted on
+        every 500th prefix and on each from ``long``'s commit request on
+        (certifying all 10k prefixes would take minutes)."""
+        behavior, system = long_lived_behavior(1000, late_read)
+        tail = max(
+            cut for cut, action in enumerate(behavior)
+            if isinstance(action, RequestCommit) and action.transaction == T("long")
+        )
+        full = OnlineCertifier(system)
+        compacted = OnlineCertifier(system, compaction=True, compaction_interval=64)
+        for cut, action in enumerate(behavior, start=1):
+            full.feed(action)
+            compacted.feed(action)
+            assert judged(full.verdict()) == judged(compacted.verdict()), cut
+            if cut % 500 == 0 or cut > tail:
+                online = compacted.verdict()
+                certified, arv_ok, acyclic = batch_verdict(behavior[:cut], system)
+                assert online.certified == certified, cut
+                assert (not online.arv_violations) == arv_ok, cut
+                assert (online.cycle is None) == acyclic, cut
+        assert (compacted.verdict().cycle is None) != late_read
+
+
+class TestEdgeCounters:
+    """The group store counts what the per-edge store counted: one per
+    edge, batched or not, on the ``stream`` workload's seed-1 closed-loop
+    inputs (``perfbench/serializable.py``, 500 top-level transactions)."""
+
+    @pytest.mark.parametrize(
+        "seed, conflict, precedes, inserts",
+        [(1500, 18_255, 2_423, 20_678), (1501, 18_698, 2_432, 21_130)],
+    )
+    def test_counts_on_the_closed_loop_streams(self, seed, conflict, precedes, inserts):
+        import importlib.util
+        from pathlib import Path
+
+        from repro.obs.metrics import MetricsRegistry
+        from repro.stream.workload import StreamWorkload
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "serializable.py"
+        spec = importlib.util.spec_from_file_location("perfbench_serializable", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+
+        system, actions = module.serializable_stream(
+            StreamWorkload(top_level=500, seed=seed)
+        )
+        registry = MetricsRegistry()
+        certifier = OnlineCertifier(system, metrics=registry, compaction=True)
+        assert certifier.feed_all(actions).certified
+        counters = registry.snapshot()["counters"]
+        assert counters["online.edges.conflict"] == conflict
+        assert counters["online.edges.precedes"] == precedes
+        assert counters["online.incremental.edge_inserts"] == inserts

@@ -34,6 +34,16 @@ def judgement(verdict):
     return (verdict.certified, verdict.arv_violations, verdict.cycle is None)
 
 
+def walked_live_ops(certifier):
+    """The reference for ``live_tracked_ops()``: walk every retained row
+    and every not-yet-visible (waiting or dead) operation in the subtree
+    records."""
+    total = sum(len(state.rows) for state in certifier._objects.values())
+    for subtree in certifier._subtrees.values():
+        total += sum(1 for op in subtree.ops.values() if not op.visible)
+    return total
+
+
 def paired(system, interval=3):
     """A (baseline, compacted) certifier pair over the same system."""
     return (
@@ -43,7 +53,8 @@ def paired(system, interval=3):
 
 
 def assert_equivalent_per_step(behavior, system, interval=3, context=()):
-    """Feed both engines action by action, comparing judgements each step."""
+    """Feed both engines action by action, comparing judgements each step
+    and each engine's kept live-op count with the walk."""
     baseline, compacted = paired(system, interval)
     for step, action in enumerate(behavior):
         baseline.feed(action)
@@ -52,6 +63,12 @@ def assert_equivalent_per_step(behavior, system, interval=3, context=()):
             *context,
             step,
         )
+        for certifier in (baseline, compacted):
+            assert certifier.live_tracked_ops() == walked_live_ops(certifier), (
+                *context,
+                step,
+                certifier.compaction,
+            )
 
 
 class TestRandomizedEquivalence:
